@@ -8,7 +8,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import kernels
 from .core import Batch
 
 X_RANGE = (0.0, 10.0)
@@ -86,31 +85,70 @@ class LinRegObjective:
     """Mean squared error of y ~ w*x + b; theta = (w, b).
 
     A batch is an index array into the dataset; None means the full dataset.
+    The loss is quadratic in theta, so a few moments of a batch give its loss
+    and gradient in O(1) (see ``_moments``). The full-dataset moments are
+    computed once; a mini-batch's moments are computed on its first call and
+    cached on the batch's identity, so a batch is treated as immutable.
     """
 
     def __init__(self, data: Dataset):
         if len(data.x) == 0:
             raise ValueError("empty dataset")
         self.data = data
-        self._x = np.ascontiguousarray(data.x, dtype=float)
-        self._y = np.ascontiguousarray(data.y, dtype=float)
+        self._x = np.asarray(data.x, dtype=float)
+        self._y = np.asarray(data.y, dtype=float)
+        self._full = _moments(self._x, self._y)
+        # single-entry cache; holding the batch keeps its id from being reused
+        self._key = None
+        self._cached = None
 
-    def _slice(self, batch: Batch):
+    def _cached_moments(self, batch: Batch):
         if batch is None:
-            return self._x, self._y
-        x = np.ascontiguousarray(self._x[batch])
-        if x.size == 0:
-            raise ValueError("empty batch")
-        return x, np.ascontiguousarray(self._y[batch])
+            return self._full
+        if batch is not self._key:
+            x = self._x[batch]
+            if x.size == 0:
+                raise ValueError("empty batch")
+            self._cached = _moments(x, self._y[batch])
+            self._key = batch
+        return self._cached
 
     def loss(self, theta: np.ndarray, batch: Batch = None) -> float:
-        x, y = self._slice(batch)
-        return float(kernels.linreg_loss(theta[0], theta[1], x, y))
+        xm, beta, alpha, rm, vxx, c, rv = self._cached_moments(batch)
+        d = float(theta[0]) - beta
+        m = d * xm + (float(theta[1]) - alpha) + rm
+        # clamped: rounding must not make the residual variance negative
+        return m * m + max(d * (d * vxx + 2.0 * c) + rv, 0.0)
 
     def grad(self, theta: np.ndarray, batch: Batch = None) -> np.ndarray:
-        x, y = self._slice(batch)
-        _, gw, gb = kernels.linreg_loss_grad(theta[0], theta[1], x, y)
-        return np.array([gw, gb])
+        xm, beta, alpha, rm, vxx, c, _ = self._cached_moments(batch)
+        d = float(theta[0]) - beta
+        m = d * xm + (float(theta[1]) - alpha) + rm
+        return np.array([2.0 * (xm * m + d * vxx + c), 2.0 * m])
+
+
+def _moments(x: np.ndarray, y: np.ndarray):
+    """Moments of the residuals r0 = beta*x + alpha - y about a reference line.
+
+    Returns (mean x, beta, alpha, mean r0, Vxx, Cov(x, r0), Var(r0)). With
+    d = w - beta and m = d*mean(x) + (b - alpha) + mean(r0), the loss at
+    (w, b) is m**2 + d**2*Vxx + 2*d*Cov(x, r0) + Var(r0) in exact arithmetic,
+    for any reference line. The batch's least-squares line keeps r0 small,
+    so calls near the optimum round no worse than the direct sum over the
+    batch. When mean(x) is 4 or more standard deviations from zero, that line
+    is steep and r0 itself would lose digits; the flat line through mean(y)
+    is used then.
+    """
+    n = x.size
+    xm = float(x.sum()) / n
+    dx = x - xm
+    vxx = float(dx @ dx) / n
+    beta = float(dx @ y) / n / vxx if xm * xm < 16.0 * vxx else 0.0
+    alpha = float(y.sum()) / n - beta * xm
+    r0 = beta * x + alpha - y
+    rm = float(r0.sum()) / n
+    dr = r0 - rm
+    return xm, beta, alpha, rm, vxx, float(dx @ dr) / n, float(dr @ dr) / n
 
 
 def linreg_objective(data: Dataset) -> LinRegObjective:

@@ -1,6 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bfeopt import problems
 from bfeopt.core import grad_check
 from bfeopt.problems import (
     BatchStream,
@@ -41,6 +46,197 @@ def test_single_point_hand_arithmetic():
     theta = np.array([6.0, 9.0])
     assert obj.loss(theta) == pytest.approx(1.0, rel=1e-15)
     np.testing.assert_allclose(obj.grad(theta), [2.0, 2.0], rtol=1e-15)
+
+
+def oracle(w, b, x, y):
+    """Direct loss and gradient of the mean squared error over the rows."""
+    r = w * x + b - y
+    return np.mean(r * r), np.array([2.0 * np.mean(x * r), 2.0 * np.mean(r)])
+
+
+def test_loss_hand_value():
+    obj = linreg_objective(Dataset(x=np.array([1.0, 2.0]),
+                                   y=np.array([3.0, 5.0])))
+    # residuals at w=1, b=0 are -2 and -3, mean square 6.5
+    for batch in (None, np.array([0, 1])):
+        assert obj.loss(np.array([1.0, 0.0]), batch) == pytest.approx(
+            6.5, rel=1e-15)
+
+
+def test_grad_hand_value():
+    obj = linreg_objective(Dataset(x=np.array([1.0]), y=np.array([14.0])))
+    theta = np.array([6.0, 9.0])
+    for batch in (None, np.array([0])):
+        assert obj.loss(theta, batch) == pytest.approx(1.0, rel=1e-15)
+        np.testing.assert_allclose(obj.grad(theta, batch), [2.0, 2.0],
+                                   rtol=1e-15)
+
+
+def test_closed_form_matches_direct_oracle():
+    rng = np.random.default_rng(0)
+    for n in (1, 2, 17, 1000):
+        x = rng.uniform(0, 10, n)
+        y = 5.0 * x + 9.0 + rng.normal(0, 1, n)
+        obj = linreg_objective(Dataset(x=x, y=y))
+        batch = rng.integers(0, n, size=max(1, n // 2))
+        for _ in range(10):
+            w, b = rng.normal(0, 5, 2)
+            for rows in (None, batch):
+                xs, ys = (x, y) if rows is None else (x[rows], y[rows])
+                want_loss, want_grad = oracle(w, b, xs, ys)
+                theta = np.array([w, b])
+                assert obj.loss(theta, rows) == pytest.approx(want_loss,
+                                                               rel=1e-12)
+                for got, want in zip(obj.grad(theta, rows), want_grad):
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_loss_and_grad_agree_in_either_call_order():
+    rng = np.random.default_rng(1)
+    x = rng.uniform(0, 10, 100)
+    data = Dataset(x=x, y=5.0 * x + 9.0)
+    theta = np.array([2.0, 1.0])
+    batch = np.arange(0, 100, 3)
+    first = linreg_objective(data)
+    loss, grad = first.loss(theta, batch), first.grad(theta, batch)
+    second = linreg_objective(data)
+    assert second.grad(theta, batch).tolist() == grad.tolist()
+    assert second.loss(theta, batch) == loss
+    want_loss, want_grad = oracle(2.0, 1.0, x[batch], data.y[batch])
+    assert loss == pytest.approx(want_loss, rel=1e-12)
+    np.testing.assert_allclose(grad, want_grad, rtol=1e-12)
+
+
+def test_gradient_at_least_squares_solution_is_exact_to_rounding():
+    # near the optimum the gradient is a difference of large terms; it must
+    # stay within one rounding of the residual scale, as the direct sum does
+    for seed in range(10):
+        data = gen_linear_data(LinRegSpec(n=256, seed=seed))
+        a = np.column_stack([data.x, np.ones_like(data.x)])
+        w, b = np.linalg.lstsq(a, data.y, rcond=None)[0]
+        r = [Fraction(w) * Fraction(x) + Fraction(b) - Fraction(y)
+             for x, y in zip(data.x, data.y)]
+        exact = [2 * sum(Fraction(x) * ri for x, ri in zip(data.x, r)) / 256,
+                 2 * sum(r) / 256]
+        got = linreg_objective(data).grad(np.array([w, b]))
+        s = abs(w) * np.max(data.x) + abs(b) + np.max(np.abs(data.y))
+        for g, e in zip(got, exact):
+            assert abs(float(Fraction(g) - e)) <= np.finfo(float).eps * s
+
+
+def test_badly_centred_features_keep_precision():
+    x = 1e8 + np.arange(8.0)
+    y = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0])
+    obj = linreg_objective(Dataset(x=x, y=y))
+    for theta in ([0.0, 0.0], [0.0, 0.5], [1e-9, 0.4]):
+        want_loss, want_grad = oracle(*theta, x, y)
+        assert obj.loss(np.array(theta)) == pytest.approx(want_loss,
+                                                          rel=1e-12)
+        np.testing.assert_allclose(obj.grad(np.array(theta)), want_grad,
+                                   rtol=1e-12)
+
+
+# float32-representable values keep every square and product clear of the
+# subnormal range, where no method keeps its relative precision
+_x32 = st.floats(-10, 10, width=32)
+_y32 = st.floats(-100, 100, width=32)
+_param = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def regression_calls(draw):
+    n = draw(st.integers(1, 40))
+    x = np.array(draw(st.lists(_x32, min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(_y32, min_size=n, max_size=n)))
+    batch = np.array(draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                   max_size=n)))
+    return x, y, batch, draw(_param), draw(_param)
+
+
+@settings(max_examples=300, deadline=None)
+@given(regression_calls())
+def test_closed_form_matches_oracle_on_random_data(case):
+    x, y, batch, w, b = case
+    obj = linreg_objective(Dataset(x=x, y=y))
+    theta = np.array([w, b])
+    xs, ys = x[batch], y[batch]
+    want_loss, want_grad = oracle(w, b, xs, ys)
+    loss = obj.loss(theta, batch)
+    assert loss >= 0.0
+    # The closed form may cancel terms of size Vyy + m**2 + w**2 * Vxx. Both
+    # it and the oracle also round each residual by about eps times
+    # s = |w| max|x| + |b| + max|y|; e allows thousands of times that.
+    m = w * np.mean(xs) + b - np.mean(ys)
+    spread = np.var(ys) + m * m + w * w * np.var(xs)
+    s = abs(w) * np.max(np.abs(xs)) + abs(b) + np.max(np.abs(ys))
+    e = 1e-12 * s
+    tol = 1e-12 * spread + e * (2.0 * np.sqrt(want_loss) + e)
+    assert abs(loss - want_loss) <= tol
+    grad_tol = 10.0 * e * np.array([np.max(np.abs(xs)), 1.0])
+    assert np.all(np.abs(obj.grad(theta, batch) - want_grad) <= grad_tol)
+
+
+def test_batch_cache_keeps_each_batch_apart():
+    data = gen_linear_data(LinRegSpec(n=200, seed=11))
+    obj = linreg_objective(data)
+    theta = np.array([3.0, 4.0])
+    a, b = np.arange(0, 100), np.arange(100, 200)
+    first_a = obj.loss(theta, a)
+    first_b = obj.loss(theta, b)
+    assert first_a != first_b
+    assert obj.loss(theta, a) == first_a
+    for rows, got in ((a, first_a), (b, first_b)):
+        want, _ = oracle(3.0, 4.0, data.x[rows], data.y[rows])
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_batch_cache_equal_contents_give_equal_values():
+    obj = linreg_objective(gen_linear_data(LinRegSpec(n=200, seed=12)))
+    theta = np.array([3.0, 4.0])
+    batch = np.arange(0, 200, 7)
+    loss, grad = obj.loss(theta, batch), obj.grad(theta, batch)
+    fresh = batch.copy()
+    assert obj.loss(theta, fresh) == loss
+    assert obj.grad(theta, fresh).tolist() == grad.tolist()
+
+
+def test_full_dataset_moments_survive_mini_batch_calls():
+    data = gen_linear_data(LinRegSpec(n=300, seed=13))
+    obj = linreg_objective(data)
+    theta = np.array([3.0, 4.0])
+    full = obj.loss(theta, None)
+    obj.grad(theta, np.arange(10))
+    obj.loss(theta, np.arange(20, 40))
+    assert obj.loss(theta, None) == full
+    want, _ = oracle(3.0, 4.0, data.x, data.y)
+    assert full == pytest.approx(want, rel=1e-12)
+
+
+def test_batch_moments_computed_once_per_batch(monkeypatch):
+    obj = linreg_objective(gen_linear_data(LinRegSpec(n=100, seed=15)))
+    passes = []
+    moments = problems._moments
+
+    def counted(x, y):
+        passes.append(len(x))
+        return moments(x, y)
+
+    monkeypatch.setattr(problems, "_moments", counted)
+    theta = np.array([1.0, 1.0])
+    batch = np.arange(50)
+    for _ in range(3):
+        obj.loss(theta, batch)
+        obj.grad(theta, batch)
+        obj.loss(theta, None)
+    assert passes == [50]
+
+
+def test_empty_batch_rejected():
+    obj = linreg_objective(gen_linear_data(LinRegSpec(n=10, seed=14)))
+    theta = np.array([1.0, 1.0])
+    for call in (obj.loss, obj.grad):
+        with pytest.raises(ValueError, match="empty batch"):
+            call(theta, np.array([], dtype=int))
 
 
 def test_linreg_grad_check_random_points():
