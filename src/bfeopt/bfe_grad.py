@@ -10,7 +10,7 @@ jointly with one gradient evaluation per inner pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -49,10 +49,7 @@ class BfeGradConfig:
     base: int = 2
     zoom_out_exit: ZoomOutExit = ZoomOutExit.HALVE_COMMIT_TRIAL
     pre_halve: bool = False
-    adaptive: bool = False
     max_inner: int = 60
-    lim_zero: float = 0.001
-    max_steps: int = 1000
     threshold_floor: float = 1e-12
 
     def __post_init__(self):
@@ -75,15 +72,19 @@ class GradProbe:
     eps_max: float
 
 
-def grad_probe(obj: Objective, theta: np.ndarray, rates, batch: Batch) -> GradProbe:
+def grad_probe(obj: Objective, theta: np.ndarray, rates, batch: Batch,
+               g: np.ndarray | None = None) -> GradProbe:
     """Probe the gradient change across one trial step.
 
-    ``rates`` is a scalar (broadcast) or a per-dimension array. Costs exactly
-    2 gradient evaluations.
+    ``rates`` is a scalar (broadcast) or a per-dimension array; ``g`` is the
+    gradient at ``theta``. Costs exactly 2 gradient evaluations, or 1 when
+    ``g`` is given.
     """
     theta = np.asarray(theta, dtype=float)
     rates = np.broadcast_to(np.asarray(rates, dtype=float), theta.shape)
-    g = np.asarray(obj.grad(theta, batch), dtype=float)
+    if g is None:
+        g = obj.grad(theta, batch)
+    g = np.asarray(g, dtype=float)
     theta_trial = theta - rates * g
     g_star = np.asarray(obj.grad(theta_trial, batch), dtype=float)
     if not np.all(np.isfinite(g_star)):
@@ -106,13 +107,16 @@ def _exceeds(probe: GradProbe, cfg: BfeGradConfig) -> bool:
 
 
 def bfe_grad_step(obj: Objective, theta: np.ndarray, rate: RateState,
-                  cfg: BfeGradConfig, batch: Batch,
-                  zoom_in: bool = True) -> StepOutcome:
+                  cfg: BfeGradConfig, batch: Batch, zoom_in: bool = True,
+                  g0: np.ndarray | None = None) -> StepOutcome:
     """One time-step of the global gradient-angle BFE.
 
     ``zoom_in`` is the carried branch state: True after a step that ended
     with the angle at/above threshold, False after one that ended below.
+    ``g0`` is the gradient at ``theta``, shared by all inner probes.
     """
+    if g0 is None:
+        g0 = obj.grad(theta, batch)
     base = float(cfg.base)
     eta = rate.eta
     lo = rate.eta0 * base ** -CAP_EXP
@@ -129,7 +133,7 @@ def bfe_grad_step(obj: Objective, theta: np.ndarray, rate: RateState,
                     f"grad zoom-in exceeded max_inner={cfg.max_inner}",
                     etas=etas)
             etas.append(eta)
-            probe = grad_probe(obj, theta, eta, batch)
+            probe = grad_probe(obj, theta, eta, batch, g0)
             eta = eta / base
             if not _exceeds(probe, cfg):
                 break
@@ -149,7 +153,7 @@ def bfe_grad_step(obj: Objective, theta: np.ndarray, rate: RateState,
                     f"grad zoom-out exceeded max_inner={cfg.max_inner}",
                     etas=etas)
             etas.append(eta)
-            probe = grad_probe(obj, theta, eta, batch)
+            probe = grad_probe(obj, theta, eta, batch, g0)
             eta = eta * base
             if _exceeds(probe, cfg):
                 break
@@ -168,20 +172,22 @@ def bfe_grad_step(obj: Objective, theta: np.ndarray, rate: RateState,
         branch = Branch.ZOOM_OUT
 
     return StepOutcome(theta_next=theta_next, eta_next=eta,
-                       inner_loops=inner, loss_committed=math.nan,
-                       branch=branch, eps_comp=probe.eps_max,
+                       inner_loops=inner, branch=branch,
+                       eps_comp=probe.eps_max,
                        eps_val=float(_thresholds(probe.g, cfg).max()),
                        capped=capped)
 
 
 def adabfe_step(obj: Objective, theta: np.ndarray, rate: RateState,
                 cfg: BfeGradConfig, batch: Batch,
-                zoom_in: np.ndarray | None = None) -> StepOutcome:
+                zoom_in: np.ndarray | None = None,
+                g0: np.ndarray | None = None) -> StepOutcome:
     """One time-step of per-parameter AdaBFE.
 
     Each dimension keeps its own rate and branch; active dimensions probe
     jointly (one gradient evaluation at the joint trial point per inner
     pass) and freeze their trial coordinate once their exit condition holds.
+    ``g0`` is the gradient at ``theta``; it is computed when not given.
     """
     theta = np.asarray(theta, dtype=float)
     dim = theta.size
@@ -199,7 +205,9 @@ def adabfe_step(obj: Objective, theta: np.ndarray, rate: RateState,
     lo = rate.eta0 * base ** -CAP_EXP
     hi = rate.eta0 * base ** CAP_EXP
 
-    g = np.asarray(obj.grad(theta, batch), dtype=float)  # fixed base gradient
+    if g0 is None:
+        g0 = obj.grad(theta, batch)
+    g = np.asarray(g0, dtype=float)  # fixed base gradient
     thresholds = _thresholds(g, cfg)
     committed = theta.copy()
     active = np.ones(dim, dtype=bool)
@@ -254,8 +262,8 @@ def adabfe_step(obj: Objective, theta: np.ndarray, rate: RateState,
 
     branch = Branch.ZOOM_IN if zoom_in.all() else Branch.ZOOM_OUT
     return StepOutcome(theta_next=committed, eta_next=float(eta.mean()),
-                       inner_loops=inner, loss_committed=math.nan,
-                       branch=branch, eps_comp=float(last_eps.max()),
+                       inner_loops=inner, branch=branch,
+                       eps_comp=float(last_eps.max()),
                        eps_val=float(thresholds.max()), capped=capped,
                        rates_next=eta, branches_next=zoom_next)
 
@@ -269,10 +277,10 @@ class BfeGradOptimizer:
         self.zoom_in = True
 
     def step(self, obj: Objective, theta: np.ndarray, batch: Batch,
-             epoch: int = 0) -> StepOutcome:
-        rate = RateState(eta=self.eta, eta0=self.cfg.eta0, base=self.cfg.base)
-        out = bfe_grad_step(obj, theta, rate, self.cfg, batch,
-                            zoom_in=self.zoom_in)
+             g0: np.ndarray | None = None, epoch: int = 0) -> StepOutcome:
+        rate = RateState(eta=self.eta, eta0=self.cfg.eta0)
+        out = bfe_grad_step(obj, theta, rate, self.cfg, batch, self.zoom_in,
+                            g0)
         self.eta = out.eta_next
         # zoom-in ends below threshold -> zoom-out next; zoom-out ends
         # at/above threshold -> zoom-in next
@@ -289,11 +297,11 @@ class AdaBfeOptimizer:
         self.zoom_in = np.ones(dim, dtype=bool)
 
     def step(self, obj: Objective, theta: np.ndarray, batch: Batch,
-             epoch: int = 0) -> StepOutcome:
+             g0: np.ndarray | None = None, epoch: int = 0) -> StepOutcome:
         rate = RateState(eta=self.cfg.eta0, eta0=self.cfg.eta0,
-                         per_dim=self.rates, base=self.cfg.base)
-        out = adabfe_step(obj, theta, rate, self.cfg, batch,
-                          zoom_in=self.zoom_in)
+                         per_dim=self.rates)
+        out = adabfe_step(obj, theta, rate, self.cfg, batch, self.zoom_in,
+                          g0)
         self.rates = out.rates_next
         self.zoom_in = out.branches_next
         return out

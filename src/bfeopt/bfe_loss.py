@@ -26,9 +26,7 @@ from .core import (
     Objective,
     RateState,
     StepOutcome,
-    TraceRecord,
     eval_criterion_threshold,
-    rms_grad_norm,
 )
 
 # lattice exponent bound: rates live in [eta0 * base**-CAP, eta0 * base**CAP]
@@ -52,19 +50,14 @@ class BfeLossConfig:
     base: int = 2
     commit_policy: CommitPolicy = CommitPolicy.HALF_STEP
     max_inner: int = 60
-    lim_zero: float = 0.001
-    max_steps: int = 1000
     zoom_in_only: bool = False
     reset_policy: ResetPolicy = ResetPolicy.DOUBLE_PREV_ETA
-    force_zoom_in: bool = False  # restart every step in the zoom-in branch
 
     def __post_init__(self):
         if self.eta0 <= 0:
             raise ValueError("eta0 must be positive")
         if self.max_inner < 1:
             raise ValueError("max_inner must be >= 1")
-        if self.lim_zero <= 0:
-            raise ValueError("lim_zero must be positive")
         if self.base < 2:
             raise ValueError("base must be >= 2")
 
@@ -77,12 +70,14 @@ def _check_finite(pair: LossPair, eta: float) -> LossPair:
 
 
 def loss_pair_zoom_in(obj: Objective, theta: np.ndarray, eta: float,
-                      batch: Batch) -> LossPair:
+                      batch: Batch, g: np.ndarray | None = None) -> LossPair:
     """One full step vs. two half-rate substeps from ``theta``.
 
-    Costs exactly 2 gradient and 2 loss evaluations.
+    ``g`` is the gradient at ``theta``. Costs exactly 2 loss and 2 gradient
+    evaluations, or 1 gradient evaluation when ``g`` is given.
     """
-    g = obj.grad(theta, batch)
+    if g is None:
+        g = obj.grad(theta, batch)
     trial_full = theta - eta * g
     trial_half = theta - (eta / 2.0) * g
     trial_two_step = trial_half - (eta / 2.0) * obj.grad(trial_half, batch)
@@ -93,12 +88,13 @@ def loss_pair_zoom_in(obj: Objective, theta: np.ndarray, eta: float,
 
 
 def loss_pair_zoom_out(obj: Objective, theta: np.ndarray, eta: float,
-                       batch: Batch) -> LossPair:
+                       batch: Batch, g: np.ndarray | None = None) -> LossPair:
     """Two full-rate substeps vs. one double-rate step from ``theta``.
 
-    Costs exactly 2 gradient and 2 loss evaluations.
+    Same cost as ``loss_pair_zoom_in``.
     """
-    g = obj.grad(theta, batch)
+    if g is None:
+        g = obj.grad(theta, batch)
     trial_half = theta - eta * g
     trial_two_step = trial_half - eta * obj.grad(trial_half, batch)
     trial_full = theta - 2.0 * eta * g
@@ -110,13 +106,15 @@ def loss_pair_zoom_out(obj: Objective, theta: np.ndarray, eta: float,
 
 def bfe_step(obj: Objective, theta: np.ndarray, rate: RateState,
              crit: CriterionState, cfg: BfeLossConfig, batch: Batch,
-             epoch: int = 0) -> StepOutcome:
+             epoch: int = 0, g0: np.ndarray | None = None) -> StepOutcome:
     """One outer time-step of the loss-comparison BFE algorithm.
 
     The carried-in ``crit`` pair selects the branch: eps_comp >= eps_val runs
     the rate-shrinking loop, otherwise the rate-growing loop. The mini-batch
-    is held fixed for all inner probes.
+    and the gradient ``g0`` at ``theta`` are held fixed for all inner probes.
     """
+    if g0 is None:
+        g0 = obj.grad(theta, batch)
     base = float(cfg.base)
     eta = rate.eta
     lo = rate.eta0 * base ** -CAP_EXP
@@ -132,7 +130,7 @@ def bfe_step(obj: Objective, theta: np.ndarray, rate: RateState,
                 raise NonTermination(
                     f"zoom-in exceeded max_inner={cfg.max_inner}", etas=etas)
             etas.append(eta)
-            pair = loss_pair_zoom_in(obj, theta, eta, batch)
+            pair = loss_pair_zoom_in(obj, theta, eta, batch, g0)
             eps_comp = abs(pair.loss2 - pair.loss1)
             eps_val = eval_criterion_threshold(pair.loss1, pair.loss2, crit,
                                                epoch)
@@ -143,18 +141,12 @@ def bfe_step(obj: Objective, theta: np.ndarray, rate: RateState,
                 eta = lo
                 capped = True
                 break
-        if capped:
-            eta_next = eta
-            theta_next = pair.trial_half
-            loss_committed = pair.loss2
-        elif cfg.commit_policy is CommitPolicy.FULL_STEP:
+        if not capped and cfg.commit_policy is CommitPolicy.FULL_STEP:
             eta_next = eta * base
             theta_next = pair.trial_full
-            loss_committed = pair.loss1
         else:
             eta_next = eta
             theta_next = pair.trial_half
-            loss_committed = pair.loss2
         branch = Branch.ZOOM_IN
     else:
         while True:
@@ -163,7 +155,7 @@ def bfe_step(obj: Objective, theta: np.ndarray, rate: RateState,
                 raise NonTermination(
                     f"zoom-out exceeded max_inner={cfg.max_inner}", etas=etas)
             etas.append(eta)
-            pair = loss_pair_zoom_out(obj, theta, eta, batch)
+            pair = loss_pair_zoom_out(obj, theta, eta, batch, g0)
             eps_comp = abs(pair.loss2 - pair.loss1)
             eps_val = eval_criterion_threshold(pair.loss1, pair.loss2, crit,
                                                epoch)
@@ -178,18 +170,17 @@ def bfe_step(obj: Objective, theta: np.ndarray, rate: RateState,
             eta = eta / base
         eta_next = eta
         theta_next = pair.trial_half
-        loss_committed = pair.loss1
         branch = Branch.ZOOM_OUT
 
     return StepOutcome(theta_next=theta_next, eta_next=eta_next,
-                       inner_loops=inner, loss_committed=loss_committed,
-                       branch=branch, eps_comp=eps_comp, eps_val=eps_val,
-                       capped=capped)
+                       inner_loops=inner, branch=branch, eps_comp=eps_comp,
+                       eps_val=eps_val, capped=capped)
 
 
 def zoom_in_only_step(obj: Objective, theta: np.ndarray, rate: RateState,
                       crit: CriterionState, cfg: BfeLossConfig, batch: Batch,
-                      epoch: int = 0) -> StepOutcome:
+                      epoch: int = 0, g0: np.ndarray | None = None
+                      ) -> StepOutcome:
     """Zoom-in-only variant: reset the rate, run the shrinking loop once.
 
     The rate is re-seeded from the previously committed rate (optionally
@@ -204,7 +195,7 @@ def zoom_in_only_step(obj: Objective, theta: np.ndarray, rate: RateState,
     # this variant always commits the half-rate trial point
     cfg = replace(cfg, commit_policy=CommitPolicy.HALF_STEP)
     return bfe_step(obj, theta, replace(rate, eta=eta), forced, cfg, batch,
-                    epoch)
+                    epoch, g0)
 
 
 class BfeLossOptimizer:
@@ -216,40 +207,11 @@ class BfeLossOptimizer:
         self.crit = cfg.crit
 
     def step(self, obj: Objective, theta: np.ndarray, batch: Batch,
-             epoch: int = 0) -> StepOutcome:
-        rate = RateState(eta=self.eta, eta0=self.cfg.eta0, base=self.cfg.base)
-        if self.cfg.zoom_in_only:
-            out = zoom_in_only_step(obj, theta, rate, self.crit, self.cfg,
-                                    batch, epoch)
-        else:
-            out = bfe_step(obj, theta, rate, self.crit, self.cfg, batch,
-                           epoch)
+             g0: np.ndarray | None = None, epoch: int = 0) -> StepOutcome:
+        rate = RateState(eta=self.eta, eta0=self.cfg.eta0)
+        step = zoom_in_only_step if self.cfg.zoom_in_only else bfe_step
+        out = step(obj, theta, rate, self.crit, self.cfg, batch, epoch, g0)
         self.eta = out.eta_next
-        eps_comp = math.inf if self.cfg.force_zoom_in else out.eps_comp
-        self.crit = replace(self.crit, eps_comp=eps_comp,
+        self.crit = replace(self.crit, eps_comp=out.eps_comp,
                             eps_val=out.eps_val)
         return out
-
-
-def run(obj: Objective, theta0: np.ndarray, cfg: BfeLossConfig,
-        batches) -> tuple[np.ndarray, list[TraceRecord]]:
-    """Outer loop: one batch per time-step until the gradient RMS falls
-    below ``cfg.lim_zero`` on the current batch, or ``max_steps`` is hit.
-    """
-    opt = BfeLossOptimizer(cfg)
-    theta = np.asarray(theta0, dtype=float)
-    trace: list[TraceRecord] = []
-    for t, batch in enumerate(batches, start=1):
-        if t > cfg.max_steps:
-            break
-        gnorm = rms_grad_norm(obj.grad(theta, batch))
-        if gnorm < cfg.lim_zero:
-            break
-        out = opt.step(obj, theta, batch, epoch=getattr(batches, "epoch", 0))
-        theta = out.theta_next
-        trace.append(TraceRecord(step=t, batch_loss=obj.loss(theta, batch),
-                                 full_loss=obj.loss(theta, None),
-                                 eta=out.eta_next,
-                                 inner_loops=out.inner_loops,
-                                 grad_norm=gnorm))
-    return theta, trace

@@ -10,13 +10,14 @@ Exit codes: 0 success, 2 configuration error, 3 optimizer failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+import typing
 
 from .core import NonFiniteEvaluation, NonTermination
 from .harness import (
-    OPTIMIZERS,
-    PROBLEMS,
+    CHOICES,
     ConfigError,
     RunConfig,
     compare_runs,
@@ -25,79 +26,58 @@ from .harness import (
     summarize,
 )
 
-
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--optimizer", choices=OPTIMIZERS, default="bfe")
-    p.add_argument("--problem", choices=PROBLEMS, default="linreg")
-    p.add_argument("--eta0", type=float, default=0.001)
-    p.add_argument("--epsilon", type=float, default=0.001,
-                   help="error limit ratio scaling loss magnitudes")
-    p.add_argument("--epsilon-v-policy", default="mean_scaled",
-                   choices=["mean_scaled", "min_scaled", "constant",
-                            "epoch_decay"])
-    p.add_argument("--commit-policy", default="half_step",
-                   choices=["half_step", "full_step"])
-    p.add_argument("--reset-policy", default="double_prev_eta",
-                   choices=["prev_eta", "double_prev_eta"])
-    p.add_argument("--base", type=int, default=2)
-    p.add_argument("--angle-threshold-deg", type=float, default=1.0)
-    p.add_argument("--threshold-mode", default="absolute",
-                   choices=["absolute", "relative"])
-    p.add_argument("--zoom-out-exit", default="halve_commit_trial",
-                   choices=["halve_commit_trial", "quarter_fresh_step"])
-    p.add_argument("--pre-halve", action="store_true")
-    p.add_argument("--batch-size", type=int, default=512)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-steps", type=int, default=1000)
-    p.add_argument("--max-inner", type=int, default=60)
-    p.add_argument("--lim-zero", type=float, default=0.001)
-    p.add_argument("--beta", type=float, default=0.9)
-    p.add_argument("--alpha", type=float, default=0.001)
-    p.add_argument("--w0", type=float, default=5.0)
-    p.add_argument("--b0", type=float, default=9.0)
-    p.add_argument("--noise-std", type=float, default=1.0)
-    p.add_argument("--n-samples", type=int, default=10000)
-    p.add_argument("--normalize", action="store_true")
-    p.add_argument("--curvatures", default="1.0",
-                   help="comma-separated curvatures for the quadratic problem")
-    p.add_argument("--theta0", default=None,
-                   help="comma-separated initial parameters")
-    p.add_argument("--loss-threshold", type=float, default=None)
-    p.add_argument("--out", default=None, help="trace CSV output path")
+# RunConfig fields whose flag (and compare JSON key) is not the field name
+ALIASES = {"eps_ratio": "epsilon", "eps_val_policy": "epsilon_v_policy",
+           "output_path": "out"}
+FIELD_OF_ALIAS = {alias: name for name, alias in ALIASES.items()}
+HELP = {"eps_ratio": "error limit ratio scaling loss magnitudes",
+        "curvatures": "comma-separated curvatures for the quadratic problem",
+        "theta0": "comma-separated initial parameters",
+        "output_path": "trace CSV output path"}
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    theta0 = None
-    if args.theta0 is not None:
-        theta0 = tuple(float(v) for v in args.theta0.split(","))
-    return RunConfig(
-        optimizer=args.optimizer, problem=args.problem,
-        batch_size=args.batch_size, seed=args.seed, max_steps=args.max_steps,
-        eta0=args.eta0, eps_ratio=args.epsilon,
-        eps_val_policy=args.epsilon_v_policy,
-        commit_policy=args.commit_policy, reset_policy=args.reset_policy,
-        base=args.base, lim_zero=args.lim_zero, max_inner=args.max_inner,
-        angle_threshold_deg=args.angle_threshold_deg,
-        threshold_mode=args.threshold_mode, zoom_out_exit=args.zoom_out_exit,
-        pre_halve=args.pre_halve, beta=args.beta, alpha=args.alpha,
-        w0=args.w0, b0=args.b0, noise_std=args.noise_std,
-        n_samples=args.n_samples, normalize=args.normalize,
-        curvatures=tuple(float(v) for v in args.curvatures.split(",")),
-        theta0=theta0, loss_threshold=args.loss_threshold,
-        output_path=args.out)
+def _float_tuple(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
 
 
-def _config_from_dict(d: dict) -> RunConfig:
-    fields = {k.replace("-", "_"): v for k, v in d.items()}
-    for src, dst in (("epsilon", "eps_ratio"), ("out", "output_path"),
-                     ("epsilon_v_policy", "eps_val_policy")):
-        if src in fields:
-            fields[dst] = fields.pop(src)
-    for key in ("curvatures", "theta0"):
-        if key in fields and fields[key] is not None:
-            fields[key] = tuple(fields[key])
+def _flag_type(hint):
+    """argparse ``type`` for a RunConfig annotation (``X | None`` -> X)."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        hint = next(a for a in args if a is not type(None))
+    return _float_tuple if typing.get_origin(hint) is tuple else hint
+
+
+def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """One flag per RunConfig field, named after the field or its alias."""
+    hints = typing.get_type_hints(RunConfig)
+    for f in dataclasses.fields(RunConfig):
+        name = ALIASES.get(f.name, f.name)
+        flag = "--" + name.replace("_", "-")
+        help = " ".join(filter(None, (HELP.get(f.name),
+                                      "(default: %(default)s)")))
+        kind = _flag_type(hints[f.name])
+        if kind is bool:
+            p.add_argument(flag, dest=f.name, action="store_true", help=help)
+            continue
+        choices = CHOICES.get(f.name)
+        p.add_argument(flag, dest=f.name, type=kind, default=f.default,
+                       choices=choices, help=help,
+                       metavar=None if choices else name.upper())
+
+
+def _config_from_json(d: dict) -> RunConfig:
+    """A RunConfig from one compare entry, keyed by field or flag name."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"a config must be a JSON object, not {d!r}")
+    kw = {}
+    for key, value in d.items():
+        key = key.replace("-", "_")
+        kw[FIELD_OF_ALIAS.get(key, key)] = (tuple(value)
+                                            if isinstance(value, list)
+                                            else value)
     try:
-        return RunConfig(**fields)
+        return RunConfig(**kw)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -117,7 +97,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_opt = sub.add_parser("optimize", help="run one configuration")
-    _add_run_flags(p_opt)
+    _add_config_flags(p_opt)
 
     p_cmp = sub.add_parser("compare", help="run and compare configurations")
     p_cmp.add_argument("--configs", required=True,
@@ -133,12 +113,13 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "optimize":
-            cfg = _config_from_args(args)
+            cfg = RunConfig(**{f.name: getattr(args, f.name)
+                               for f in dataclasses.fields(RunConfig)})
             _, summary = run_experiment(cfg)
             _print_summary(summary)
         elif args.command == "compare":
             with open(args.configs) as f:
-                cfgs = [_config_from_dict(d) for d in json.load(f)]
+                cfgs = [_config_from_json(d) for d in json.load(f)]
             _, table = compare_runs(cfgs, args.loss_threshold)
             if args.out:
                 with open(args.out, "w") as f:
@@ -151,7 +132,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (NonFiniteEvaluation, NonTermination) as exc:
-        print(f"optimizer failure: {exc}", file=sys.stderr)
+        where = f" at step {exc.step}" if exc.step is not None else ""
+        print(f"optimizer failure{where}: {exc}", file=sys.stderr)
         return 3
     return 0
 

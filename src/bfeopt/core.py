@@ -7,7 +7,7 @@ state objects here are immutable values and safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Protocol
 
@@ -24,6 +24,7 @@ class NonFiniteEvaluation(RuntimeError):
     def __init__(self, message: str, eta: float | None = None):
         super().__init__(message)
         self.eta = eta
+        self.step: int | None = None  # set by the run loop
 
 
 class NonTermination(RuntimeError):
@@ -34,6 +35,7 @@ class NonTermination(RuntimeError):
         super().__init__(message)
         self.etas = etas or []
         self.stuck_dims = stuck_dims or []
+        self.step: int | None = None  # set by the run loop
 
 
 class Objective(Protocol):
@@ -83,13 +85,10 @@ class RateState:
     eta: float = 0.001
     eta0: float = 0.001
     per_dim: np.ndarray | None = None
-    base: int = 2
 
     def __post_init__(self):
         if self.eta <= 0 or self.eta0 <= 0:
             raise ValueError("learning rates must be positive")
-        if self.base < 2:
-            raise ValueError("multiplier base must be >= 2")
         if self.per_dim is not None and np.any(np.asarray(self.per_dim) <= 0):
             raise ValueError("per-dimension rates must be positive")
 
@@ -174,13 +173,18 @@ class Branch(str, Enum):
 
 @dataclass
 class StepOutcome:
-    """Result of one outer time-step of a BFE-style optimizer."""
+    """Result of one outer time-step of any optimizer.
+
+    Every optimizer's ``step(obj, theta, batch, g0=None, epoch=0)`` returns
+    one; ``g0`` is the gradient at ``theta`` on ``batch`` when the caller
+    already has it. Fixed-rate baselines report one inner loop, their rate,
+    and no branch.
+    """
 
     theta_next: np.ndarray
     eta_next: float
     inner_loops: int
-    loss_committed: float
-    branch: Branch
+    branch: Branch | None = None
     eps_comp: float = math.nan
     eps_val: float = math.nan
     capped: bool = False

@@ -6,9 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,14 +16,24 @@ from .bfe_grad import AdaBfeOptimizer, BfeGradConfig, BfeGradOptimizer, \
     ThresholdMode, ZoomOutExit, DEG
 from .bfe_loss import BfeLossConfig, BfeLossOptimizer, CommitPolicy, \
     ResetPolicy
-from .core import CriterionState, StepOutcome, ThresholdPolicy, TraceRecord, \
-    Branch, rms_grad_norm
-from .problems import BatchStream, ConstantBatchStream, Dataset, LinRegSpec, \
+from .core import CriterionState, NonFiniteEvaluation, NonTermination, \
+    ThresholdPolicy, TraceRecord, rms_grad_norm
+from .problems import BatchStream, ConstantBatchStream, LinRegSpec, \
     gen_linear_data, linreg_objective, normalize, quadratic_objective
 
 OPTIMIZERS = ("bfe", "bfe-zoomin", "bfe-grad", "adabfe", "sgd", "nesterov",
               "adam")
 PROBLEMS = ("linreg", "quadratic")
+# allowed values of the RunConfig fields that name a choice
+CHOICES = {
+    "optimizer": OPTIMIZERS,
+    "problem": PROBLEMS,
+    "eps_val_policy": tuple(p.value for p in ThresholdPolicy),
+    "commit_policy": tuple(p.value for p in CommitPolicy),
+    "reset_policy": tuple(p.value for p in ResetPolicy),
+    "threshold_mode": tuple(m.value for m in ThresholdMode),
+    "zoom_out_exit": tuple(e.value for e in ZoomOutExit),
+}
 
 
 class ConfigError(ValueError):
@@ -69,12 +77,13 @@ class RunConfig:
     output_path: str | None = None
 
     def __post_init__(self):
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.problem not in PROBLEMS:
-            raise ConfigError(f"unknown problem {self.problem!r}")
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        if self.lim_zero <= 0:
+            raise ConfigError("lim_zero must be positive")
 
 
 @dataclass(frozen=True)
@@ -113,8 +122,7 @@ def build_optimizer(cfg: RunConfig, dim: int):
         return BfeLossOptimizer(BfeLossConfig(
             eta0=cfg.eta0, crit=crit, base=cfg.base,
             commit_policy=CommitPolicy(cfg.commit_policy),
-            max_inner=cfg.max_inner, lim_zero=cfg.lim_zero,
-            max_steps=cfg.max_steps,
+            max_inner=cfg.max_inner,
             zoom_in_only=(cfg.optimizer == "bfe-zoomin"),
             reset_policy=ResetPolicy(cfg.reset_policy)))
     if cfg.optimizer in ("bfe-grad", "adabfe"):
@@ -122,9 +130,7 @@ def build_optimizer(cfg: RunConfig, dim: int):
             eta0=cfg.eta0, angle_threshold=cfg.angle_threshold_deg * DEG,
             threshold_mode=ThresholdMode(cfg.threshold_mode), base=cfg.base,
             zoom_out_exit=ZoomOutExit(cfg.zoom_out_exit),
-            pre_halve=cfg.pre_halve, adaptive=(cfg.optimizer == "adabfe"),
-            max_inner=cfg.max_inner, lim_zero=cfg.lim_zero,
-            max_steps=cfg.max_steps)
+            pre_halve=cfg.pre_halve, max_inner=cfg.max_inner)
         if cfg.optimizer == "adabfe":
             return AdaBfeOptimizer(gcfg, dim)
         return BfeGradOptimizer(gcfg)
@@ -135,32 +141,29 @@ def build_optimizer(cfg: RunConfig, dim: int):
     return AdamOptimizer(dim, alpha=cfg.alpha)
 
 
-def _step(opt, obj, theta, batch, epoch):
-    """Uniform step: returns (theta_next, eta_committed, inner_loops)."""
-    if hasattr(opt, "step"):
-        out: StepOutcome = opt.step(obj, theta, batch, epoch=epoch)
-        return out.theta_next, out.eta_next, out.inner_loops
-    theta_next = opt.step_params(obj, theta, batch)
-    eta = getattr(opt, "alpha", None)
-    if eta is None:
-        eta = opt.state.alpha
-    return theta_next, eta, 1
-
-
 def run_experiment(cfg: RunConfig) -> tuple[list[TraceRecord], RunSummary]:
+    """The run loop: per step, one gradient at theta on the step's batch
+    serves both the stop check and the optimizer step."""
     obj, theta, stream, _ = build_problem(cfg)
     opt = build_optimizer(cfg, dim=theta.size)
     trace: list[TraceRecord] = []
     batches = iter(stream)
     for t in range(1, cfg.max_steps + 1):
         batch = next(batches)
-        gnorm = rms_grad_norm(obj.grad(theta, batch))
+        g = obj.grad(theta, batch)
+        gnorm = rms_grad_norm(g)
         if gnorm < cfg.lim_zero:
             break
-        theta, eta, inner = _step(opt, obj, theta, batch, stream.epoch)
+        try:
+            out = opt.step(obj, theta, batch, g0=g, epoch=stream.epoch)
+        except (NonFiniteEvaluation, NonTermination) as exc:
+            exc.step = t
+            raise
+        theta = out.theta_next
         trace.append(TraceRecord(step=t, batch_loss=obj.loss(theta, batch),
-                                 full_loss=obj.loss(theta, None), eta=eta,
-                                 inner_loops=inner, grad_norm=gnorm))
+                                 full_loss=obj.loss(theta, None),
+                                 eta=out.eta_next,
+                                 inner_loops=out.inner_loops, grad_norm=gnorm))
     summary = summarize(trace, cfg.loss_threshold)
     if cfg.output_path:
         write_trace(cfg.output_path, trace, cfg)
@@ -220,6 +223,7 @@ def compare_runs(cfgs: list[RunConfig],
 
 
 TRACE_HEADER = "step,batch_loss,full_loss,eta,inner_loops,grad_norm"
+_TRACE_TYPES = (int, float, float, float, int, float)  # one per column
 
 
 def _config_json(cfg: RunConfig) -> str:
@@ -242,10 +246,11 @@ def write_trace(path: str, trace: list[TraceRecord], cfg: RunConfig) -> None:
 
 
 def read_trace(path: str) -> tuple[dict, list[TraceRecord]]:
+    """Read a trace file; a malformed row raises ValueError naming its line."""
     meta: dict = {}
     trace: list[TraceRecord] = []
     with open(path) as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if line.startswith("#"):
                 key, _, value = line[1:].strip().partition("=")
@@ -254,10 +259,13 @@ def read_trace(path: str) -> tuple[dict, list[TraceRecord]]:
             if line == TRACE_HEADER or not line:
                 continue
             parts = line.split(",")
-            trace.append(TraceRecord(step=int(parts[0]),
-                                     batch_loss=float(parts[1]),
-                                     full_loss=float(parts[2]),
-                                     eta=float(parts[3]),
-                                     inner_loops=int(parts[4]),
-                                     grad_norm=float(parts[5])))
+            try:
+                if len(parts) != len(_TRACE_TYPES):
+                    raise ValueError(f"{len(parts)} fields, expected "
+                                     f"{len(_TRACE_TYPES)}")
+                trace.append(TraceRecord(*(convert(part) for convert, part
+                                           in zip(_TRACE_TYPES, parts))))
+            except ValueError as exc:
+                raise ValueError(f"{path} line {lineno}: bad trace row "
+                                 f"{line!r} ({exc})") from None
     return meta, trace

@@ -174,8 +174,7 @@ def test_criterion_7_rate_lattice():
             k = math.log(out.eta_next / cfg.eta0) / math.log(base)
             worst = max(worst, abs(k - round(k)))
         aobj = quadratic_objective([1.0, 100.0])
-        acfg = BfeGradConfig(eta0=0.001, base=base, adaptive=True,
-                             max_inner=300)
+        acfg = BfeGradConfig(eta0=0.001, base=base, max_inner=300)
         aopt = AdaBfeOptimizer(acfg, dim=2)
         atheta = np.array([1.0, 1.0])
         for _ in range(1000):
@@ -200,8 +199,7 @@ def test_criterion_8_baseline_reductions():
 
     obj = quadratic_objective([3.0])
     gopt = BfeGradOptimizer(BfeGradConfig(eta0=0.001, max_inner=200))
-    aopt = AdaBfeOptimizer(BfeGradConfig(eta0=0.001, max_inner=200,
-                                         adaptive=True), dim=1)
+    aopt = AdaBfeOptimizer(BfeGradConfig(eta0=0.001, max_inner=200), dim=1)
     gtheta, atheta = np.array([1.0]), np.array([1.0])
     stepwise = True
     for _ in range(50):
@@ -246,11 +244,14 @@ def test_criterion_11_evaluation_budget(counting):
     obj = counting(quadratic_objective([1.0]))
     out = bfe_step(obj, np.array([1.0]), RateState(eta=0.1, eta0=0.001),
                    CriterionState(), BfeLossConfig(eta0=0.001), None)
-    loss_ok = (obj.grad_calls == 2 * out.inner_loops
+    loss_ok = (obj.grad_calls == 1 + out.inner_loops
                and obj.loss_calls == 2 * out.inner_loops)
     obj.reset()
     loss_pair_zoom_in(obj, np.array([1.0]), 0.1, None)
     pair_in_ok = (obj.grad_calls, obj.loss_calls) == (2, 2)
+    obj.reset()
+    loss_pair_zoom_in(obj, np.array([1.0]), 0.1, None, g=np.array([1.0]))
+    pair_given_ok = (obj.grad_calls, obj.loss_calls) == (1, 2)
     obj.reset()
     loss_pair_zoom_out(obj, np.array([1.0]), 0.1, None)
     pair_out_ok = (obj.grad_calls, obj.loss_calls) == (2, 2)
@@ -264,7 +265,8 @@ def test_criterion_11_evaluation_budget(counting):
     nesterov_step(obj, np.array([1.0]),
                   MomentumState(v=np.zeros(1), alpha=0.1), None)
     nest_ok = obj.grad_calls == 1
-    ok = all((loss_ok, pair_in_ok, pair_out_ok, probe_ok, sgd_ok, nest_ok))
+    ok = all((loss_ok, pair_in_ok, pair_given_ok, pair_out_ok, probe_ok,
+              sgd_ok, nest_ok))
     _report(11, "evaluation budget", ok,
-            "2+2 per loss-bfe inner loop, 2 grads per probe, "
-            "1 grad per baseline step")
+            "1 base grad + (1 grad, 2 losses) per loss-bfe inner loop, "
+            "2 grads per probe, 1 grad per baseline step")

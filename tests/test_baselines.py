@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 
 from bfeopt.baselines import (
+    AdamOptimizer,
     AdamState,
     MomentumState,
+    NesterovOptimizer,
+    SgdOptimizer,
     adam_step,
     nesterov_step,
     sgd_step,
 )
+from bfeopt.core import NonFiniteEvaluation
 from bfeopt.problems import quadratic_objective
 
 
@@ -135,3 +139,32 @@ def test_baselines_one_gradient_per_step(counting):
     adam_step(obj, np.array([1.0]),
               AdamState(m=np.zeros(1), v=np.zeros(1)), None)
     assert obj.grad_calls == 1
+
+
+def test_given_gradient_is_used_and_checked(counting):
+    obj = counting(quadratic_objective([1.0]))
+    g0 = np.array([1.0])
+    assert sgd_step(obj, np.array([1.0]), 0.1, None, g0)[0] == \
+        sgd_step(obj, np.array([1.0]), 0.1, None)[0]
+    assert obj.grad_calls == 1  # only the call without g0
+    obj.reset()
+    state = AdamState(m=np.zeros(1), v=np.zeros(1))
+    assert adam_step(obj, np.array([1.0]), state, None, g0)[0][0] == \
+        adam_step(obj, np.array([1.0]), state, None)[0][0]
+    assert obj.grad_calls == 1
+    with pytest.raises(NonFiniteEvaluation):
+        sgd_step(obj, np.array([1.0]), 0.1, None, np.array([np.nan]))
+    with pytest.raises(NonFiniteEvaluation):
+        adam_step(obj, np.array([1.0]), state, None, np.array([np.inf]))
+
+
+@pytest.mark.parametrize("opt", [SgdOptimizer(alpha=0.1),
+                                 NesterovOptimizer(1, alpha=0.1),
+                                 AdamOptimizer(1, alpha=0.1)])
+def test_baseline_step_outcome(opt):
+    obj = quadratic_objective([1.0])
+    out = opt.step(obj, np.array([1.0]), None, g0=np.array([1.0]))
+    assert out.eta_next == 0.1
+    assert out.inner_loops == 1
+    assert out.branch is None
+    assert out.theta_next[0] < 1.0

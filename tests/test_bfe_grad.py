@@ -93,6 +93,34 @@ def test_probe_budget(counting):
     assert obj.loss_calls == 0
 
 
+def test_probe_with_given_gradient_matches(counting):
+    obj = counting(quadratic_objective([1.0, 2.0]))
+    theta = np.array([1.0, 1.0])
+    probe = grad_probe(obj, theta, 0.01, None)
+    obj.reset()
+    given = grad_probe(obj, theta, 0.01, None, g=obj.inner.grad(theta, None))
+    assert obj.grad_calls == 1
+    assert np.array_equal(given.theta_trial, probe.theta_trial)
+    assert np.array_equal(given.eps_per_dim, probe.eps_per_dim)
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_step_with_given_gradient_matches(adaptive, counting):
+    obj = counting(quadratic_objective([1.0, 100.0]))
+    theta = np.array([1.0, 1.0])
+    cfg = BfeGradConfig(eta0=0.001, max_inner=200)
+    opts = [AdaBfeOptimizer(cfg, dim=2) if adaptive else BfeGradOptimizer(cfg)
+            for _ in range(2)]
+    for _ in range(5):
+        plain = opts[0].step(obj, theta, None)
+        obj.reset()
+        given = opts[1].step(obj, theta, None, g0=obj.inner.grad(theta, None))
+        assert obj.grad_calls == given.inner_loops
+        assert np.array_equal(given.theta_next, plain.theta_next)
+        assert given.eta_next == plain.eta_next
+        theta = plain.theta_next
+
+
 # ---------------------------------------------------------------------------
 # Global gradient-angle steps vs the oracle
 # ---------------------------------------------------------------------------
@@ -171,7 +199,7 @@ def test_zoom_in_angles_decrease_with_rate():
 
 def test_adabfe_anisotropic_rates_diverge():
     obj = quadratic_objective([1.0, 100.0])
-    cfg = BfeGradConfig(eta0=0.001, adaptive=True, max_inner=200)
+    cfg = BfeGradConfig(eta0=0.001, max_inner=200)
     rate = RateState(eta=0.001, eta0=0.001,
                      per_dim=np.array([0.001, 0.001]))
     out = adabfe_step(obj, np.array([1.0, 1.0]), rate, cfg, None,
@@ -182,7 +210,7 @@ def test_adabfe_anisotropic_rates_diverge():
 
 def test_adabfe_symmetric_dims_stay_equal():
     obj = quadratic_objective([2.0, 2.0])
-    cfg = BfeGradConfig(eta0=0.001, adaptive=True, max_inner=200)
+    cfg = BfeGradConfig(eta0=0.001, max_inner=200)
     opt = AdaBfeOptimizer(cfg, dim=2)
     theta = np.array([1.5, 1.5])
     for _ in range(20):
@@ -194,7 +222,7 @@ def test_adabfe_symmetric_dims_stay_equal():
 
 def test_adabfe_one_joint_gradient_per_inner_pass(counting):
     obj = counting(quadratic_objective([1.0, 100.0]))
-    cfg = BfeGradConfig(eta0=0.001, adaptive=True, max_inner=200)
+    cfg = BfeGradConfig(eta0=0.001, max_inner=200)
     rate = RateState(eta=0.001, eta0=0.001, per_dim=np.array([0.001, 0.001]))
     out = adabfe_step(obj, np.array([1.0, 1.0]), rate, cfg, None)
     # one base gradient plus one joint probe gradient per inner pass
@@ -206,8 +234,7 @@ def test_adabfe_one_joint_gradient_per_inner_pass(counting):
 def test_adabfe_1d_matches_global_variant(pre_halve):
     obj = quadratic_objective([3.0])
     cfg = BfeGradConfig(eta0=0.001, max_inner=200, pre_halve=pre_halve)
-    acfg = BfeGradConfig(eta0=0.001, max_inner=200, adaptive=True,
-                         pre_halve=pre_halve)
+    acfg = BfeGradConfig(eta0=0.001, max_inner=200, pre_halve=pre_halve)
     gopt = BfeGradOptimizer(cfg)
     aopt = AdaBfeOptimizer(acfg, dim=1)
     gtheta = np.array([1.0])
@@ -235,7 +262,7 @@ def test_adabfe_non_termination_names_stuck_dims():
             # dim 1 angle never falls below threshold
             return np.array([theta[0], 1.0 if theta[1] >= 1.0 else -1.0])
 
-    cfg = BfeGradConfig(eta0=1.0, adaptive=True, max_inner=5)
+    cfg = BfeGradConfig(eta0=1.0, max_inner=5)
     rate = RateState(eta=1.0, eta0=1.0, per_dim=np.array([1.0, 1.0]))
     with pytest.raises(NonTermination) as exc:
         adabfe_step(Stuck(), np.array([0.5, 1.0]), rate, cfg, None)
@@ -244,7 +271,7 @@ def test_adabfe_non_termination_names_stuck_dims():
 
 def test_adabfe_rates_on_lattice():
     obj = quadratic_objective([1.0, 100.0])
-    cfg = BfeGradConfig(eta0=0.001, adaptive=True, max_inner=200)
+    cfg = BfeGradConfig(eta0=0.001, max_inner=200)
     opt = AdaBfeOptimizer(cfg, dim=2)
     theta = np.array([1.0, 1.0])
     for _ in range(50):

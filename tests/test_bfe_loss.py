@@ -173,7 +173,7 @@ def _step(theta, eta, eps_comp=math.inf, **cfg_kw):
     obj = quadratic_objective([1.0])
     cfg = BfeLossConfig(eta0=0.001, **cfg_kw)
     crit = CriterionState(eps_comp=eps_comp)
-    rate = RateState(eta=eta, eta0=cfg.eta0, base=cfg.base)
+    rate = RateState(eta=eta, eta0=cfg.eta0)
     return bfe_step(obj, np.array([theta]), rate, crit, cfg, None)
 
 
@@ -209,14 +209,34 @@ def test_zoom_out_at_optimum_hits_rate_cap():
     assert out.eta_next == pytest.approx(0.001 * 2.0 ** CAP, rel=1e-9)
 
 
-def test_step_budget_is_two_plus_two_per_inner_loop(counting):
+def test_step_budget_is_one_base_grad_plus_one_grad_two_losses_per_inner_loop(
+        counting):
     obj = counting(quadratic_objective([1.0]))
     cfg = BfeLossConfig(eta0=0.001)
     crit = CriterionState()
     out = bfe_step(obj, np.array([1.0]), RateState(eta=0.1, eta0=0.001),
                    crit, cfg, None)
-    assert obj.grad_calls == 2 * out.inner_loops
+    # the gradient at theta is computed once and shared by every probe
+    assert obj.grad_calls == 1 + out.inner_loops
     assert obj.loss_calls == 2 * out.inner_loops
+
+
+@pytest.mark.parametrize("zoom_in_only", [False, True])
+def test_step_with_given_gradient_matches(zoom_in_only, counting):
+    obj = counting(quadratic_objective([1.0]))
+    cfg = BfeLossConfig(eta0=0.001, zoom_in_only=zoom_in_only)
+    plain_opt, given_opt = BfeLossOptimizer(cfg), BfeLossOptimizer(cfg)
+    theta = np.array([1.0])
+    for _ in range(6):
+        plain = plain_opt.step(obj, theta, None)
+        obj.reset()
+        given = given_opt.step(obj, theta, None,
+                               g0=obj.inner.grad(theta, None))
+        assert obj.grad_calls == given.inner_loops
+        assert obj.loss_calls == 2 * given.inner_loops
+        assert given.theta_next[0] == plain.theta_next[0]
+        assert given.eta_next == plain.eta_next
+        theta = plain.theta_next
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +282,7 @@ def test_oracle_equivalence_sample(h, eta0, commit):
     theta0 = 1.0
     obj = quadratic_objective([h])
     cfg = BfeLossConfig(eta0=eta0, commit_policy=CommitPolicy(commit),
-                        max_inner=200, max_steps=15)
+                        max_inner=200)
     opt = BfeLossOptimizer(cfg)
     theta = np.array([theta0])
     expected = oracle_run(h, theta0, eta0, steps=15, commit=commit)

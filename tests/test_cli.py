@@ -1,8 +1,12 @@
+import argparse
+import dataclasses
 import json
 
 import pytest
 
+from bfeopt import cli
 from bfeopt.cli import main
+from bfeopt.harness import RunConfig
 
 
 def _optimize(tmp_path, name, extra=()):
@@ -79,6 +83,14 @@ def test_compare_unknown_field_exits_2(tmp_path, capsys):
                  "--loss-threshold", "1.0"]) == 2
 
 
+def test_compare_non_object_entry_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfgs.json"
+    path.write_text(json.dumps([{"optimizer": "sgd"}, [1, 2]]))
+    assert main(["compare", "--configs", str(path),
+                 "--loss-threshold", "1.0"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_bad_theta0_dimension_exits_2(capsys):
     assert main(["optimize", "--problem", "quadratic",
                  "--curvatures", "1.0,2.0", "--theta0", "1.0"]) == 2
@@ -90,4 +102,130 @@ def test_optimizer_failure_exits_3(tmp_path, capsys):
     assert main(["optimize", "--optimizer", "adabfe", "--problem", "linreg",
                  "--seed", "42", "--max-steps", "50",
                  "--n-samples", "2000"]) == 3
-    assert "optimizer failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "optimizer failure" in err
+    assert "optimizer failure at step 3: adabfe exceeded" in err
+
+
+def _trace_with_row(tmp_path, row):
+    path = tmp_path / "t.csv"
+    path.write_text("# seed=0\n"
+                    "step,batch_loss,full_loss,eta,inner_loops,grad_norm\n"
+                    "1,2.0,2.0,0.001,1,1.0\n" + row + "\n")
+    return path
+
+
+@pytest.mark.parametrize("row", ["2,1.5,1.5,0.001",
+                                 "2,1.5,oops,0.001,1,1.0"])
+def test_summary_bad_row_is_config_error(tmp_path, capsys, row):
+    path = _trace_with_row(tmp_path, row)
+    assert main(["summary", "--trace", str(path),
+                 "--loss-threshold", "1.0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert f"{path} line 4" in err
+    assert "Traceback" not in err
+
+
+# The optimize flags written out by hand, as the reference the generated
+# parser must match: flag -> (RunConfig field, default, choices).
+PARENT_FLAGS = {
+    "--optimizer": ("optimizer", "bfe", ("bfe", "bfe-zoomin", "bfe-grad",
+                                         "adabfe", "sgd", "nesterov", "adam")),
+    "--problem": ("problem", "linreg", ("linreg", "quadratic")),
+    "--eta0": ("eta0", 0.001, None),
+    "--epsilon": ("eps_ratio", 0.001, None),
+    "--epsilon-v-policy": ("eps_val_policy", "mean_scaled",
+                           ("mean_scaled", "min_scaled", "constant",
+                            "epoch_decay")),
+    "--commit-policy": ("commit_policy", "half_step",
+                        ("half_step", "full_step")),
+    "--reset-policy": ("reset_policy", "double_prev_eta",
+                       ("prev_eta", "double_prev_eta")),
+    "--base": ("base", 2, None),
+    "--angle-threshold-deg": ("angle_threshold_deg", 1.0, None),
+    "--threshold-mode": ("threshold_mode", "absolute",
+                         ("absolute", "relative")),
+    "--zoom-out-exit": ("zoom_out_exit", "halve_commit_trial",
+                        ("halve_commit_trial", "quarter_fresh_step")),
+    "--pre-halve": ("pre_halve", False, None),
+    "--batch-size": ("batch_size", 512, None),
+    "--seed": ("seed", 0, None),
+    "--max-steps": ("max_steps", 1000, None),
+    "--max-inner": ("max_inner", 60, None),
+    "--lim-zero": ("lim_zero", 0.001, None),
+    "--beta": ("beta", 0.9, None),
+    "--alpha": ("alpha", 0.001, None),
+    "--w0": ("w0", 5.0, None),
+    "--b0": ("b0", 9.0, None),
+    "--noise-std": ("noise_std", 1.0, None),
+    "--n-samples": ("n_samples", 10000, None),
+    "--normalize": ("normalize", False, None),
+    "--curvatures": ("curvatures", (1.0,), None),
+    "--theta0": ("theta0", None, None),
+    "--loss-threshold": ("loss_threshold", None, None),
+    "--out": ("output_path", None, None),
+}
+
+# one non-default value per field, as a JSON value
+VALUES = {
+    "optimizer": "bfe-grad", "problem": "quadratic", "eta0": 0.002,
+    "eps_ratio": 0.01, "eps_val_policy": "epoch_decay",
+    "commit_policy": "full_step", "reset_policy": "prev_eta", "base": 3,
+    "angle_threshold_deg": 2.5, "threshold_mode": "relative",
+    "zoom_out_exit": "quarter_fresh_step", "pre_halve": True,
+    "batch_size": 64, "seed": 7, "max_steps": 12, "max_inner": 40,
+    "lim_zero": 1e-6, "beta": 0.5, "alpha": 0.03, "w0": 2.0, "b0": -1.0,
+    "noise_std": 0.5, "n_samples": 300, "normalize": True,
+    "curvatures": [0.5, 2.0], "theta0": [1.0, -1.0], "loss_threshold": 0.25,
+    "output_path": "trace.csv",
+}
+
+
+def test_optimize_flags_match_run_config_fields_one_to_one():
+    parser = argparse.ArgumentParser()
+    cli._add_config_flags(parser)
+    actions = [a for a in parser._actions if a.dest != "help"]
+    assert sorted(a.dest for a in actions) == sorted(
+        f.name for f in dataclasses.fields(RunConfig))
+    got = {a.option_strings[0]: (a.dest, a.default,
+                                 tuple(a.choices) if a.choices else None)
+           for a in actions}
+    assert all(len(a.option_strings) == 1 for a in actions)
+    assert got == PARENT_FLAGS
+
+
+def test_flag_and_json_spellings_give_equal_configs(tmp_path, monkeypatch):
+    seen = []
+
+    def capture(cfg):
+        seen.append(cfg)
+        raise SystemExit
+
+    def capture_all(cfgs, loss_threshold):
+        seen.extend(cfgs)
+        return [], ""
+
+    monkeypatch.setattr(cli, "run_experiment", capture)
+    monkeypatch.setattr(cli, "compare_runs", capture_all)
+    argv = ["optimize"]
+    by_flag = {}
+    for flag, (name, _, _) in PARENT_FLAGS.items():
+        value = VALUES[name]
+        by_flag[flag[2:]] = value
+        if isinstance(value, list):
+            value = ",".join(map(str, value))
+        argv += [flag] if value is True else [flag, str(value)]
+    with pytest.raises(SystemExit):
+        main(argv)
+    for entry in (by_flag, VALUES):
+        path = tmp_path / "cfgs.json"
+        path.write_text(json.dumps([entry]))
+        assert main(["compare", "--configs", str(path),
+                     "--loss-threshold", "1.0"]) == 0
+    from_flags, from_json_flags, from_json_fields = seen
+    assert from_json_flags == from_flags
+    assert from_json_fields == from_flags
+    for name, value in VALUES.items():  # every field was set
+        got = getattr(from_flags, name)
+        assert (list(got) if isinstance(got, tuple) else got) == value

@@ -3,8 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from bfeopt import harness
 from bfeopt.core import TraceRecord
 from bfeopt.harness import (
+    OPTIMIZERS,
     ConfigError,
     RunConfig,
     compare_runs,
@@ -117,6 +119,10 @@ def test_invalid_names_rejected():
         RunConfig(problem="nope")
     with pytest.raises(ConfigError):
         RunConfig(batch_size=0)
+    with pytest.raises(ConfigError):
+        RunConfig(lim_zero=0.0)
+    with pytest.raises(ConfigError):
+        RunConfig(commit_policy="nope")
 
 
 def test_normalized_run_uses_normalized_features():
@@ -125,3 +131,31 @@ def test_normalized_run_uses_normalized_features():
     data = normalize(gen_linear_data(LinRegSpec(seed=3)))
     assert abs(float(np.mean(data.x))) < 1e-10
     assert len(trace) == 10
+
+
+@pytest.mark.parametrize("optimizer", OPTIMIZERS)
+def test_run_loop_computes_the_step_gradient_once(optimizer, counting,
+                                                  monkeypatch):
+    objs = []
+    build_problem = harness.build_problem
+
+    def counted(cfg):
+        obj, *rest = build_problem(cfg)
+        objs.append(counting(obj))
+        return (objs[-1], *rest)
+
+    monkeypatch.setattr(harness, "build_problem", counted)
+    cfg = RunConfig(optimizer=optimizer, seed=42, max_steps=20,
+                    normalize=True)
+    trace, _ = run_experiment(cfg)
+    rows = len(trace)
+    assert rows == cfg.max_steps  # so there is one stop check per row
+    inner = sum(rec.inner_loops for rec in trace)
+    obj = objs[0]
+    # the stop check's gradient is the step's base gradient
+    extra_grads = {"sgd": 0, "adam": 0, "nesterov": rows}.get(optimizer,
+                                                             inner)
+    assert obj.grad_calls == rows + extra_grads
+    # batch loss and full loss per row, plus the loss pairs
+    probe_losses = 2 * inner if optimizer in ("bfe", "bfe-zoomin") else 0
+    assert obj.loss_calls == 2 * rows + probe_losses
