@@ -88,10 +88,20 @@ def grad_probe(obj: Objective, theta: np.ndarray, rates, batch: Batch,
     theta_trial = theta - rates * g
     g_star = np.asarray(obj.grad(theta_trial, batch), dtype=float)
     if not np.all(np.isfinite(g_star)):
-        raise NonFiniteEvaluation("non-finite gradient at trial point")
+        raise _non_finite("trial point", g_star, rates)
     eps = np.atleast_1d(angular_deviation(g, g_star))
     return GradProbe(g=g, theta_trial=theta_trial, g_star=g_star,
                      eps_per_dim=eps, eps_max=float(eps.max()))
+
+
+def _non_finite(where: str, g_star: np.ndarray,
+                rates: np.ndarray) -> NonFiniteEvaluation:
+    """The failure of a probe whose gradient is not finite, naming the
+    dimensions where it is not and the rates used there."""
+    dims = np.flatnonzero(~np.isfinite(g_star))
+    return NonFiniteEvaluation(
+        f"non-finite gradient at {where} in dims {dims.tolist()} "
+        f"at rates {rates[dims].tolist()}")
 
 
 def _thresholds(g: np.ndarray, cfg: BfeGradConfig) -> np.ndarray:
@@ -194,24 +204,31 @@ def adabfe_step(obj: Objective, theta: np.ndarray, rate: RateState,
     base = float(cfg.base)
     if rate.per_dim is None:
         raise ValueError("adabfe_step requires per-dimension rates")
-    eta = np.array(rate.per_dim, dtype=float).copy()
+    eta = np.array(rate.per_dim, dtype=float)
     if eta.size != dim:
         raise ValueError("per-dimension rate count must match theta")
     if zoom_in is None:
         zoom_in = np.ones(dim, dtype=bool)
-    zoom_in = np.array(zoom_in, dtype=bool).copy()
-    zoom_next = zoom_in.copy()
+    zoom_in = np.array(zoom_in, dtype=bool)
+    zoom_out = ~zoom_in
 
+    # A zoom-in rate is capped at lo once it falls to lo * (1 + 1e-9), a
+    # zoom-out rate at hi once it reaches hi * (1 - 1e-9). The zoom-out test
+    # is negated, so one `sign * eta <= edge` covers both (exact: sign = +-1).
     lo = rate.eta0 * base ** -CAP_EXP
     hi = rate.eta0 * base ** CAP_EXP
+    cap = np.where(zoom_in, lo, hi)
+    sign = np.where(zoom_in, 1.0, -1.0)
+    edge = np.where(zoom_in, lo * (1.0 + 1e-9), -(hi * (1.0 - 1e-9)))
 
     if g0 is None:
         g0 = obj.grad(theta, batch)
     g = np.asarray(g0, dtype=float)  # fixed base gradient
     thresholds = _thresholds(g, cfg)
-    committed = theta.copy()
+    # trial coordinates of finished dimensions stay at their committed value
+    trial = theta
     active = np.ones(dim, dtype=bool)
-    capped = False
+    hits = np.zeros(dim, dtype=bool)
     inner = 0
     last_eps = np.zeros(dim)
 
@@ -222,50 +239,34 @@ def adabfe_step(obj: Objective, theta: np.ndarray, rate: RateState,
                 f"adabfe exceeded max_inner={cfg.max_inner}",
                 stuck_dims=list(np.nonzero(active)[0]))
         if cfg.pre_halve:
-            shrink = active & zoom_in
-            eta[shrink] = eta[shrink] / base
-        trial = committed.copy()
-        trial[active] = theta[active] - eta[active] * g[active]
+            np.divide(eta, base, out=eta, where=active & zoom_in)
+        trial = np.where(active, theta - eta * g, trial)
         g_star = np.asarray(obj.grad(trial, batch), dtype=float)
         if not np.all(np.isfinite(g_star)):
-            raise NonFiniteEvaluation("non-finite gradient at joint trial point")
+            raise _non_finite("joint trial point", g_star, eta)
         eps = np.atleast_1d(angular_deviation(g, g_star))
-        last_eps[active] = eps[active]
+        np.copyto(last_eps, eps, where=active)
 
-        for i in np.nonzero(active)[0]:
-            exceed = eps[i] >= thresholds[i]
-            if zoom_in[i]:
-                if exceed:
-                    if not cfg.pre_halve:
-                        eta[i] = eta[i] / base
-                    if eta[i] <= lo * (1.0 + 1e-9):
-                        eta[i] = lo
-                        committed[i] = trial[i]
-                        active[i] = False
-                        capped = True
-                else:
-                    committed[i] = trial[i]
-                    active[i] = False
-                    zoom_next[i] = False
-            else:
-                if exceed:
-                    committed[i] = trial[i]
-                    active[i] = False
-                    zoom_next[i] = True
-                else:
-                    eta[i] = eta[i] * base
-                    if eta[i] >= hi * (1.0 - 1e-9):
-                        eta[i] = hi
-                        committed[i] = trial[i]
-                        active[i] = False
-                        capped = True
+        # zoom-in searches on while the angle exceeds its threshold, zoom-out
+        # while it does not; any other active dimension has crossed
+        move = active & ((eps >= thresholds) == zoom_in)
+        if not cfg.pre_halve:
+            np.divide(eta, base, out=eta, where=move & zoom_in)
+        np.multiply(eta, base, out=eta, where=move & zoom_out)
+        hit = move & (sign * eta <= edge)
+        np.copyto(eta, cap, where=hit)
+        hits |= hit
+        active = move ^ hit
 
     branch = Branch.ZOOM_IN if zoom_in.all() else Branch.ZOOM_OUT
-    return StepOutcome(theta_next=committed, eta_next=float(eta.mean()),
+    # a dimension that crossed its threshold switches branch; a capped one
+    # keeps it
+    return StepOutcome(theta_next=trial, eta_next=float(eta.mean()),
                        inner_loops=inner, branch=branch,
                        eps_comp=float(last_eps.max()),
-                       eps_val=float(thresholds.max()), capped=capped,
-                       rates_next=eta, branches_next=zoom_next)
+                       eps_val=float(thresholds.max()),
+                       capped=bool(hits.any()), rates_next=eta,
+                       branches_next=zoom_in ^ ~hits)
 
 
 class BfeGradOptimizer:

@@ -18,9 +18,11 @@ import typing
 from .core import NonFiniteEvaluation, NonTermination
 from .harness import (
     CHOICES,
+    FIELD_TYPES,
     ConfigError,
     RunConfig,
     compare_runs,
+    field_type,
     read_trace,
     run_experiment,
     summarize,
@@ -42,21 +44,18 @@ def _float_tuple(text: str) -> tuple[float, ...]:
 
 def _flag_type(hint):
     """argparse ``type`` for a RunConfig annotation (``X | None`` -> X)."""
-    args = typing.get_args(hint)
-    if type(None) in args:
-        hint = next(a for a in args if a is not type(None))
-    return _float_tuple if typing.get_origin(hint) is tuple else hint
+    kind = field_type(hint)
+    return _float_tuple if typing.get_origin(kind) is tuple else kind
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     """One flag per RunConfig field, named after the field or its alias."""
-    hints = typing.get_type_hints(RunConfig)
     for f in dataclasses.fields(RunConfig):
         name = ALIASES.get(f.name, f.name)
         flag = "--" + name.replace("_", "-")
         help = " ".join(filter(None, (HELP.get(f.name),
                                       "(default: %(default)s)")))
-        kind = _flag_type(hints[f.name])
+        kind = _flag_type(FIELD_TYPES[f.name])
         if kind is bool:
             p.add_argument(flag, dest=f.name, action="store_true", help=help)
             continue

@@ -15,8 +15,6 @@ import numpy as np
 
 Batch = Any  # opaque mini-batch handle, interpreted by the objective
 
-HALF_PI = math.pi / 2.0
-
 
 class NonFiniteEvaluation(RuntimeError):
     """A loss or gradient evaluation produced NaN/inf at a trial point."""
@@ -113,10 +111,8 @@ def angular_deviation(g, g_star):
     """
     g = np.asarray(g, dtype=float)
     g_star = np.asarray(g_star, dtype=float)
-    den = 1.0 + g_star * g
-    num = np.abs(g_star - g)
-    safe_den = np.where(den == 0.0, 1.0, den)
-    out = np.where(den == 0.0, HALF_PI, np.arctan(np.abs(num / safe_den)))
+    with np.errstate(divide="ignore"):  # x / 0 -> inf, and arctan(inf) == pi/2
+        out = np.arctan(np.abs(g_star - g) / np.abs(1.0 + g_star * g))
     if out.ndim == 0:
         return float(out)
     return out

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +78,10 @@ class RunConfig:
     output_path: str | None = None
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not _fits(value, FIELD_TYPES[f.name]):
+                raise ConfigError(f"{f.name} must be {f.type}, not {value!r}")
         for name, allowed in CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
@@ -84,6 +89,38 @@ class RunConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.lim_zero <= 0:
             raise ConfigError("lim_zero must be positive")
+
+
+FIELD_TYPES = typing.get_type_hints(RunConfig)
+
+
+def field_type(hint):
+    """The type a RunConfig annotation names, without its ``| None``."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        return next(a for a in args if a is not type(None))
+    return hint
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _fits(value, hint) -> bool:
+    """Whether ``value`` may be stored in a RunConfig field annotated
+    ``hint``: an int fits a float field, a bool only a bool field, None only
+    an optional field, and a tuple field holds one or more numbers."""
+    if value is None:
+        return type(None) in typing.get_args(hint)
+    kind = field_type(hint)
+    if typing.get_origin(kind) is tuple:
+        return (isinstance(value, tuple) and len(value) > 0
+                and all(map(_is_number, value)))
+    if kind is float:
+        return _is_number(value)
+    if kind is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, kind)
 
 
 @dataclass(frozen=True)
@@ -160,9 +197,10 @@ def run_experiment(cfg: RunConfig) -> tuple[list[TraceRecord], RunSummary]:
             exc.step = t
             raise
         theta = out.theta_next
-        trace.append(TraceRecord(step=t, batch_loss=obj.loss(theta, batch),
-                                 full_loss=obj.loss(theta, None),
-                                 eta=out.eta_next,
+        full_loss = obj.loss(theta, None)
+        batch_loss = full_loss if batch is None else obj.loss(theta, batch)
+        trace.append(TraceRecord(step=t, batch_loss=batch_loss,
+                                 full_loss=full_loss, eta=out.eta_next,
                                  inner_loops=out.inner_loops, grad_norm=gnorm))
     summary = summarize(trace, cfg.loss_threshold)
     if cfg.output_path:

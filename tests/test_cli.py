@@ -107,6 +107,35 @@ def test_optimizer_failure_exits_3(tmp_path, capsys):
     assert "optimizer failure at step 3: adabfe exceeded" in err
 
 
+def test_non_finite_gradient_failure_names_dims_and_rates(capsys):
+    # the stiff dimension diverges; its overflow in the objective warns
+    # before the probe sees the non-finite gradient
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        rc = main(["optimize", "--optimizer", "adabfe", "--problem",
+                   "quadratic", "--curvatures", "1e6,1,1e-6",
+                   "--theta0", "1,1,1", "--eta0", "1"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("optimizer failure at step 14: non-finite gradient"
+                          " at joint trial point in dims [0] at rates "
+                          f"[{2.0 ** 60!r}]")
+
+
+@pytest.mark.parametrize("entry", [{"max_steps": "3"}, {"eta0": "x"},
+                                   {"eta0": "0.5"}, {"normalize": "true"},
+                                   {"max_steps": True}, {"eta0": None},
+                                   {"curvatures": [1.0, "a"]}])
+def test_compare_wrong_value_type_exits_2(tmp_path, capsys, entry):
+    path = tmp_path / "cfgs.json"
+    path.write_text(json.dumps([{"optimizer": "bfe", **entry},
+                                {"optimizer": "sgd"}]))
+    assert main(["compare", "--configs", str(path),
+                 "--loss-threshold", "1.0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {next(iter(entry))} must be ")
+    assert "Traceback" not in err
+
+
 def _trace_with_row(tmp_path, row):
     path = tmp_path / "t.csv"
     path.write_text("# seed=0\n"

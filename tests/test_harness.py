@@ -125,6 +125,18 @@ def test_invalid_names_rejected():
         RunConfig(commit_policy="nope")
 
 
+def test_field_values_checked_against_annotations():
+    # an int fits a float field and numbers of either kind a tuple field
+    cfg = RunConfig(eta0=1, curvatures=(1, 2.0), theta0=None)
+    assert cfg.eta0 == 1
+    for bad in ({"base": 2.0}, {"max_steps": True}, {"eta0": False},
+                {"optimizer": None}, {"curvatures": [1.0]},
+                {"curvatures": (True,)}, {"curvatures": ()},
+                {"theta0": ("1",)}, {"output_path": 3}):
+        with pytest.raises(ConfigError, match=f"{next(iter(bad))} must be"):
+            RunConfig(**bad)
+
+
 def test_normalized_run_uses_normalized_features():
     cfg = RunConfig(optimizer="bfe", max_steps=10, seed=3, normalize=True)
     trace, _ = run_experiment(cfg)
@@ -145,17 +157,24 @@ def test_run_loop_computes_the_step_gradient_once(optimizer, counting,
         return (objs[-1], *rest)
 
     monkeypatch.setattr(harness, "build_problem", counted)
-    cfg = RunConfig(optimizer=optimizer, seed=42, max_steps=20,
-                    normalize=True)
-    trace, _ = run_experiment(cfg)
-    rows = len(trace)
-    assert rows == cfg.max_steps  # so there is one stop check per row
-    inner = sum(rec.inner_loops for rec in trace)
-    obj = objs[0]
-    # the stop check's gradient is the step's base gradient
-    extra_grads = {"sgd": 0, "adam": 0, "nesterov": rows}.get(optimizer,
-                                                             inner)
-    assert obj.grad_calls == rows + extra_grads
-    # batch loss and full loss per row, plus the loss pairs
-    probe_losses = 2 * inner if optimizer in ("bfe", "bfe-zoomin") else 0
-    assert obj.loss_calls == 2 * rows + probe_losses
+    linreg = RunConfig(optimizer=optimizer, seed=42, max_steps=20,
+                       normalize=True)
+    quadratic = RunConfig(optimizer=optimizer, problem="quadratic",
+                          curvatures=(0.1, 1.0, 10.0), theta0=(1.0, 1.0, 1.0),
+                          max_steps=20, lim_zero=1e-9)
+    # a mini-batch step evaluates the batch loss and the full loss; a step
+    # on the full dataset (batch None) evaluates the loss once
+    for cfg, row_losses in ((linreg, 2), (quadratic, 1)):
+        trace, _ = run_experiment(cfg)
+        rows = len(trace)
+        assert rows == cfg.max_steps  # so there is one stop check per row
+        inner = sum(rec.inner_loops for rec in trace)
+        obj = objs.pop()
+        # the stop check's gradient is the step's base gradient
+        extra_grads = {"sgd": 0, "adam": 0, "nesterov": rows}.get(optimizer,
+                                                                 inner)
+        assert obj.grad_calls == rows + extra_grads
+        # the row losses, plus the loss pairs
+        probe_losses = (2 * inner if optimizer in ("bfe", "bfe-zoomin")
+                        else 0)
+        assert obj.loss_calls == row_losses * rows + probe_losses
