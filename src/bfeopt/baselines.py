@@ -47,6 +47,10 @@ class AdamState:
     eps_stab: float = 1e-8
     t: int = 0
 
+    def __post_init__(self):
+        if self.alpha <= 0:
+            raise ValueError("alpha must be positive")
+
 
 def sgd_step(obj: Objective, theta: np.ndarray, alpha: float, batch: Batch,
              g0: np.ndarray | None = None) -> np.ndarray:
@@ -81,6 +85,8 @@ def adam_step(obj: Objective, theta: np.ndarray, state: AdamState,
 
 class SgdOptimizer:
     def __init__(self, alpha: float):
+        if alpha <= 0:
+            raise ValueError("alpha must be positive")
         self.alpha = alpha
 
     def step(self, obj, theta, batch, g0=None, epoch=0) -> StepOutcome:

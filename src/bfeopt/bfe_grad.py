@@ -25,7 +25,7 @@ from .core import (
     StepOutcome,
     angular_deviation,
 )
-from .bfe_loss import CAP_EXP
+from .bfe_loss import lattice_search, rate_caps
 
 DEG = math.pi / 180.0
 
@@ -57,6 +57,8 @@ class BfeGradConfig:
             raise ValueError("angle_threshold must be in (0, pi/2)")
         if self.eta0 <= 0:
             raise ValueError("eta0 must be positive")
+        if self.max_inner < 1:
+            raise ValueError("max_inner must be >= 1")
         if self.base < 2:
             raise ValueError("base must be >= 2")
 
@@ -112,10 +114,6 @@ def _thresholds(g: np.ndarray, cfg: BfeGradConfig) -> np.ndarray:
     return np.full(np.shape(g), cfg.angle_threshold)
 
 
-def _exceeds(probe: GradProbe, cfg: BfeGradConfig) -> bool:
-    return bool(np.any(probe.eps_per_dim >= _thresholds(probe.g, cfg)))
-
-
 def bfe_grad_step(obj: Objective, theta: np.ndarray, rate: RateState,
                   cfg: BfeGradConfig, batch: Batch, zoom_in: bool = True,
                   g0: np.ndarray | None = None) -> StepOutcome:
@@ -127,65 +125,24 @@ def bfe_grad_step(obj: Objective, theta: np.ndarray, rate: RateState,
     """
     if g0 is None:
         g0 = obj.grad(theta, batch)
-    base = float(cfg.base)
-    eta = rate.eta
-    lo = rate.eta0 * base ** -CAP_EXP
-    hi = rate.eta0 * base ** CAP_EXP
-    etas: list[float] = []
-    inner = 0
-    capped = False
-
-    if zoom_in:
-        while True:
-            inner += 1
-            if inner > cfg.max_inner:
-                raise NonTermination(
-                    f"grad zoom-in exceeded max_inner={cfg.max_inner}",
-                    etas=etas)
-            etas.append(eta)
-            probe = grad_probe(obj, theta, eta, batch, g0)
-            eta = eta / base
-            if not _exceeds(probe, cfg):
-                break
-            if eta <= lo * (1.0 + 1e-9):
-                eta = lo
-                capped = True
-                break
-        if not capped:
-            eta = eta * base  # undo the final shrink; rate of the last probe
-        theta_next = probe.theta_trial
-        branch = Branch.ZOOM_IN
-    else:
-        while True:
-            inner += 1
-            if inner > cfg.max_inner:
-                raise NonTermination(
-                    f"grad zoom-out exceeded max_inner={cfg.max_inner}",
-                    etas=etas)
-            etas.append(eta)
-            probe = grad_probe(obj, theta, eta, batch, g0)
-            eta = eta * base
-            if _exceeds(probe, cfg):
-                break
-            if eta >= hi * (1.0 - 1e-9):
-                eta = hi
-                capped = True
-                break
-        if capped:
-            theta_next = probe.theta_trial
+    thresholds = _thresholds(np.asarray(g0, dtype=float), cfg)
+    probe, eta, inner, capped = lattice_search(
+        lambda eta: grad_probe(obj, theta, eta, batch, g0),
+        lambda p: bool(np.any(p.eps_per_dim >= thresholds)),
+        rate.eta, rate.eta0, cfg.base, zoom_in, cfg.max_inner,
+        "grad zoom-in" if zoom_in else "grad zoom-out")
+    theta_next = probe.theta_trial
+    if not capped:
+        if zoom_in:
+            eta = eta * cfg.base  # undo the last shrink: the probed rate
         elif cfg.zoom_out_exit is ZoomOutExit.QUARTER_FRESH_STEP:
-            eta = eta / (base * base)
+            eta = eta / (cfg.base * cfg.base)
             theta_next = theta - eta * probe.g
         else:
-            eta = eta / base
-            theta_next = probe.theta_trial
-        branch = Branch.ZOOM_OUT
-
-    return StepOutcome(theta_next=theta_next, eta_next=eta,
-                       inner_loops=inner, branch=branch,
-                       eps_comp=probe.eps_max,
-                       eps_val=float(_thresholds(probe.g, cfg).max()),
-                       capped=capped)
+            eta = eta / cfg.base
+    return StepOutcome(theta_next, eta, inner,
+                       Branch.ZOOM_IN if zoom_in else Branch.ZOOM_OUT,
+                       probe.eps_max, float(thresholds.max()), capped)
 
 
 def adabfe_step(obj: Objective, theta: np.ndarray, rate: RateState,
@@ -215,8 +172,7 @@ def adabfe_step(obj: Objective, theta: np.ndarray, rate: RateState,
     # A zoom-in rate is capped at lo once it falls to lo * (1 + 1e-9), a
     # zoom-out rate at hi once it reaches hi * (1 - 1e-9). The zoom-out test
     # is negated, so one `sign * eta <= edge` covers both (exact: sign = +-1).
-    lo = rate.eta0 * base ** -CAP_EXP
-    hi = rate.eta0 * base ** CAP_EXP
+    lo, hi = rate_caps(rate.eta0, base)
     cap = np.where(zoom_in, lo, hi)
     sign = np.where(zoom_in, 1.0, -1.0)
     edge = np.where(zoom_in, lo * (1.0 + 1e-9), -(hi * (1.0 - 1e-9)))

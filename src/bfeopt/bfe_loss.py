@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import Any, Callable
 
 import numpy as np
 
@@ -31,6 +32,39 @@ from .core import (
 
 # lattice exponent bound: rates live in [eta0 * base**-CAP, eta0 * base**CAP]
 CAP_EXP = 60
+
+
+def rate_caps(eta0: float, base: int) -> tuple[float, float]:
+    """The lowest and the highest rate of the ``eta0 * base**k`` lattice."""
+    base = float(base)
+    return eta0 * base ** -CAP_EXP, eta0 * base ** CAP_EXP
+
+
+def lattice_search(probe: Callable[[float], Any],
+                   exceeds: Callable[[Any], bool], eta: float, eta0: float,
+                   base: int, zoom_in: bool, max_inner: int,
+                   name: str) -> tuple[Any, float, int, bool]:
+    """Move ``eta`` on the lattice until ``exceeds`` differs from ``zoom_in``.
+
+    Each pass probes at ``eta``, then divides it by ``base`` (zoom-in) or
+    multiplies it (zoom-out). Returns (last probe result, rate after the last
+    scaling or the cap, passes, capped); callers undo the scaling themselves.
+    More than ``max_inner`` passes raise NonTermination with the probed rates.
+    """
+    lo, hi = rate_caps(eta0, base)
+    etas: list[float] = []
+    while True:
+        if len(etas) >= max_inner:
+            raise NonTermination(f"{name} exceeded max_inner={max_inner}",
+                                 etas=etas)
+        etas.append(eta)
+        result = probe(eta)
+        eta = eta / base if zoom_in else eta * base
+        if exceeds(result) != zoom_in:
+            return result, eta, len(etas), False
+        # a rate within a relative 1e-9 of its cap is the cap
+        if eta <= lo * (1 + 1e-9) if zoom_in else eta >= hi * (1 - 1e-9):
+            return result, lo if zoom_in else hi, len(etas), True
 
 
 class CommitPolicy(str, Enum):
@@ -110,71 +144,32 @@ def bfe_step(obj: Objective, theta: np.ndarray, rate: RateState,
     """One outer time-step of the loss-comparison BFE algorithm.
 
     The carried-in ``crit`` pair selects the branch: eps_comp >= eps_val runs
-    the rate-shrinking loop, otherwise the rate-growing loop. The mini-batch
+    the rate-shrinking search, otherwise the rate-growing one. The mini-batch
     and the gradient ``g0`` at ``theta`` are held fixed for all inner probes.
     """
     if g0 is None:
         g0 = obj.grad(theta, batch)
-    base = float(cfg.base)
-    eta = rate.eta
-    lo = rate.eta0 * base ** -CAP_EXP
-    hi = rate.eta0 * base ** CAP_EXP
-    etas: list[float] = []
-    inner = 0
-    capped = False
+    zoom_in = crit.eps_comp >= crit.eps_val
+    pair_at = loss_pair_zoom_in if zoom_in else loss_pair_zoom_out
 
-    if crit.eps_comp >= crit.eps_val:
-        while True:
-            inner += 1
-            if inner > cfg.max_inner:
-                raise NonTermination(
-                    f"zoom-in exceeded max_inner={cfg.max_inner}", etas=etas)
-            etas.append(eta)
-            pair = loss_pair_zoom_in(obj, theta, eta, batch, g0)
-            eps_comp = abs(pair.loss2 - pair.loss1)
-            eps_val = eval_criterion_threshold(pair.loss1, pair.loss2, crit,
-                                               epoch)
-            eta = eta / base
-            if eps_comp < eps_val:
-                break
-            if eta <= lo * (1.0 + 1e-9):
-                eta = lo
-                capped = True
-                break
-        if not capped and cfg.commit_policy is CommitPolicy.FULL_STEP:
-            eta_next = eta * base
+    def probe(eta: float) -> tuple[LossPair, float, float]:
+        pair = pair_at(obj, theta, eta, batch, g0)
+        return (pair, abs(pair.loss2 - pair.loss1),
+                eval_criterion_threshold(pair.loss1, pair.loss2, crit, epoch))
+
+    (pair, eps_comp, eps_val), eta, inner, capped = lattice_search(
+        probe, lambda r: r[1] >= r[2], rate.eta, rate.eta0, cfg.base, zoom_in,
+        cfg.max_inner, "zoom-in" if zoom_in else "zoom-out")
+    theta_next = pair.trial_half
+    if not capped:
+        if not zoom_in:
+            eta = eta / cfg.base  # undo the last growth: the probed rate
+        elif cfg.commit_policy is CommitPolicy.FULL_STEP:
+            eta = eta * cfg.base
             theta_next = pair.trial_full
-        else:
-            eta_next = eta
-            theta_next = pair.trial_half
-        branch = Branch.ZOOM_IN
-    else:
-        while True:
-            inner += 1
-            if inner > cfg.max_inner:
-                raise NonTermination(
-                    f"zoom-out exceeded max_inner={cfg.max_inner}", etas=etas)
-            etas.append(eta)
-            pair = loss_pair_zoom_out(obj, theta, eta, batch, g0)
-            eps_comp = abs(pair.loss2 - pair.loss1)
-            eps_val = eval_criterion_threshold(pair.loss1, pair.loss2, crit,
-                                               epoch)
-            eta = eta * base
-            if eps_comp >= eps_val:
-                break
-            if eta >= hi * (1.0 - 1e-9):
-                eta = hi
-                capped = True
-                break
-        if not capped:
-            eta = eta / base
-        eta_next = eta
-        theta_next = pair.trial_half
-        branch = Branch.ZOOM_OUT
-
-    return StepOutcome(theta_next=theta_next, eta_next=eta_next,
-                       inner_loops=inner, branch=branch, eps_comp=eps_comp,
-                       eps_val=eps_val, capped=capped)
+    return StepOutcome(theta_next, eta, inner,
+                       Branch.ZOOM_IN if zoom_in else Branch.ZOOM_OUT,
+                       eps_comp, eps_val, capped)
 
 
 def zoom_in_only_step(obj: Objective, theta: np.ndarray, rate: RateState,
@@ -189,8 +184,7 @@ def zoom_in_only_step(obj: Objective, theta: np.ndarray, rate: RateState,
     eta = rate.eta
     if cfg.reset_policy is ResetPolicy.DOUBLE_PREV_ETA:
         eta = eta * cfg.base
-    hi = rate.eta0 * float(cfg.base) ** CAP_EXP
-    eta = min(eta, hi)
+    eta = min(eta, rate_caps(rate.eta0, cfg.base)[1])
     forced = replace(crit, eps_comp=math.inf)
     # this variant always commits the half-rate trial point
     cfg = replace(cfg, commit_policy=CommitPolicy.HALF_STEP)

@@ -3,8 +3,7 @@ diagonal quadratic bowls, feature normalization, and epoch-shuffled batching.
 """
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,8 +31,6 @@ class LinRegSpec:
 class Dataset:
     x: np.ndarray
     y: np.ndarray
-    normalized: bool = False
-    norm_params: tuple[float, float] | None = None  # (mu, sigma)
 
     def __post_init__(self):
         if len(self.x) != len(self.y):
@@ -56,29 +53,7 @@ def normalize(data: Dataset) -> Dataset:
     sigma = float(np.std(data.x, ddof=1))
     if sigma == 0.0:
         raise ValueError("cannot normalize constant features")
-    return Dataset(x=(data.x - mu) / sigma, y=data.y, normalized=True,
-                   norm_params=(mu, sigma))
-
-
-def save_dataset_csv(data: Dataset, path: str) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["x", "y"])
-        for xi, yi in zip(data.x, data.y):
-            writer.writerow([f"{xi:.17g}", f"{yi:.17g}"])
-
-
-def load_dataset_csv(path: str) -> Dataset:
-    xs, ys = [], []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if header != ["x", "y"]:
-            raise ValueError(f"unexpected dataset header: {header}")
-        for row in reader:
-            xs.append(float(row[0]))
-            ys.append(float(row[1]))
-    return Dataset(x=np.array(xs), y=np.array(ys))
+    return Dataset(x=(data.x - mu) / sigma, y=data.y)
 
 
 class LinRegObjective:
@@ -94,7 +69,6 @@ class LinRegObjective:
     def __init__(self, data: Dataset):
         if len(data.x) == 0:
             raise ValueError("empty dataset")
-        self.data = data
         self._x = np.asarray(data.x, dtype=float)
         self._y = np.asarray(data.y, dtype=float)
         self._full = _moments(self._x, self._y)

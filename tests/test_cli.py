@@ -107,6 +107,23 @@ def test_optimizer_failure_exits_3(tmp_path, capsys):
     assert "optimizer failure at step 3: adabfe exceeded" in err
 
 
+@pytest.mark.parametrize("optimizer", ["bfe", "bfe-zoomin", "bfe-grad",
+                                       "adabfe"])
+def test_max_inner_below_one_is_a_config_error(optimizer, capsys):
+    assert main(["optimize", "--optimizer", optimizer, "--max-inner", "0",
+                 "--max-steps", "5"]) == 2
+    assert capsys.readouterr().err == \
+        "config error: max_inner must be >= 1\n"
+
+
+@pytest.mark.parametrize("alpha", ["0", "-1"])
+@pytest.mark.parametrize("optimizer", ["sgd", "nesterov", "adam"])
+def test_baseline_alpha_must_be_positive(optimizer, alpha, capsys):
+    assert main(["optimize", "--optimizer", optimizer, "--alpha", alpha,
+                 "--max-steps", "5"]) == 2
+    assert capsys.readouterr().err == "config error: alpha must be positive\n"
+
+
 def test_non_finite_gradient_failure_names_dims_and_rates(capsys):
     # the stiff dimension diverges; its overflow in the objective warns
     # before the probe sees the non-finite gradient

@@ -13,10 +13,8 @@ from bfeopt.problems import (
     LinRegSpec,
     gen_linear_data,
     linreg_objective,
-    load_dataset_csv,
     normalize,
     quadratic_objective,
-    save_dataset_csv,
 )
 
 
@@ -270,32 +268,27 @@ def test_quadratic_values():
 def test_normalize_symmetric_pair():
     data = Dataset(x=np.array([0.0, 2.0]), y=np.array([9.0, 19.0]))
     norm = normalize(data)
-    assert norm.norm_params[0] == 1.0
-    np.testing.assert_allclose(norm.x, [-norm.x[1], norm.x[1]])
+    # mean 1 and sample std sqrt(2) map the pair to -+1/sqrt(2)
+    np.testing.assert_allclose(norm.x, [-2 ** -0.5, 2 ** -0.5], rtol=1e-15)
+    assert np.mean(norm.x) == 0.0
+    assert np.std(norm.x, ddof=1) == pytest.approx(1.0, rel=1e-15)
     np.testing.assert_array_equal(norm.y, data.y)
 
 
 def test_normalize_idempotent():
     data = gen_linear_data(LinRegSpec(n=1000, seed=9))
     once = normalize(data)
+    assert abs(np.mean(once.x)) < 1e-12
+    assert abs(np.std(once.x, ddof=1) - 1.0) < 1e-12
     twice = normalize(once)
-    assert abs(twice.norm_params[0]) < 1e-12
-    assert abs(twice.norm_params[1] - 1.0) < 1e-12
+    np.testing.assert_allclose(twice.x, once.x, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(twice.y, data.y)
 
 
 def test_normalize_constant_features_rejected():
     data = Dataset(x=np.ones(5), y=np.arange(5.0))
     with pytest.raises(ValueError):
         normalize(data)
-
-
-def test_dataset_csv_round_trip(tmp_path):
-    data = gen_linear_data(LinRegSpec(n=64, seed=10))
-    path = tmp_path / "data.csv"
-    save_dataset_csv(data, str(path))
-    loaded = load_dataset_csv(str(path))
-    np.testing.assert_array_equal(loaded.x, data.x)
-    np.testing.assert_array_equal(loaded.y, data.y)
 
 
 def test_batch_stream_covers_epoch_without_replacement():
