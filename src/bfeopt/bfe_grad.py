@@ -136,7 +136,9 @@ def bfe_grad_step(obj: Objective, theta: np.ndarray, rate: RateState,
         if zoom_in:
             eta = eta * cfg.base  # undo the last shrink: the probed rate
         elif cfg.zoom_out_exit is ZoomOutExit.QUARTER_FRESH_STEP:
-            eta = eta / (cfg.base * cfg.base)
+            # after one pass up from the lowest rate, a quarter is below it
+            eta = max(eta / (cfg.base * cfg.base),
+                      rate_caps(rate.eta0, cfg.base)[0])
             theta_next = theta - eta * probe.g
         else:
             eta = eta / cfg.base

@@ -84,6 +84,9 @@ def _config_from_json(d: dict) -> RunConfig:
 def _print_summary(summary) -> None:
     steps = summary.steps_to_threshold
     print(f"steps_to_threshold={steps if steps is not None else 'none'}")
+    if summary.grad_evals is not None:
+        print(f"grad_evals={summary.grad_evals}")
+        print(f"loss_evals={summary.loss_evals}")
     print(f"mean_inner_loops={summary.mean_inner_loops:.6g}")
     hist = ",".join(f"{k}:{v}" for k, v in
                     sorted(summary.inner_loop_histogram.items()))

@@ -23,6 +23,9 @@ class NonFiniteEvaluation(RuntimeError):
         super().__init__(message)
         self.eta = eta
         self.step: int | None = None  # set by the run loop
+        # the run's full loss before the failing step, when it had one; set
+        # by the run loop for a non-finite loss at a committed point
+        self.last_finite_loss: float | None = None
 
 
 class NonTermination(RuntimeError):

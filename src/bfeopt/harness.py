@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import typing
 from dataclasses import dataclass
 
@@ -129,10 +130,18 @@ class RunSummary:
     mean_inner_loops: float
     inner_loop_histogram: dict[int, int]
     final_loss: float
+    # objective evaluations of the run, after the memo; a trace file does
+    # not hold them, so a summary of one leaves them None
+    grad_evals: int | None = None
+    loss_evals: int | None = None
 
 
 def build_problem(cfg: RunConfig):
-    """Returns (objective, theta0, batch_stream, full_data)."""
+    """Returns (objective, theta0, batch_stream, full_data).
+
+    theta0 is float64 whatever numbers the config holds, like every later
+    point, so the run loop's memo keys all points by bytes of one dtype.
+    """
     if cfg.problem == "linreg":
         data = gen_linear_data(LinRegSpec(w0=cfg.w0, b0=cfg.b0,
                                           noise_std=cfg.noise_std,
@@ -140,13 +149,14 @@ def build_problem(cfg: RunConfig):
         if cfg.normalize:
             data = normalize(data)
         obj = linreg_objective(data)
-        theta0 = np.array(cfg.theta0 if cfg.theta0 is not None else (0.0, 0.0))
+        theta0 = np.array(cfg.theta0 if cfg.theta0 is not None else (0.0, 0.0),
+                          dtype=float)
         stream = BatchStream(cfg.n_samples, cfg.batch_size, seed=cfg.seed)
         return obj, theta0, stream, data
     obj = quadratic_objective(cfg.curvatures)
     dim = len(cfg.curvatures)
     theta0 = np.array(cfg.theta0 if cfg.theta0 is not None
-                      else (1.0,) * dim)
+                      else (1.0,) * dim, dtype=float)
     if len(theta0) != dim:
         raise ConfigError("theta0 dimension must match curvatures")
     return obj, theta0, ConstantBatchStream(), None
@@ -178,34 +188,112 @@ def build_optimizer(cfg: RunConfig, dim: int):
     return AdamOptimizer(dim, alpha=cfg.alpha)
 
 
+class EvalMemo:
+    """The objective as the run loop hands it out: each point is evaluated
+    once per batch.
+
+    ``loss`` and ``grad`` calls on the current step's batch are kept, keyed
+    on ``theta.tobytes()``, and a repeated call returns the value computed
+    before, so every result is bitwise the objective's own. Calls on any
+    other batch, such as a mini-batch run's full-dataset loss, pass straight
+    through. ``begin`` starts a step: a new batch object clears the memo,
+    and the same one (the ``None`` of a batch-independent problem) keeps
+    only the entries at the step's point, where the last step's probes may
+    have taken the stop check's gradient already. A cached gradient is read-only: a caller that writes into
+    it fails instead of changing what later calls get. ``loss_evals`` and
+    ``grad_evals`` count the calls that reached the objective.
+    """
+
+    def __init__(self, obj):
+        self.obj = obj
+        self.batch = None
+        self.losses: dict[bytes, float] = {}
+        self.grads: dict[bytes, np.ndarray] = {}
+        self.loss_evals = 0
+        self.grad_evals = 0
+
+    def begin(self, batch, theta: np.ndarray) -> None:
+        if batch is self.batch:
+            key = theta.tobytes()
+            self.losses = {key: self.losses[key]} if key in self.losses else {}
+            self.grads = {key: self.grads[key]} if key in self.grads else {}
+        else:
+            self.batch = batch
+            self.losses, self.grads = {}, {}
+
+    def loss(self, theta: np.ndarray, batch=None) -> float:
+        if batch is not self.batch:
+            self.loss_evals += 1
+            return self.obj.loss(theta, batch)
+        key = theta.tobytes()
+        value = self.losses.get(key)
+        if value is None:
+            self.loss_evals += 1
+            value = self.losses[key] = self.obj.loss(theta, batch)
+        return value
+
+    def grad(self, theta: np.ndarray, batch=None) -> np.ndarray:
+        if batch is not self.batch:
+            self.grad_evals += 1
+            return self.obj.grad(theta, batch)
+        key = theta.tobytes()
+        g = self.grads.get(key)
+        if g is None:
+            self.grad_evals += 1
+            g = self.grads[key] = self.obj.grad(theta, batch)
+            g.setflags(write=False)
+        return g
+
+
 def run_experiment(cfg: RunConfig) -> tuple[list[TraceRecord], RunSummary]:
     """The run loop: per step, one gradient at theta on the step's batch
-    serves both the stop check and the optimizer step."""
-    obj, theta, stream, _ = build_problem(cfg)
+    serves both the stop check and the optimizer step, and every objective
+    call goes through one ``EvalMemo``."""
+    raw, theta, stream, _ = build_problem(cfg)
+    obj = EvalMemo(raw)
     opt = build_optimizer(cfg, dim=theta.size)
     trace: list[TraceRecord] = []
     batches = iter(stream)
     for t in range(1, cfg.max_steps + 1):
         batch = next(batches)
+        obj.begin(batch, theta)
         g = obj.grad(theta, batch)
         gnorm = rms_grad_norm(g)
         if gnorm < cfg.lim_zero:
             break
         try:
             out = opt.step(obj, theta, batch, g0=g, epoch=stream.epoch)
+            theta = out.theta_next
+            # when batch is None, the second call is the memo's
+            full_loss = obj.loss(theta, None)
+            batch_loss = obj.loss(theta, batch)
+            if not (math.isfinite(full_loss) and math.isfinite(batch_loss)):
+                raise _diverged(full_loss, batch_loss, out.eta_next, trace)
         except (NonFiniteEvaluation, NonTermination) as exc:
             exc.step = t
             raise
-        theta = out.theta_next
-        full_loss = obj.loss(theta, None)
-        batch_loss = full_loss if batch is None else obj.loss(theta, batch)
         trace.append(TraceRecord(step=t, batch_loss=batch_loss,
                                  full_loss=full_loss, eta=out.eta_next,
                                  inner_loops=out.inner_loops, grad_norm=gnorm))
-    summary = summarize(trace, cfg.loss_threshold)
+    summary = dataclasses.replace(summarize(trace, cfg.loss_threshold),
+                                  grad_evals=obj.grad_evals,
+                                  loss_evals=obj.loss_evals)
     if cfg.output_path:
         write_trace(cfg.output_path, trace, cfg)
     return trace, summary
+
+
+def _diverged(full_loss: float, batch_loss: float, eta: float,
+              trace: list[TraceRecord]) -> NonFiniteEvaluation:
+    """The failure of a step whose committed point has a non-finite loss,
+    with its rate and the last finite full loss of the run."""
+    last = trace[-1].full_loss if trace else None
+    exc = NonFiniteEvaluation(
+        f"non-finite loss at the committed point (full {full_loss!r}, "
+        f"batch {batch_loss!r}) at rate {eta!r}; last finite full loss "
+        f"{last!r}", eta=eta)
+    exc.last_finite_loss = last
+    return exc
 
 
 def summarize(trace: list[TraceRecord],

@@ -1,5 +1,6 @@
-import numpy as np
 import pytest
+
+from bfeopt import harness
 
 
 class CountingObjective:
@@ -26,3 +27,19 @@ class CountingObjective:
 @pytest.fixture
 def counting():
     return CountingObjective
+
+
+@pytest.fixture
+def counted_objectives(monkeypatch):
+    """Every objective ``harness.build_problem`` makes, wrapped in a
+    CountingObjective below the run loop's memo, in the order made."""
+    objs = []
+    build_problem = harness.build_problem
+
+    def counted(cfg):
+        obj, *rest = build_problem(cfg)
+        objs.append(CountingObjective(obj))
+        return (objs[-1], *rest)
+
+    monkeypatch.setattr(harness, "build_problem", counted)
+    return objs

@@ -47,6 +47,22 @@ def test_summary_subcommand(tmp_path, capsys):
     assert "none" not in text.splitlines()[0]
 
 
+def test_optimize_prints_its_evaluations_and_summary_does_not(tmp_path,
+                                                              capsys):
+    out = tmp_path / "t.csv"
+    assert main(["optimize", "--optimizer", "adabfe", "--problem",
+                 "quadratic", "--curvatures", "0.1,1,10", "--theta0", "1,1,1",
+                 "--lim-zero", "1e-9", "--max-steps", "20",
+                 "--out", str(out)]) == 0
+    # one stop-check gradient (the later ones are carried), one per inner
+    # pass, and one loss per step
+    assert capsys.readouterr().out.splitlines()[:3] == [
+        "steps_to_threshold=none", "grad_evals=80", "loss_evals=20"]
+    assert main(["summary", "--trace", str(out),
+                 "--loss-threshold", "1e-3"]) == 0
+    assert "_evals=" not in capsys.readouterr().out
+
+
 def test_summary_missing_file_is_config_error(capsys):
     assert main(["summary", "--trace", "/nonexistent/trace.csv",
                  "--loss-threshold", "1.0"]) == 2
@@ -125,17 +141,41 @@ def test_baseline_alpha_must_be_positive(optimizer, alpha, capsys):
 
 
 def test_non_finite_gradient_failure_names_dims_and_rates(capsys):
-    # the stiff dimension diverges; its overflow in the objective warns
-    # before the probe sees the non-finite gradient
+    # the first trial step of the stiff dimension overflows its gradient
+    # while the loss at the starting point is still finite
     with pytest.warns(RuntimeWarning, match="overflow"):
         rc = main(["optimize", "--optimizer", "adabfe", "--problem",
-                   "quadratic", "--curvatures", "1e6,1,1e-6",
-                   "--theta0", "1,1,1", "--eta0", "1"])
+                   "quadratic", "--curvatures", "1e300,1",
+                   "--theta0", "1,1", "--eta0", "1"])
     assert rc == 3
-    err = capsys.readouterr().err
-    assert err.startswith("optimizer failure at step 14: non-finite gradient"
-                          " at joint trial point in dims [0] at rates "
-                          f"[{2.0 ** 60!r}]")
+    assert capsys.readouterr().err == (
+        "optimizer failure at step 1: non-finite gradient at joint trial "
+        "point in dims [0] at rates [1.0]\n")
+
+
+@pytest.mark.parametrize("argv, failure", [
+    (("bfe-grad", "--curvatures", "1e6", "--max-steps", "10"),
+     "optimizer failure at step 8: non-finite loss at the committed point "
+     f"(full inf, batch inf) at rate {2.0 ** 60!r}; last finite full loss "
+     "6.894551539753719e+305\n"),
+    # the stiff dimension's rate climbs to its cap; the run stops at the
+    # first committed point whose loss overflows, before a probe's gradient
+    # does (step 14)
+    (("adabfe", "--curvatures", "1e6,1,1e-6", "--theta0", "1,1,1"),
+     "optimizer failure at step 8: non-finite loss at the committed point "
+     "(full inf, batch inf) at rate 3.843071682029814e+17; last finite full "
+     "loss 6.894551539753719e+305\n"),
+])
+def test_diverged_run_is_an_optimizer_failure(argv, failure, tmp_path,
+                                              capsys):
+    out = tmp_path / "trace.csv"
+    # the overflow warnings before the failure are still printed
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        rc = main(["optimize", "--optimizer", *argv, "--problem",
+                   "quadratic", "--eta0", "1", "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == failure
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("entry", [{"max_steps": "3"}, {"eta0": "x"},

@@ -164,7 +164,7 @@ def reference_bfe_grad_step(obj, theta, rate, cfg, batch, zoom_in=True,
         if capped:
             theta_next = probe.theta_trial
         elif cfg.zoom_out_exit is ZoomOutExit.QUARTER_FRESH_STEP:
-            eta = eta / (base * base)
+            eta = max(eta / (base * base), lo)
             theta_next = theta - eta * probe.g
         else:
             eta = eta / base
@@ -232,11 +232,11 @@ def _fields(out):
             out.eps_comp, out.eps_val, out.capped)
 
 
-def assert_on_lattice(eta, eta0, base, floor=-CAP_EXP):
+def assert_on_lattice(eta, eta0, base):
     """``eta / eta0`` is ``base**k`` to 1e-9 for an integer k in range."""
     k = round(math.log(eta / eta0) / math.log(base))
     assert eta / eta0 == pytest.approx(float(base) ** k, rel=1e-9)
-    assert floor <= k <= CAP_EXP
+    assert -CAP_EXP <= k <= CAP_EXP
 
 
 @settings(max_examples=300, deadline=None)
@@ -265,7 +265,7 @@ def test_bfe_step_matches_reference(case, commit, policy, zoom_in, ratio,
        st.sampled_from([0.1, 1.0, 10.0]))
 def test_bfe_grad_step_matches_reference(case, exit_rule, mode, zoom_in,
                                          angle_deg):
-    obj, theta, rate, base, k, max_inner = case
+    obj, theta, rate, base, _, max_inner = case
     cfg = BfeGradConfig(eta0=rate.eta0, angle_threshold=math.radians(
         angle_deg), threshold_mode=mode, base=base, zoom_out_exit=exit_rule,
         max_inner=max_inner)
@@ -275,17 +275,9 @@ def test_bfe_grad_step_matches_reference(case, exit_rule, mode, zoom_in,
                    cfg, None, zoom_in)
     assert got == ref
     if ref[0] != "NonTermination":
-        # the quarter exit after one pass up from the lowest rate commits one
-        # rate below it: test_quarter_exit_from_the_lowest_rate_stays_in_range
-        below = (not zoom_in and exit_rule is ZoomOutExit.QUARTER_FRESH_STEP
-                 and k == -CAP_EXP and got[2] == 1 and not got[6])
-        assert_on_lattice(float.fromhex(got[1]), rate.eta0, base,
-                          floor=-CAP_EXP - below)
+        assert_on_lattice(float.fromhex(got[1]), rate.eta0, base)
 
 
-@pytest.mark.xfail(strict=True, reason="the quarter exit divides the rate by "
-                   "base**2 after one growth, with no clamp to the lowest "
-                   "rate")
 @pytest.mark.parametrize("base", [2, 3])
 def test_quarter_exit_from_the_lowest_rate_stays_in_range(base):
     lo, _ = rate_caps(1e-3, base)
@@ -293,7 +285,9 @@ def test_quarter_exit_from_the_lowest_rate_stays_in_range(base):
                         zoom_out_exit=ZoomOutExit.QUARTER_FRESH_STEP)
     out = bfe_grad_step(SignFlip(), np.zeros(1), RateState(eta=lo, eta0=1e-3),
                         cfg, None, zoom_in=False)
-    assert out.eta_next >= lo
+    # one pass up from the lowest rate; a quarter of the next is clamped
+    assert (out.eta_next, out.inner_loops, out.capped) == (lo, 1, False)
+    assert out.theta_next.tolist() == [-lo]  # the fresh step at that rate
 
 
 def test_search_returns_the_rate_after_the_last_scaling():

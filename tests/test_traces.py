@@ -33,6 +33,12 @@ GOLDEN = {
     ("bfe-grad", "--base", "3", "--zoom-out-exit", "quarter_fresh_step",
      *LINREG):
         "ef3ed7d94f66b15b88fb88a5305976115f6459e66ea6692d82bd092be63e11f6",
+    # on a batch-independent problem each step's stop check is the gradient
+    # the last probe took at the committed point
+    ("bfe", *QUADRATIC):
+        "614f9264514a45645459f316cdeb457e9cfe6f3069b5686cb149956425c71193",
+    ("adabfe", *QUADRATIC):
+        "1f4ed31a7aa4baddd04b91d2dbe5b28ea0199b47cc3e9b99adacdc888dfe5f94",
     # from a rate of 1e-30 every other step ends at the highest rate
     ("bfe-grad", *QUADRATIC, "--eta0", "1e-30", "--max-inner", "200"):
         "caa4dad174c18cb0e819a373387eb4b8f9d2a88c9ab1fd93548d65d235ff044c",
