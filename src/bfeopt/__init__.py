@@ -10,7 +10,6 @@ from .core import (
     NonFiniteEvaluation,
     NonTermination,
     Objective,
-    RateState,
     StepOutcome,
     ThresholdPolicy,
     TraceRecord,
@@ -27,7 +26,6 @@ __all__ = [
     "NonFiniteEvaluation",
     "NonTermination",
     "Objective",
-    "RateState",
     "StepOutcome",
     "ThresholdPolicy",
     "TraceRecord",

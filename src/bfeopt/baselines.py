@@ -2,7 +2,7 @@
 
 All step functions are stateless over explicit state values and cost one
 gradient evaluation per step. SGD and Adam take the gradient at ``theta``,
-so a caller that already has it passes it as ``g0`` and the step costs none;
+which under the run loop's memo is the stop check's and costs none;
 Nesterov takes it at the look-ahead point.
 """
 from __future__ import annotations
@@ -14,11 +14,9 @@ import numpy as np
 from .core import Batch, NonFiniteEvaluation, Objective, StepOutcome
 
 
-def _finite_grad(obj: Objective, theta: np.ndarray, batch: Batch,
-                 g: np.ndarray | None = None) -> np.ndarray:
-    if g is None:
-        g = obj.grad(theta, batch)
-    g = np.asarray(g, dtype=float)
+def _finite_grad(obj: Objective, theta: np.ndarray, batch: Batch
+                 ) -> np.ndarray:
+    g = np.asarray(obj.grad(theta, batch), dtype=float)
     if not np.all(np.isfinite(g)):
         raise NonFiniteEvaluation("non-finite gradient")
     return g
@@ -52,11 +50,11 @@ class AdamState:
             raise ValueError("alpha must be positive")
 
 
-def sgd_step(obj: Objective, theta: np.ndarray, alpha: float, batch: Batch,
-             g0: np.ndarray | None = None) -> np.ndarray:
+def sgd_step(obj: Objective, theta: np.ndarray, alpha: float, batch: Batch
+             ) -> np.ndarray:
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    return theta - alpha * _finite_grad(obj, theta, batch, g0)
+    return theta - alpha * _finite_grad(obj, theta, batch)
 
 
 def nesterov_step(obj: Objective, theta: np.ndarray, state: MomentumState,
@@ -70,10 +68,9 @@ def nesterov_step(obj: Objective, theta: np.ndarray, state: MomentumState,
 
 
 def adam_step(obj: Objective, theta: np.ndarray, state: AdamState,
-              batch: Batch, g0: np.ndarray | None = None
-              ) -> tuple[np.ndarray, AdamState]:
+              batch: Batch) -> tuple[np.ndarray, AdamState]:
     """Standard bias-corrected Adam update."""
-    g = _finite_grad(obj, theta, batch, g0)
+    g = _finite_grad(obj, theta, batch)
     t = state.t + 1
     m = state.beta1 * state.m + (1.0 - state.beta1) * g
     v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
@@ -89,8 +86,8 @@ class SgdOptimizer:
             raise ValueError("alpha must be positive")
         self.alpha = alpha
 
-    def step(self, obj, theta, batch, g0=None, epoch=0) -> StepOutcome:
-        return StepOutcome(sgd_step(obj, theta, self.alpha, batch, g0),
+    def step(self, obj, theta, batch, epoch=0) -> StepOutcome:
+        return StepOutcome(sgd_step(obj, theta, self.alpha, batch),
                            self.alpha, 1)
 
 
@@ -98,8 +95,7 @@ class NesterovOptimizer:
     def __init__(self, dim: int, alpha: float, beta: float = 0.9):
         self.state = MomentumState(v=np.zeros(dim), beta=beta, alpha=alpha)
 
-    def step(self, obj, theta, batch, g0=None, epoch=0) -> StepOutcome:
-        # the gradient is taken at the look-ahead point, so g0 is not used
+    def step(self, obj, theta, batch, epoch=0) -> StepOutcome:
         theta, self.state = nesterov_step(obj, theta, self.state, batch)
         return StepOutcome(theta, self.state.alpha, 1)
 
@@ -110,6 +106,6 @@ class AdamOptimizer:
         self.state = AdamState(m=np.zeros(dim), v=np.zeros(dim), beta1=beta1,
                                beta2=beta2, alpha=alpha, eps_stab=eps_stab)
 
-    def step(self, obj, theta, batch, g0=None, epoch=0) -> StepOutcome:
-        theta, self.state = adam_step(obj, theta, self.state, batch, g0)
+    def step(self, obj, theta, batch, epoch=0) -> StepOutcome:
+        theta, self.state = adam_step(obj, theta, self.state, batch)
         return StepOutcome(theta, self.state.alpha, 1)

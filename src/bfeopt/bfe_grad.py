@@ -21,11 +21,10 @@ from .core import (
     NonFiniteEvaluation,
     NonTermination,
     Objective,
-    RateState,
     StepOutcome,
     angular_deviation,
 )
-from .bfe_loss import lattice_search, rate_caps
+from .bfe_loss import check_lattice, lattice_search, rate_caps
 
 DEG = math.pi / 180.0
 
@@ -61,6 +60,7 @@ class BfeGradConfig:
             raise ValueError("max_inner must be >= 1")
         if self.base < 2:
             raise ValueError("base must be >= 2")
+        check_lattice(self.eta0, self.base)
 
 
 @dataclass(frozen=True)
@@ -114,22 +114,22 @@ def _thresholds(g: np.ndarray, cfg: BfeGradConfig) -> np.ndarray:
     return np.full(np.shape(g), cfg.angle_threshold)
 
 
-def bfe_grad_step(obj: Objective, theta: np.ndarray, rate: RateState,
-                  cfg: BfeGradConfig, batch: Batch, zoom_in: bool = True,
-                  g0: np.ndarray | None = None) -> StepOutcome:
+def bfe_grad_step(obj: Objective, theta: np.ndarray, eta: float,
+                  cfg: BfeGradConfig, batch: Batch, zoom_in: bool = True
+                  ) -> StepOutcome:
     """One time-step of the global gradient-angle BFE.
 
+    The search starts at rate ``eta`` on the ``cfg.eta0 * base**k`` lattice.
     ``zoom_in`` is the carried branch state: True after a step that ended
     with the angle at/above threshold, False after one that ended below.
-    ``g0`` is the gradient at ``theta``, shared by all inner probes.
+    The gradient at ``theta`` is shared by all inner probes.
     """
-    if g0 is None:
-        g0 = obj.grad(theta, batch)
-    thresholds = _thresholds(np.asarray(g0, dtype=float), cfg)
+    g = obj.grad(theta, batch)
+    thresholds = _thresholds(g, cfg)
     probe, eta, inner, capped = lattice_search(
-        lambda eta: grad_probe(obj, theta, eta, batch, g0),
+        lambda eta: grad_probe(obj, theta, eta, batch, g),
         lambda p: bool(np.any(p.eps_per_dim >= thresholds)),
-        rate.eta, rate.eta0, cfg.base, zoom_in, cfg.max_inner,
+        eta, cfg.eta0, cfg.base, zoom_in, cfg.max_inner,
         "grad zoom-in" if zoom_in else "grad zoom-out")
     theta_next = probe.theta_trial
     if not capped:
@@ -138,7 +138,7 @@ def bfe_grad_step(obj: Objective, theta: np.ndarray, rate: RateState,
         elif cfg.zoom_out_exit is ZoomOutExit.QUARTER_FRESH_STEP:
             # after one pass up from the lowest rate, a quarter is below it
             eta = max(eta / (cfg.base * cfg.base),
-                      rate_caps(rate.eta0, cfg.base)[0])
+                      rate_caps(cfg.eta0, cfg.base)[0])
             theta_next = theta - eta * probe.g
         else:
             eta = eta / cfg.base
@@ -147,23 +147,20 @@ def bfe_grad_step(obj: Objective, theta: np.ndarray, rate: RateState,
                        probe.eps_max, float(thresholds.max()), capped)
 
 
-def adabfe_step(obj: Objective, theta: np.ndarray, rate: RateState,
+def adabfe_step(obj: Objective, theta: np.ndarray, rates: np.ndarray,
                 cfg: BfeGradConfig, batch: Batch,
-                zoom_in: np.ndarray | None = None,
-                g0: np.ndarray | None = None) -> StepOutcome:
+                zoom_in: np.ndarray | None = None) -> StepOutcome:
     """One time-step of per-parameter AdaBFE.
 
-    Each dimension keeps its own rate and branch; active dimensions probe
-    jointly (one gradient evaluation at the joint trial point per inner
-    pass) and freeze their trial coordinate once their exit condition holds.
-    ``g0`` is the gradient at ``theta``; it is computed when not given.
+    Each dimension keeps its own rate from ``rates`` (not modified) and its
+    own branch; active dimensions probe jointly (one gradient evaluation at
+    the joint trial point per inner pass) and freeze their trial coordinate
+    once their exit condition holds.
     """
     theta = np.asarray(theta, dtype=float)
     dim = theta.size
     base = float(cfg.base)
-    if rate.per_dim is None:
-        raise ValueError("adabfe_step requires per-dimension rates")
-    eta = np.array(rate.per_dim, dtype=float)
+    eta = np.array(rates, dtype=float)
     if eta.size != dim:
         raise ValueError("per-dimension rate count must match theta")
     if zoom_in is None:
@@ -174,14 +171,12 @@ def adabfe_step(obj: Objective, theta: np.ndarray, rate: RateState,
     # A zoom-in rate is capped at lo once it falls to lo * (1 + 1e-9), a
     # zoom-out rate at hi once it reaches hi * (1 - 1e-9). The zoom-out test
     # is negated, so one `sign * eta <= edge` covers both (exact: sign = +-1).
-    lo, hi = rate_caps(rate.eta0, base)
+    lo, hi = rate_caps(cfg.eta0, base)
     cap = np.where(zoom_in, lo, hi)
     sign = np.where(zoom_in, 1.0, -1.0)
     edge = np.where(zoom_in, lo * (1.0 + 1e-9), -(hi * (1.0 - 1e-9)))
 
-    if g0 is None:
-        g0 = obj.grad(theta, batch)
-    g = np.asarray(g0, dtype=float)  # fixed base gradient
+    g = np.asarray(obj.grad(theta, batch), dtype=float)  # fixed base gradient
     thresholds = _thresholds(g, cfg)
     # trial coordinates of finished dimensions stay at their committed value
     trial = theta
@@ -236,10 +231,9 @@ class BfeGradOptimizer:
         self.zoom_in = True
 
     def step(self, obj: Objective, theta: np.ndarray, batch: Batch,
-             g0: np.ndarray | None = None, epoch: int = 0) -> StepOutcome:
-        rate = RateState(eta=self.eta, eta0=self.cfg.eta0)
-        out = bfe_grad_step(obj, theta, rate, self.cfg, batch, self.zoom_in,
-                            g0)
+             epoch: int = 0) -> StepOutcome:
+        out = bfe_grad_step(obj, theta, self.eta, self.cfg, batch,
+                            self.zoom_in)
         self.eta = out.eta_next
         # zoom-in ends below threshold -> zoom-out next; zoom-out ends
         # at/above threshold -> zoom-in next
@@ -256,11 +250,9 @@ class AdaBfeOptimizer:
         self.zoom_in = np.ones(dim, dtype=bool)
 
     def step(self, obj: Objective, theta: np.ndarray, batch: Batch,
-             g0: np.ndarray | None = None, epoch: int = 0) -> StepOutcome:
-        rate = RateState(eta=self.cfg.eta0, eta0=self.cfg.eta0,
-                         per_dim=self.rates)
-        out = adabfe_step(obj, theta, rate, self.cfg, batch, self.zoom_in,
-                          g0)
+             epoch: int = 0) -> StepOutcome:
+        out = adabfe_step(obj, theta, self.rates, self.cfg, batch,
+                          self.zoom_in)
         self.rates = out.rates_next
         self.zoom_in = out.branches_next
         return out

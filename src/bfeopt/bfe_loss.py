@@ -25,7 +25,6 @@ from .core import (
     NonFiniteEvaluation,
     NonTermination,
     Objective,
-    RateState,
     StepOutcome,
     eval_criterion_threshold,
 )
@@ -38,6 +37,21 @@ def rate_caps(eta0: float, base: int) -> tuple[float, float]:
     """The lowest and the highest rate of the ``eta0 * base**k`` lattice."""
     base = float(base)
     return eta0 * base ** -CAP_EXP, eta0 * base ** CAP_EXP
+
+
+def check_lattice(eta0: float, base: int) -> None:
+    """Raise ValueError unless the lowest rate of the lattice is positive and
+    the highest finite: a search at rate 0 never moves, and one at an
+    infinite rate overflows."""
+    try:
+        lo, hi = rate_caps(eta0, base)
+    except OverflowError:  # base ** CAP_EXP is beyond the float range
+        lo, hi = eta0 * 2.0 ** (-CAP_EXP * math.log2(base)), math.inf
+    if not (0 < lo and hi < math.inf):
+        raise ValueError(
+            f"eta0={eta0!r} and base={base!r} put the rate caps "
+            f"eta0*base**-{CAP_EXP} and eta0*base**{CAP_EXP} at {lo!r} and "
+            f"{hi!r}; they must be positive and finite")
 
 
 def lattice_search(probe: Callable[[float], Any],
@@ -94,6 +108,7 @@ class BfeLossConfig:
             raise ValueError("max_inner must be >= 1")
         if self.base < 2:
             raise ValueError("base must be >= 2")
+        check_lattice(self.eta0, self.base)
 
 
 def _check_finite(pair: LossPair, eta: float) -> LossPair:
@@ -138,27 +153,27 @@ def loss_pair_zoom_out(obj: Objective, theta: np.ndarray, eta: float,
         LossPair(loss1, loss2, trial_half, trial_full, trial_two_step), eta)
 
 
-def bfe_step(obj: Objective, theta: np.ndarray, rate: RateState,
+def bfe_step(obj: Objective, theta: np.ndarray, eta: float,
              crit: CriterionState, cfg: BfeLossConfig, batch: Batch,
-             epoch: int = 0, g0: np.ndarray | None = None) -> StepOutcome:
+             epoch: int = 0) -> StepOutcome:
     """One outer time-step of the loss-comparison BFE algorithm.
 
+    The search starts at rate ``eta`` on the ``cfg.eta0 * base**k`` lattice.
     The carried-in ``crit`` pair selects the branch: eps_comp >= eps_val runs
     the rate-shrinking search, otherwise the rate-growing one. The mini-batch
-    and the gradient ``g0`` at ``theta`` are held fixed for all inner probes.
+    and the gradient at ``theta`` are held fixed for all inner probes.
     """
-    if g0 is None:
-        g0 = obj.grad(theta, batch)
+    g = obj.grad(theta, batch)
     zoom_in = crit.eps_comp >= crit.eps_val
     pair_at = loss_pair_zoom_in if zoom_in else loss_pair_zoom_out
 
     def probe(eta: float) -> tuple[LossPair, float, float]:
-        pair = pair_at(obj, theta, eta, batch, g0)
+        pair = pair_at(obj, theta, eta, batch, g)
         return (pair, abs(pair.loss2 - pair.loss1),
                 eval_criterion_threshold(pair.loss1, pair.loss2, crit, epoch))
 
     (pair, eps_comp, eps_val), eta, inner, capped = lattice_search(
-        probe, lambda r: r[1] >= r[2], rate.eta, rate.eta0, cfg.base, zoom_in,
+        probe, lambda r: r[1] >= r[2], eta, cfg.eta0, cfg.base, zoom_in,
         cfg.max_inner, "zoom-in" if zoom_in else "zoom-out")
     theta_next = pair.trial_half
     if not capped:
@@ -167,29 +182,29 @@ def bfe_step(obj: Objective, theta: np.ndarray, rate: RateState,
         elif cfg.commit_policy is CommitPolicy.FULL_STEP:
             eta = eta * cfg.base
             theta_next = pair.trial_full
+        else:
+            # a first pass that agrees at the lowest rate leaves half of it
+            eta = max(eta, rate_caps(cfg.eta0, cfg.base)[0])
     return StepOutcome(theta_next, eta, inner,
                        Branch.ZOOM_IN if zoom_in else Branch.ZOOM_OUT,
                        eps_comp, eps_val, capped)
 
 
-def zoom_in_only_step(obj: Objective, theta: np.ndarray, rate: RateState,
+def zoom_in_only_step(obj: Objective, theta: np.ndarray, eta: float,
                       crit: CriterionState, cfg: BfeLossConfig, batch: Batch,
-                      epoch: int = 0, g0: np.ndarray | None = None
-                      ) -> StepOutcome:
+                      epoch: int = 0) -> StepOutcome:
     """Zoom-in-only variant: reset the rate, run the shrinking loop once.
 
     The rate is re-seeded from the previously committed rate (optionally
     doubled) so the search always starts from the shrinking side.
     """
-    eta = rate.eta
     if cfg.reset_policy is ResetPolicy.DOUBLE_PREV_ETA:
         eta = eta * cfg.base
-    eta = min(eta, rate_caps(rate.eta0, cfg.base)[1])
+    eta = min(eta, rate_caps(cfg.eta0, cfg.base)[1])
     forced = replace(crit, eps_comp=math.inf)
     # this variant always commits the half-rate trial point
     cfg = replace(cfg, commit_policy=CommitPolicy.HALF_STEP)
-    return bfe_step(obj, theta, replace(rate, eta=eta), forced, cfg, batch,
-                    epoch, g0)
+    return bfe_step(obj, theta, eta, forced, cfg, batch, epoch)
 
 
 class BfeLossOptimizer:
@@ -201,10 +216,9 @@ class BfeLossOptimizer:
         self.crit = cfg.crit
 
     def step(self, obj: Objective, theta: np.ndarray, batch: Batch,
-             g0: np.ndarray | None = None, epoch: int = 0) -> StepOutcome:
-        rate = RateState(eta=self.eta, eta0=self.cfg.eta0)
+             epoch: int = 0) -> StepOutcome:
         step = zoom_in_only_step if self.cfg.zoom_in_only else bfe_step
-        out = step(obj, theta, rate, self.crit, self.cfg, batch, epoch, g0)
+        out = step(obj, theta, self.eta, self.crit, self.cfg, batch, epoch)
         self.eta = out.eta_next
         self.crit = replace(self.crit, eps_comp=out.eps_comp,
                             eps_val=out.eps_val)

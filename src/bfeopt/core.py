@@ -80,21 +80,6 @@ class CriterionState:
 
 
 @dataclass(frozen=True)
-class RateState:
-    """Current learning rate(s) on the eta0 * base**k lattice."""
-
-    eta: float = 0.001
-    eta0: float = 0.001
-    per_dim: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.eta <= 0 or self.eta0 <= 0:
-            raise ValueError("learning rates must be positive")
-        if self.per_dim is not None and np.any(np.asarray(self.per_dim) <= 0):
-            raise ValueError("per-dimension rates must be positive")
-
-
-@dataclass(frozen=True)
 class LossPair:
     """The two forward-explored losses of one probe, with their trial points."""
 
@@ -174,10 +159,8 @@ class Branch(str, Enum):
 class StepOutcome:
     """Result of one outer time-step of any optimizer.
 
-    Every optimizer's ``step(obj, theta, batch, g0=None, epoch=0)`` returns
-    one; ``g0`` is the gradient at ``theta`` on ``batch`` when the caller
-    already has it. Fixed-rate baselines report one inner loop, their rate,
-    and no branch.
+    Every optimizer's ``step(obj, theta, batch, epoch=0)`` returns one.
+    Fixed-rate baselines report one inner loop, their rate, and no branch.
     """
 
     theta_next: np.ndarray

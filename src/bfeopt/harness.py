@@ -136,6 +136,21 @@ class RunSummary:
     loss_evals: int | None = None
 
 
+# the RunConfig fields build_problem reads to make the objective and the
+# start point; the batch size only sets how the stream samples it
+PROBLEM_FIELDS = ("problem", "seed", "w0", "b0", "noise_std", "n_samples",
+                  "normalize", "curvatures", "theta0")
+
+
+def start_point(cfg: RunConfig) -> tuple[float, ...]:
+    """``cfg.theta0``, or the problem's default start when it is None."""
+    if cfg.theta0 is not None:
+        return cfg.theta0
+    if cfg.problem == "linreg":
+        return (0.0, 0.0)
+    return (1.0,) * len(cfg.curvatures)
+
+
 def build_problem(cfg: RunConfig):
     """Returns (objective, theta0, batch_stream, full_data).
 
@@ -149,14 +164,12 @@ def build_problem(cfg: RunConfig):
         if cfg.normalize:
             data = normalize(data)
         obj = linreg_objective(data)
-        theta0 = np.array(cfg.theta0 if cfg.theta0 is not None else (0.0, 0.0),
-                          dtype=float)
+        theta0 = np.array(start_point(cfg), dtype=float)
         stream = BatchStream(cfg.n_samples, cfg.batch_size, seed=cfg.seed)
         return obj, theta0, stream, data
     obj = quadratic_objective(cfg.curvatures)
     dim = len(cfg.curvatures)
-    theta0 = np.array(cfg.theta0 if cfg.theta0 is not None
-                      else (1.0,) * dim, dtype=float)
+    theta0 = np.array(start_point(cfg), dtype=float)
     if len(theta0) != dim:
         raise ConfigError("theta0 dimension must match curvatures")
     return obj, theta0, ConstantBatchStream(), None
@@ -246,9 +259,9 @@ class EvalMemo:
 
 
 def run_experiment(cfg: RunConfig) -> tuple[list[TraceRecord], RunSummary]:
-    """The run loop: per step, one gradient at theta on the step's batch
-    serves both the stop check and the optimizer step, and every objective
-    call goes through one ``EvalMemo``."""
+    """The run loop: every objective call goes through one ``EvalMemo``, so
+    the gradient at theta that the stop check takes on the step's batch is
+    the one the optimizer step asks for, at no second evaluation."""
     raw, theta, stream, _ = build_problem(cfg)
     obj = EvalMemo(raw)
     opt = build_optimizer(cfg, dim=theta.size)
@@ -262,7 +275,7 @@ def run_experiment(cfg: RunConfig) -> tuple[list[TraceRecord], RunSummary]:
         if gnorm < cfg.lim_zero:
             break
         try:
-            out = opt.step(obj, theta, batch, g0=g, epoch=stream.epoch)
+            out = opt.step(obj, theta, batch, epoch=stream.epoch)
             theta = out.theta_next
             # when batch is None, the second call is the memo's
             full_loss = obj.loss(theta, None)
@@ -321,12 +334,14 @@ def compare_runs(cfgs: list[RunConfig],
     """Run each config and tabulate threshold crossings and speedup ratios."""
     if len(cfgs) < 2:
         raise ConfigError("compare needs at least 2 configs")
-    key = (cfgs[0].problem, cfgs[0].seed, cfgs[0].w0, cfgs[0].b0,
-           cfgs[0].noise_std, cfgs[0].n_samples, cfgs[0].normalize)
-    for cfg in cfgs[1:]:
-        if (cfg.problem, cfg.seed, cfg.w0, cfg.b0, cfg.noise_std,
-                cfg.n_samples, cfg.normalize) != key:
-            raise ConfigError("compared runs must share problem and seed")
+    # a default start point equals the same point given explicitly
+    resolved = [dataclasses.replace(cfg, theta0=start_point(cfg))
+                for cfg in cfgs]
+    for name in PROBLEM_FIELDS:
+        values = [getattr(cfg, name) for cfg in resolved]
+        if any(v != values[0] for v in values):
+            raise ConfigError(f"compared runs must share the problem, but "
+                              f"their {name} values are {values!r}")
     rows = []
     for cfg in cfgs:
         cfg = dataclasses.replace(cfg, loss_threshold=loss_threshold)

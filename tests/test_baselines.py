@@ -141,21 +141,30 @@ def test_baselines_one_gradient_per_step(counting):
     assert obj.grad_calls == 1
 
 
-def test_given_gradient_is_used_and_checked(counting):
-    obj = counting(quadratic_objective([1.0]))
-    g0 = np.array([1.0])
-    assert sgd_step(obj, np.array([1.0]), 0.1, None, g0)[0] == \
-        sgd_step(obj, np.array([1.0]), 0.1, None)[0]
-    assert obj.grad_calls == 1  # only the call without g0
-    obj.reset()
-    state = AdamState(m=np.zeros(1), v=np.zeros(1))
-    assert adam_step(obj, np.array([1.0]), state, None, g0)[0][0] == \
-        adam_step(obj, np.array([1.0]), state, None)[0][0]
-    assert obj.grad_calls == 1
-    with pytest.raises(NonFiniteEvaluation):
-        sgd_step(obj, np.array([1.0]), 0.1, None, np.array([np.nan]))
-    with pytest.raises(NonFiniteEvaluation):
-        adam_step(obj, np.array([1.0]), state, None, np.array([np.inf]))
+class NonFiniteGradient:
+    """A loss of 0 and a gradient of ``value`` everywhere."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def loss(self, theta, batch=None):
+        return 0.0
+
+    def grad(self, theta, batch=None):
+        return np.full(np.shape(theta), self.value)
+
+
+def test_non_finite_gradient_is_rejected():
+    theta = np.array([1.0])
+    for value in (np.nan, np.inf, -np.inf):
+        obj = NonFiniteGradient(value)
+        with pytest.raises(NonFiniteEvaluation):
+            sgd_step(obj, theta, 0.1, None)
+        with pytest.raises(NonFiniteEvaluation):
+            nesterov_step(obj, theta, MomentumState(v=np.zeros(1)), None)
+        with pytest.raises(NonFiniteEvaluation):
+            adam_step(obj, theta, AdamState(m=np.zeros(1), v=np.zeros(1)),
+                      None)
 
 
 @pytest.mark.parametrize("opt", [SgdOptimizer(alpha=0.1),
@@ -163,7 +172,7 @@ def test_given_gradient_is_used_and_checked(counting):
                                  AdamOptimizer(1, alpha=0.1)])
 def test_baseline_step_outcome(opt):
     obj = quadratic_objective([1.0])
-    out = opt.step(obj, np.array([1.0]), None, g0=np.array([1.0]))
+    out = opt.step(obj, np.array([1.0]), None)
     assert out.eta_next == 0.1
     assert out.inner_loops == 1
     assert out.branch is None

@@ -21,7 +21,6 @@ from bfeopt.core import (
     Branch,
     NonFiniteEvaluation,
     NonTermination,
-    RateState,
 )
 from bfeopt.problems import quadratic_objective
 
@@ -113,23 +112,6 @@ def test_probe_with_given_gradient_matches(counting):
     assert np.array_equal(given.eps_per_dim, probe.eps_per_dim)
 
 
-@pytest.mark.parametrize("adaptive", [False, True])
-def test_step_with_given_gradient_matches(adaptive, counting):
-    obj = counting(quadratic_objective([1.0, 100.0]))
-    theta = np.array([1.0, 1.0])
-    cfg = BfeGradConfig(eta0=0.001, max_inner=200)
-    opts = [AdaBfeOptimizer(cfg, dim=2) if adaptive else BfeGradOptimizer(cfg)
-            for _ in range(2)]
-    for _ in range(5):
-        plain = opts[0].step(obj, theta, None)
-        obj.reset()
-        given = opts[1].step(obj, theta, None, g0=obj.inner.grad(theta, None))
-        assert obj.grad_calls == given.inner_loops
-        assert np.array_equal(given.theta_next, plain.theta_next)
-        assert given.eta_next == plain.eta_next
-        theta = plain.theta_next
-
-
 # ---------------------------------------------------------------------------
 # Global gradient-angle steps vs the oracle
 # ---------------------------------------------------------------------------
@@ -137,8 +119,7 @@ def test_step_with_given_gradient_matches(adaptive, counting):
 def test_grad_zoom_in_trace():
     obj = quadratic_objective([1.0])
     cfg = BfeGradConfig(eta0=0.001)
-    out = bfe_grad_step(obj, np.array([1.0]), RateState(eta=1.0, eta0=0.001),
-                        cfg, None, zoom_in=True)
+    out = bfe_grad_step(obj, np.array([1.0]), 1.0, cfg, None, zoom_in=True)
     exp_theta, exp_eta, exp_inner = oracle_grad_step(1.0, 1.0, 1.0,
                                                      1.0 * DEG, True)
     # oracle-computed: probes at 1, 0.5, ..., 0.03125 (0.909 deg < 1 deg)
@@ -155,8 +136,7 @@ def test_grad_zoom_in_trace():
 def test_grad_zoom_out_trace(exit_mode):
     obj = quadratic_objective([1.0])
     cfg = BfeGradConfig(eta0=0.001, zoom_out_exit=ZoomOutExit(exit_mode))
-    out = bfe_grad_step(obj, np.array([1.0]),
-                        RateState(eta=0.001, eta0=0.001), cfg, None,
+    out = bfe_grad_step(obj, np.array([1.0]), 0.001, cfg, None,
                         zoom_in=False)
     exp_theta, exp_eta, exp_inner = oracle_grad_step(1.0, 1.0, 0.001,
                                                      1.0 * DEG, False,
@@ -169,8 +149,7 @@ def test_grad_zoom_out_trace(exit_mode):
 def test_grad_zoom_out_zero_gradient_caps():
     obj = quadratic_objective([1.0])
     cfg = BfeGradConfig(eta0=0.001, max_inner=100)
-    out = bfe_grad_step(obj, np.array([0.0]),
-                        RateState(eta=0.001, eta0=0.001), cfg, None,
+    out = bfe_grad_step(obj, np.array([0.0]), 0.001, cfg, None,
                         zoom_in=False)
     assert out.capped
     assert out.theta_next[0] == 0.0
@@ -187,8 +166,8 @@ def test_grad_zoom_in_non_termination_reports_rates():
 
     cfg = BfeGradConfig(eta0=1.0, max_inner=5)
     with pytest.raises(NonTermination) as exc:
-        bfe_grad_step(ConstantAngle(), np.array([1.0]),
-                      RateState(eta=1.0, eta0=1.0), cfg, None, zoom_in=True)
+        bfe_grad_step(ConstantAngle(), np.array([1.0]), 1.0, cfg, None,
+                      zoom_in=True)
     assert len(exc.value.etas) == 5
 
 
@@ -209,9 +188,8 @@ def test_zoom_in_angles_decrease_with_rate():
 def test_adabfe_anisotropic_rates_diverge():
     obj = quadratic_objective([1.0, 100.0])
     cfg = BfeGradConfig(eta0=0.001, max_inner=200)
-    rate = RateState(eta=0.001, eta0=0.001,
-                     per_dim=np.array([0.001, 0.001]))
-    out = adabfe_step(obj, np.array([1.0, 1.0]), rate, cfg, None,
+    rates = np.array([0.001, 0.001])
+    out = adabfe_step(obj, np.array([1.0, 1.0]), rates, cfg, None,
                       zoom_in=np.array([False, False]))
     # the stiff dimension exits its growth loop at a smaller rate
     assert out.rates_next[1] < out.rates_next[0]
@@ -232,8 +210,8 @@ def test_adabfe_symmetric_dims_stay_equal():
 def test_adabfe_one_joint_gradient_per_inner_pass(counting):
     obj = counting(quadratic_objective([1.0, 100.0]))
     cfg = BfeGradConfig(eta0=0.001, max_inner=200)
-    rate = RateState(eta=0.001, eta0=0.001, per_dim=np.array([0.001, 0.001]))
-    out = adabfe_step(obj, np.array([1.0, 1.0]), rate, cfg, None)
+    rates = np.array([0.001, 0.001])
+    out = adabfe_step(obj, np.array([1.0, 1.0]), rates, cfg, None)
     # one base gradient plus one joint probe gradient per inner pass
     assert obj.grad_calls == out.inner_loops + 1
     assert obj.loss_calls == 0
@@ -272,9 +250,9 @@ def test_adabfe_non_termination_names_stuck_dims():
             return np.array([theta[0], 1.0 if theta[1] >= 1.0 else -1.0])
 
     cfg = BfeGradConfig(eta0=1.0, max_inner=5)
-    rate = RateState(eta=1.0, eta0=1.0, per_dim=np.array([1.0, 1.0]))
+    rates = np.array([1.0, 1.0])
     with pytest.raises(NonTermination) as exc:
-        adabfe_step(Stuck(), np.array([0.5, 1.0]), rate, cfg, None)
+        adabfe_step(Stuck(), np.array([0.5, 1.0]), rates, cfg, None)
     assert 1 in exc.value.stuck_dims
 
 
@@ -409,12 +387,10 @@ def test_adabfe_matches_per_dimension_reference(case):
         ref = reference_adabfe_step(obj, theta, rates, cfg.eta0, cfg, zoom_in)
     except NonTermination as exc:
         with pytest.raises(NonTermination) as got:
-            adabfe_step(obj, theta, RateState(eta0=cfg.eta0, per_dim=rates),
-                        cfg, None, zoom_in=zoom_in)
+            adabfe_step(obj, theta, rates, cfg, None, zoom_in=zoom_in)
         assert got.value.stuck_dims == exc.stuck_dims
         return
-    out = adabfe_step(obj, theta, RateState(eta0=cfg.eta0, per_dim=rates),
-                      cfg, None, zoom_in=zoom_in)
+    out = adabfe_step(obj, theta, rates, cfg, None, zoom_in=zoom_in)
     theta_next, rates_next, branches_next, inner, capped, eps_comp, \
         eps_val = ref
     assert out.theta_next.tobytes() == theta_next.tobytes()
@@ -439,8 +415,8 @@ class SignFlip:
 @pytest.mark.parametrize("base", [2, 3])
 def test_adabfe_zoom_in_caps_at_the_lowest_rate(base):
     cfg = BfeGradConfig(eta0=1e-3, base=base)
-    rate = RateState(eta0=1e-3, per_dim=np.array([1e-3]))
-    out = adabfe_step(SignFlip(), np.array([0.0]), rate, cfg, None)
+    out = adabfe_step(SignFlip(), np.array([0.0]), np.array([1e-3]), cfg,
+                      None)
     lo = 1e-3 * float(base) ** -CAP_EXP
     assert out.inner_loops == CAP_EXP  # one shrink per pass down to the cap
     assert out.capped
@@ -456,8 +432,8 @@ def test_adabfe_zoom_out_caps_at_the_highest_rate(base):
     # dim 0 has no gradient, so its angle never reaches the threshold
     obj = quadratic_objective([1.0, 1.0])
     cfg = BfeGradConfig(eta0=1e-3, base=base)
-    rate = RateState(eta0=1e-3, per_dim=np.array([1e-3, 1e-3]))
-    out = adabfe_step(obj, np.array([0.0, 1.0]), rate, cfg, None,
+    rates = np.array([1e-3, 1e-3])
+    out = adabfe_step(obj, np.array([0.0, 1.0]), rates, cfg, None,
                       zoom_in=np.array([False, False]))
     assert out.inner_loops == CAP_EXP
     assert out.capped
@@ -465,7 +441,7 @@ def test_adabfe_zoom_out_caps_at_the_highest_rate(base):
     assert out.theta_next[0] == 0.0
     # the capped dim stays on zoom-out, the crossed one switches to zoom-in
     assert out.branches_next.tolist() == [False, True]
-    again = adabfe_step(obj, np.array([1.0, 1.0]), rate, cfg, None,
+    again = adabfe_step(obj, np.array([1.0, 1.0]), rates, cfg, None,
                         zoom_in=np.array([False, False]))
     assert not again.capped
 
@@ -486,8 +462,7 @@ def test_non_finite_gradient_names_dims_and_rates(adaptive):
     rates = np.array([0.25, 0.5])
     with pytest.raises(NonFiniteEvaluation) as exc:
         if adaptive:
-            adabfe_step(NanAfterStep(), theta,
-                        RateState(eta0=0.25, per_dim=rates),
+            adabfe_step(NanAfterStep(), theta, rates,
                         BfeGradConfig(eta0=0.25), None)
         else:
             grad_probe(NanAfterStep(), theta, rates, None)

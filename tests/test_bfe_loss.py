@@ -17,7 +17,6 @@ from bfeopt.core import (
     Branch,
     CriterionState,
     NonFiniteEvaluation,
-    RateState,
 )
 from bfeopt.problems import quadratic_objective
 
@@ -173,8 +172,7 @@ def _step(theta, eta, eps_comp=math.inf, **cfg_kw):
     obj = quadratic_objective([1.0])
     cfg = BfeLossConfig(eta0=0.001, **cfg_kw)
     crit = CriterionState(eps_comp=eps_comp)
-    rate = RateState(eta=eta, eta0=cfg.eta0)
-    return bfe_step(obj, np.array([theta]), rate, crit, cfg, None)
+    return bfe_step(obj, np.array([theta]), eta, crit, cfg, None)
 
 
 def test_zoom_in_branch_trace():
@@ -214,29 +212,10 @@ def test_step_budget_is_one_base_grad_plus_one_grad_two_losses_per_inner_loop(
     obj = counting(quadratic_objective([1.0]))
     cfg = BfeLossConfig(eta0=0.001)
     crit = CriterionState()
-    out = bfe_step(obj, np.array([1.0]), RateState(eta=0.1, eta0=0.001),
-                   crit, cfg, None)
+    out = bfe_step(obj, np.array([1.0]), 0.1, crit, cfg, None)
     # the gradient at theta is computed once and shared by every probe
     assert obj.grad_calls == 1 + out.inner_loops
     assert obj.loss_calls == 2 * out.inner_loops
-
-
-@pytest.mark.parametrize("zoom_in_only", [False, True])
-def test_step_with_given_gradient_matches(zoom_in_only, counting):
-    obj = counting(quadratic_objective([1.0]))
-    cfg = BfeLossConfig(eta0=0.001, zoom_in_only=zoom_in_only)
-    plain_opt, given_opt = BfeLossOptimizer(cfg), BfeLossOptimizer(cfg)
-    theta = np.array([1.0])
-    for _ in range(6):
-        plain = plain_opt.step(obj, theta, None)
-        obj.reset()
-        given = given_opt.step(obj, theta, None,
-                               g0=obj.inner.grad(theta, None))
-        assert obj.grad_calls == given.inner_loops
-        assert obj.loss_calls == 2 * given.inner_loops
-        assert given.theta_next[0] == plain.theta_next[0]
-        assert given.eta_next == plain.eta_next
-        theta = plain.theta_next
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +226,8 @@ def _zoom_in_only(theta, prev_eta, reset_policy):
     obj = quadratic_objective([1.0])
     cfg = BfeLossConfig(eta0=0.001, zoom_in_only=True,
                         reset_policy=reset_policy)
-    rate = RateState(eta=prev_eta, eta0=cfg.eta0)
-    return zoom_in_only_step(obj, np.array([theta]), rate, CriterionState(),
-                             cfg, None)
+    return zoom_in_only_step(obj, np.array([theta]), prev_eta,
+                             CriterionState(), cfg, None)
 
 
 def test_zoom_in_only_double_reset():

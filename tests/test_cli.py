@@ -132,6 +132,25 @@ def test_max_inner_below_one_is_a_config_error(optimizer, capsys):
         "config error: max_inner must be >= 1\n"
 
 
+@pytest.mark.parametrize("argv, caps", [
+    (("--base", "1000000"), "0.0 and inf"),
+    (("--eta0", "5e-324"), f"0.0 and {5e-324 * 2.0 ** 60!r}"),
+])
+@pytest.mark.parametrize("optimizer", ["bfe", "bfe-zoomin", "bfe-grad",
+                                       "adabfe"])
+def test_rate_lattice_beyond_the_floats_is_a_config_error(optimizer, argv,
+                                                          caps, tmp_path,
+                                                          capsys):
+    out = tmp_path / "trace.csv"
+    assert main(["optimize", "--optimizer", optimizer, "--problem",
+                 "quadratic", "--curvatures", "1,2", *argv,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: eta0=")
+    assert f" at {caps}; they must be positive and finite\n" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("alpha", ["0", "-1"])
 @pytest.mark.parametrize("optimizer", ["sgd", "nesterov", "adam"])
 def test_baseline_alpha_must_be_positive(optimizer, alpha, capsys):

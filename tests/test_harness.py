@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -106,10 +107,22 @@ def test_compare_unreached_threshold_reports_none():
 
 
 def test_compare_mismatched_problems_rejected():
-    a = RunConfig(optimizer="sgd", problem="linreg")
-    b = RunConfig(optimizer="bfe", problem="quadratic")
-    with pytest.raises(ConfigError):
-        compare_runs([a, b], loss_threshold=1.0)
+    quadratic = RunConfig(problem="quadratic", curvatures=(1.0, 2.0))
+    for a, b in ((RunConfig(optimizer="sgd", problem="linreg"),
+                  RunConfig(optimizer="bfe", problem="quadratic")),
+                 (dataclasses.replace(quadratic, optimizer="bfe"),
+                  dataclasses.replace(quadratic, optimizer="sgd",
+                                      curvatures=(1.0, 2.0, 3.0)))):
+        with pytest.raises(ConfigError, match="must share the problem"):
+            compare_runs([a, b], loss_threshold=1.0)
+
+
+def test_compare_takes_a_default_start_as_the_same_point_given():
+    base = RunConfig(problem="quadratic", curvatures=(1.0, 2.0), alpha=0.1,
+                     max_steps=5)
+    rows, _ = compare_runs([base, dataclasses.replace(base, theta0=(1, 1))],
+                           loss_threshold=1e-3)
+    assert len(rows) == 2
 
 
 def test_invalid_names_rejected():
@@ -155,6 +168,14 @@ def test_diverged_run_carries_its_step_rate_and_last_finite_loss():
     assert (exc.value.step, exc.value.eta) == (8, 2.0 ** 60)
     trace, _ = run_experiment(dataclasses.replace(cfg, max_steps=7))
     assert exc.value.last_finite_loss == trace[-1].full_loss
+
+
+@pytest.mark.parametrize("optimizer", OPTIMIZERS)
+def test_every_optimizer_step_has_the_one_signature(optimizer):
+    opt = harness.build_optimizer(RunConfig(optimizer=optimizer), dim=2)
+    params = inspect.signature(opt.step).parameters
+    assert list(params) == ["obj", "theta", "batch", "epoch"]
+    assert params["epoch"].default == 0
 
 
 @pytest.mark.parametrize("optimizer", OPTIMIZERS)

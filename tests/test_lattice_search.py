@@ -5,6 +5,7 @@ reference copies that each spell the search out as their own loops, one per
 branch, with the lattice bounds, the pass budget and the cap test inline.
 """
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from bfeopt.bfe_loss import (
     BfeLossConfig,
     CommitPolicy,
     bfe_step,
+    check_lattice,
     lattice_search,
     loss_pair_zoom_in,
     loss_pair_zoom_out,
@@ -32,20 +34,17 @@ from bfeopt.core import (
     Branch,
     CriterionState,
     NonTermination,
-    RateState,
     ThresholdPolicy,
     eval_criterion_threshold,
 )
 from bfeopt.problems import quadratic_objective
 
 
-def reference_bfe_step(obj, theta, rate, crit, cfg, batch, epoch=0, g0=None):
-    if g0 is None:
-        g0 = obj.grad(theta, batch)
+def reference_bfe_step(obj, theta, eta, crit, cfg, batch, epoch=0):
+    g = obj.grad(theta, batch)
     base = float(cfg.base)
-    eta = rate.eta
-    lo = rate.eta0 * base ** -CAP_EXP
-    hi = rate.eta0 * base ** CAP_EXP
+    lo = cfg.eta0 * base ** -CAP_EXP
+    hi = cfg.eta0 * base ** CAP_EXP
     etas = []
     inner = 0
     capped = False
@@ -57,7 +56,7 @@ def reference_bfe_step(obj, theta, rate, crit, cfg, batch, epoch=0, g0=None):
                 raise NonTermination(
                     f"zoom-in exceeded max_inner={cfg.max_inner}", etas=etas)
             etas.append(eta)
-            pair = loss_pair_zoom_in(obj, theta, eta, batch, g0)
+            pair = loss_pair_zoom_in(obj, theta, eta, batch, g)
             eps_comp = abs(pair.loss2 - pair.loss1)
             eps_val = eval_criterion_threshold(pair.loss1, pair.loss2, crit,
                                                epoch)
@@ -72,7 +71,7 @@ def reference_bfe_step(obj, theta, rate, crit, cfg, batch, epoch=0, g0=None):
             eta_next = eta * base
             theta_next = pair.trial_full
         else:
-            eta_next = eta
+            eta_next = max(eta, lo)
             theta_next = pair.trial_half
         branch = Branch.ZOOM_IN
     else:
@@ -82,7 +81,7 @@ def reference_bfe_step(obj, theta, rate, crit, cfg, batch, epoch=0, g0=None):
                 raise NonTermination(
                     f"zoom-out exceeded max_inner={cfg.max_inner}", etas=etas)
             etas.append(eta)
-            pair = loss_pair_zoom_out(obj, theta, eta, batch, g0)
+            pair = loss_pair_zoom_out(obj, theta, eta, batch, g)
             eps_comp = abs(pair.loss2 - pair.loss1)
             eps_val = eval_criterion_threshold(pair.loss1, pair.loss2, crit,
                                                epoch)
@@ -113,14 +112,11 @@ def reference_exceeds(probe, cfg):
                                                                  cfg)))
 
 
-def reference_bfe_grad_step(obj, theta, rate, cfg, batch, zoom_in=True,
-                            g0=None):
-    if g0 is None:
-        g0 = obj.grad(theta, batch)
+def reference_bfe_grad_step(obj, theta, eta, cfg, batch, zoom_in=True):
+    g = obj.grad(theta, batch)
     base = float(cfg.base)
-    eta = rate.eta
-    lo = rate.eta0 * base ** -CAP_EXP
-    hi = rate.eta0 * base ** CAP_EXP
+    lo = cfg.eta0 * base ** -CAP_EXP
+    hi = cfg.eta0 * base ** CAP_EXP
     etas = []
     inner = 0
     capped = False
@@ -133,7 +129,7 @@ def reference_bfe_grad_step(obj, theta, rate, cfg, batch, zoom_in=True,
                     f"grad zoom-in exceeded max_inner={cfg.max_inner}",
                     etas=etas)
             etas.append(eta)
-            probe = grad_probe(obj, theta, eta, batch, g0)
+            probe = grad_probe(obj, theta, eta, batch, g)
             eta = eta / base
             if not reference_exceeds(probe, cfg):
                 break
@@ -153,7 +149,7 @@ def reference_bfe_grad_step(obj, theta, rate, cfg, batch, zoom_in=True,
                     f"grad zoom-out exceeded max_inner={cfg.max_inner}",
                     etas=etas)
             etas.append(eta)
-            probe = grad_probe(obj, theta, eta, batch, g0)
+            probe = grad_probe(obj, theta, eta, batch, g)
             eta = eta * base
             if reference_exceeds(probe, cfg):
                 break
@@ -208,11 +204,11 @@ def search_cases(draw):
         eta0 = draw(st.sampled_from([1e-3, 1.0]))
     base = draw(st.sampled_from([2, 3]))
     k = draw(st.integers(-CAP_EXP, CAP_EXP))
-    rate = RateState(eta=eta0 * float(base) ** k, eta0=eta0)
+    eta = eta0 * float(base) ** k
     # 2 * CAP_EXP + 1 passes take a rate from one cap to the other
     max_inner = draw(st.one_of(st.integers(1, 2 * CAP_EXP),
                                st.just(2 * CAP_EXP + 1)))
-    return obj, theta, rate, base, k, max_inner
+    return obj, theta, eta, eta0, base, k, max_inner
 
 
 def _outcome(step, *args):
@@ -245,18 +241,18 @@ def assert_on_lattice(eta, eta0, base):
        st.sampled_from([1e-3, 0.1]), st.integers(0, 5))
 def test_bfe_step_matches_reference(case, commit, policy, zoom_in, ratio,
                                     epoch):
-    obj, theta, rate, base, _, max_inner = case
+    obj, theta, eta, eta0, base, _, max_inner = case
     crit = CriterionState(eps_comp=math.inf if zoom_in else 0.0,
                           eps_ratio=ratio, policy=policy)
-    cfg = BfeLossConfig(eta0=rate.eta0, crit=crit, base=base,
+    cfg = BfeLossConfig(eta0=eta0, crit=crit, base=base,
                         commit_policy=commit, max_inner=max_inner)
-    ref = _outcome(reference_bfe_step, obj, theta, rate, crit, cfg, None,
+    ref = _outcome(reference_bfe_step, obj, theta, eta, crit, cfg, None,
                    epoch)
-    got = _outcome(lambda *a: _fields(bfe_step(*a)), obj, theta, rate, crit,
+    got = _outcome(lambda *a: _fields(bfe_step(*a)), obj, theta, eta, crit,
                    cfg, None, epoch)
     assert got == ref
     if ref[0] != "NonTermination":
-        assert_on_lattice(float.fromhex(got[1]), rate.eta0, base)
+        assert_on_lattice(float.fromhex(got[1]), eta0, base)
 
 
 @settings(max_examples=300, deadline=None)
@@ -265,17 +261,48 @@ def test_bfe_step_matches_reference(case, commit, policy, zoom_in, ratio,
        st.sampled_from([0.1, 1.0, 10.0]))
 def test_bfe_grad_step_matches_reference(case, exit_rule, mode, zoom_in,
                                          angle_deg):
-    obj, theta, rate, base, _, max_inner = case
-    cfg = BfeGradConfig(eta0=rate.eta0, angle_threshold=math.radians(
+    obj, theta, eta, eta0, base, _, max_inner = case
+    cfg = BfeGradConfig(eta0=eta0, angle_threshold=math.radians(
         angle_deg), threshold_mode=mode, base=base, zoom_out_exit=exit_rule,
         max_inner=max_inner)
-    ref = _outcome(reference_bfe_grad_step, obj, theta, rate, cfg, None,
+    ref = _outcome(reference_bfe_grad_step, obj, theta, eta, cfg, None,
                    zoom_in)
-    got = _outcome(lambda *a: _fields(bfe_grad_step(*a)), obj, theta, rate,
+    got = _outcome(lambda *a: _fields(bfe_grad_step(*a)), obj, theta, eta,
                    cfg, None, zoom_in)
     assert got == ref
     if ref[0] != "NonTermination":
-        assert_on_lattice(float.fromhex(got[1]), rate.eta0, base)
+        assert_on_lattice(float.fromhex(got[1]), eta0, base)
+
+
+@pytest.mark.parametrize("config", [BfeLossConfig, BfeGradConfig])
+@pytest.mark.parametrize("eta0, base", [
+    (5e-324, 2), (1e-310, 2), (1e-300, 3),  # the lowest rate rounds to 0
+    (1.6e290, 2), (4.3e279, 3),             # the highest rate overflows
+    (1e-3, 1000000), (1e-3, 10 ** 400),     # base**60 is beyond a float
+])
+def test_config_rejects_a_lattice_beyond_the_floats(config, eta0, base):
+    with pytest.raises(ValueError,
+                       match=re.escape(f"eta0={eta0!r} and base={base} ")):
+        config(eta0=eta0, base=base)
+
+
+@pytest.mark.parametrize("eta0, base", [(2.9e-306, 2), (1.5e290, 2),
+                                        (1.1e-295, 3), (4.2e279, 3)])
+def test_lattice_just_inside_the_floats_is_accepted(eta0, base):
+    check_lattice(eta0, base)
+    lo, hi = rate_caps(eta0, base)
+    assert 0.0 < lo and hi < math.inf
+
+
+@pytest.mark.parametrize("base", [2, 3])
+def test_half_step_exit_from_the_lowest_rate_stays_in_range(base):
+    lo, _ = rate_caps(1e-3, base)
+    cfg = BfeLossConfig(eta0=1e-3, base=base)
+    # at the minimum the first probe's losses agree, so the search stops
+    # after one pass, one scaling below the lowest rate
+    out = bfe_step(quadratic_objective([1.0]), np.zeros(1), lo,
+                   CriterionState(), cfg, None)
+    assert (out.eta_next, out.inner_loops, out.capped) == (lo, 1, False)
 
 
 @pytest.mark.parametrize("base", [2, 3])
@@ -283,8 +310,8 @@ def test_quarter_exit_from_the_lowest_rate_stays_in_range(base):
     lo, _ = rate_caps(1e-3, base)
     cfg = BfeGradConfig(eta0=1e-3, base=base,
                         zoom_out_exit=ZoomOutExit.QUARTER_FRESH_STEP)
-    out = bfe_grad_step(SignFlip(), np.zeros(1), RateState(eta=lo, eta0=1e-3),
-                        cfg, None, zoom_in=False)
+    out = bfe_grad_step(SignFlip(), np.zeros(1), lo, cfg, None,
+                        zoom_in=False)
     # one pass up from the lowest rate; a quarter of the next is clamped
     assert (out.eta_next, out.inner_loops, out.capped) == (lo, 1, False)
     assert out.theta_next.tolist() == [-lo]  # the fresh step at that rate
