@@ -17,7 +17,7 @@ from .core import Batch, NonFiniteEvaluation, Objective, StepOutcome
 def _finite_grad(obj: Objective, theta: np.ndarray, batch: Batch
                  ) -> np.ndarray:
     g = np.asarray(obj.grad(theta, batch), dtype=float)
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NonFiniteEvaluation("non-finite gradient")
     return g
 

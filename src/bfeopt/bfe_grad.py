@@ -89,7 +89,7 @@ def grad_probe(obj: Objective, theta: np.ndarray, rates, batch: Batch,
     g = np.asarray(g, dtype=float)
     theta_trial = theta - rates * g
     g_star = np.asarray(obj.grad(theta_trial, batch), dtype=float)
-    if not np.all(np.isfinite(g_star)):
+    if not np.isfinite(g_star).all():
         raise _non_finite("trial point", g_star, rates)
     eps = np.atleast_1d(angular_deviation(g, g_star))
     return GradProbe(g=g, theta_trial=theta_trial, g_star=g_star,
@@ -175,6 +175,7 @@ def adabfe_step(obj: Objective, theta: np.ndarray, rates: np.ndarray,
     cap = np.where(zoom_in, lo, hi)
     sign = np.where(zoom_in, 1.0, -1.0)
     edge = np.where(zoom_in, lo * (1.0 + 1e-9), -(hi * (1.0 - 1e-9)))
+    floor = lo * (1.0 - 1e-9)
 
     g = np.asarray(obj.grad(theta, batch), dtype=float)  # fixed base gradient
     thresholds = _thresholds(g, cfg)
@@ -192,10 +193,15 @@ def adabfe_step(obj: Objective, theta: np.ndarray, rates: np.ndarray,
                 f"adabfe exceeded max_inner={cfg.max_inner}",
                 stuck_dims=list(np.nonzero(active)[0]))
         if cfg.pre_halve:
-            np.divide(eta, base, out=eta, where=active & zoom_in)
+            shrink = active & zoom_in
+            np.divide(eta, base, out=eta, where=shrink)
+            # a halving from the lowest rate is held there, as a cap hit
+            under = shrink & (eta < floor)
+            np.copyto(eta, lo, where=under)
+            hits |= under
         trial = np.where(active, theta - eta * g, trial)
         g_star = np.asarray(obj.grad(trial, batch), dtype=float)
-        if not np.all(np.isfinite(g_star)):
+        if not np.isfinite(g_star).all():
             raise _non_finite("joint trial point", g_star, eta)
         eps = np.atleast_1d(angular_deviation(g, g_star))
         np.copyto(last_eps, eps, where=active)

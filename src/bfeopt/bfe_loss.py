@@ -203,7 +203,8 @@ def zoom_in_only_step(obj: Objective, theta: np.ndarray, eta: float,
     eta = min(eta, rate_caps(cfg.eta0, cfg.base)[1])
     forced = replace(crit, eps_comp=math.inf)
     # this variant always commits the half-rate trial point
-    cfg = replace(cfg, commit_policy=CommitPolicy.HALF_STEP)
+    if cfg.commit_policy is not CommitPolicy.HALF_STEP:
+        cfg = replace(cfg, commit_policy=CommitPolicy.HALF_STEP)
     return bfe_step(obj, theta, eta, forced, cfg, batch, epoch)
 
 
@@ -211,6 +212,9 @@ class BfeLossOptimizer:
     """Stateful driver threading the rate and carried criterion pair."""
 
     def __init__(self, cfg: BfeLossConfig):
+        if cfg.zoom_in_only:
+            # built once here, not by zoom_in_only_step at every step
+            cfg = replace(cfg, commit_policy=CommitPolicy.HALF_STEP)
         self.cfg = cfg
         self.eta = cfg.eta0
         self.crit = cfg.crit

@@ -145,9 +145,13 @@ def grad_check(obj: Objective, theta: np.ndarray, batch: Batch = None,
 
 
 def rms_grad_norm(g: np.ndarray) -> float:
-    """Dimension-independent gradient magnitude: ||g||_2 / sqrt(dim)."""
+    """Dimension-independent gradient magnitude: ||g||_2 / sqrt(dim).
+
+    For a 1-D float array the norm is ``sqrt(g.dot(g))``, as
+    ``np.linalg.norm`` computes it, with the same float.
+    """
     g = np.asarray(g, dtype=float)
-    return float(np.linalg.norm(g) / math.sqrt(g.size))
+    return math.sqrt(float(g.dot(g))) / math.sqrt(g.size)
 
 
 class Branch(str, Enum):

@@ -165,7 +165,8 @@ def build_problem(cfg: RunConfig):
             data = normalize(data)
         obj = linreg_objective(data)
         theta0 = np.array(start_point(cfg), dtype=float)
-        stream = BatchStream(cfg.n_samples, cfg.batch_size, seed=cfg.seed)
+        stream = BatchStream(cfg.n_samples, cfg.batch_size, seed=cfg.seed,
+                             on_batches=obj.load_batches)
         return obj, theta0, stream, data
     obj = quadratic_objective(cfg.curvatures)
     dim = len(cfg.curvatures)

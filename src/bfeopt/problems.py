@@ -4,12 +4,16 @@ diagonal quadratic bowls, feature normalization, and epoch-shuffled batching.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .core import Batch
 
 X_RANGE = (0.0, 10.0)
+# rows of the batches a BatchStream hands over at a time: an epoch of 10,000
+# rows is one hand-off, and the moment table stays small at any batch size
+PASS_ROWS = 16384
 
 
 @dataclass(frozen=True)
@@ -62,8 +66,10 @@ class LinRegObjective:
     A batch is an index array into the dataset; None means the full dataset.
     The loss is quadratic in theta, so a few moments of a batch give its loss
     and gradient in O(1) (see ``_moments``). The full-dataset moments are
-    computed once; a mini-batch's moments are computed on its first call and
-    cached on the batch's identity, so a batch is treated as immutable.
+    computed once. A mini-batch's moments come from a table keyed on the
+    batch's identity, so a batch is treated as immutable: ``load_batches``
+    fills the table with a run of a stream's batches in one pass, and a
+    call on a batch not in it replaces the table with that batch alone.
     """
 
     def __init__(self, data: Dataset):
@@ -72,20 +78,51 @@ class LinRegObjective:
         self._x = np.asarray(data.x, dtype=float)
         self._y = np.asarray(data.y, dtype=float)
         self._full = _moments(self._x, self._y)
-        # single-entry cache; holding the batch keeps its id from being reused
-        self._key = None
-        self._cached = None
+        # id(batch) -> moments; holding the batches keeps their ids from
+        # being reused
+        self._batches: list[np.ndarray] = []
+        self._table: dict[int, tuple] = {}
+        self._work: tuple[np.ndarray, ...] | None = None
+
+    def load_batches(self, batches: list[np.ndarray]) -> None:
+        """Compute the moments of a run of batches of one size, of which the
+        last may be shorter. The batches of the first one's size go through
+        one 2-D pass; a shorter last one goes through ``_moments``. Each
+        batch gets the same floats as a call on it alone."""
+        k = len(batches)
+        if len(batches[-1]) != len(batches[0]):
+            k -= 1
+        size = len(batches[0])
+        # the pass runs in arrays kept from one call to the next: freeing
+        # arrays of this size hands their pages back, to be faulted in again
+        if (self._work is None or self._work[0].shape[1] != size
+                or len(self._work[0]) < k):
+            self._work = (np.empty((k, size), dtype=np.intp),
+                          *(np.empty((k, size)) for _ in range(4)))
+        idx, x, y, dx, r = (w[:k] for w in self._work)
+        np.stack(batches[:k], out=idx)
+        np.take(self._x, idx, out=x)
+        np.take(self._y, idx, out=y)
+        moments = _row_moments(x, y, dx, r)
+        if k < len(batches):
+            moments.append(self._batch_moments(batches[-1]))
+        self._batches = batches
+        self._table = dict(zip(map(id, batches), moments))
+
+    def _batch_moments(self, batch: np.ndarray) -> tuple:
+        x = self._x[batch]
+        if x.size == 0:
+            raise ValueError("empty batch")
+        return _moments(x, self._y[batch])
 
     def _cached_moments(self, batch: Batch):
         if batch is None:
             return self._full
-        if batch is not self._key:
-            x = self._x[batch]
-            if x.size == 0:
-                raise ValueError("empty batch")
-            self._cached = _moments(x, self._y[batch])
-            self._key = batch
-        return self._cached
+        moments = self._table.get(id(batch))
+        if moments is None:
+            moments = self._batch_moments(batch)
+            self._batches, self._table = [batch], {id(batch): moments}
+        return moments
 
     def loss(self, theta: np.ndarray, batch: Batch = None) -> float:
         xm, beta, alpha, rm, vxx, c, rv = self._cached_moments(batch)
@@ -125,6 +162,41 @@ def _moments(x: np.ndarray, y: np.ndarray):
     return xm, beta, alpha, rm, vxx, float(dx @ dr) / n, float(dr @ dr) / n
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each row of ``a`` with the same row of ``b``: a
+    stack of (1, n) @ (n, 1) products, each the BLAS dot of a 1-D ``@``."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _row_moments(x: np.ndarray, y: np.ndarray, dx: np.ndarray,
+                 r: np.ndarray) -> list[tuple]:
+    """``_moments`` of each row of the (k, n) arrays ``x`` and ``y``, using
+    ``dx`` and ``r``, of the same shape, as work arrays.
+
+    The expressions are ``_moments``'s, in the same order. A sum along the
+    rows of a C-contiguous array is the same pairwise sum as a 1-D sum, and
+    ``_row_dots`` the same dot, so each row gets bitwise the floats of a
+    ``_moments`` call on it. The steep-line test masks the divide, so a row
+    with Vxx = 0 divides by nothing.
+    """
+    n = x.shape[1]
+    xm = np.add.reduce(x, axis=1) / n
+    dx = np.subtract(x, xm[:, None], out=dx)
+    vxx = _row_dots(dx, dx) / n
+    beta = np.zeros(len(x))
+    np.divide(_row_dots(dx, y) / n, vxx, out=beta,
+              where=xm * xm < 16.0 * vxx)
+    alpha = np.add.reduce(y, axis=1) / n - beta * xm
+    r0 = np.multiply(beta[:, None], x, out=r)
+    r0 += alpha[:, None]
+    r0 -= y
+    rm = np.add.reduce(r0, axis=1) / n
+    dr = np.subtract(r0, rm[:, None], out=r)
+    columns = (xm, beta, alpha, rm, vxx, _row_dots(dx, dr) / n,
+               _row_dots(dr, dr) / n)
+    return list(zip(*(c.tolist() for c in columns)))
+
+
 def linreg_objective(data: Dataset) -> LinRegObjective:
     return LinRegObjective(data)
 
@@ -154,22 +226,33 @@ class BatchStream:
     """Seeded epoch-shuffled mini-batch index stream, without replacement.
 
     The final partial batch of an epoch is kept. ``epoch`` reflects the epoch
-    of the most recently yielded batch.
+    of the most recently yielded batch. The batches are sliced from the
+    epoch's permutation a run at a time, of about ``PASS_ROWS`` rows and at
+    least one batch, and each run is handed to ``on_batches``, if given,
+    before its first batch is yielded.
     """
 
-    def __init__(self, n: int, batch_size: int, seed: int = 0):
+    def __init__(self, n: int, batch_size: int, seed: int = 0,
+                 on_batches: Callable[[list[np.ndarray]], None] | None = None):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.n = n
         self.batch_size = batch_size
         self.rng = np.random.default_rng(seed)
+        self.on_batches = on_batches
         self.epoch = 0
 
     def __iter__(self):
+        size = self.batch_size
+        run = size * max(1, PASS_ROWS // size)
         while True:
             perm = self.rng.permutation(self.n)
-            for start in range(0, self.n, self.batch_size):
-                yield perm[start:start + self.batch_size]
+            for first in range(0, self.n, run):
+                batches = [perm[start:start + size] for start in
+                           range(first, min(first + run, self.n), size)]
+                if self.on_batches is not None:
+                    self.on_batches(batches)
+                yield from batches
             self.epoch += 1
 
 

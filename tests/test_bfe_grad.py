@@ -301,6 +301,7 @@ def reference_adabfe_step(obj, theta, rates, eta0, cfg, zoom_in):
         thresholds = np.full(dim, cfg.angle_threshold)
     committed = theta.copy()
     active = np.ones(dim, dtype=bool)
+    held = np.zeros(dim, dtype=bool)
     capped = False
     inner = 0
     last_eps = np.zeros(dim)
@@ -312,6 +313,11 @@ def reference_adabfe_step(obj, theta, rates, eta0, cfg, zoom_in):
         if cfg.pre_halve:
             shrink = active & zoom_in
             eta[shrink] = eta[shrink] / base
+            # a halving from the lowest rate is held there, as a cap hit
+            under = shrink & (eta < lo * (1.0 - 1e-9))
+            eta[under] = lo
+            held |= under
+            capped = capped or bool(under.any())
         trial = committed.copy()
         trial[active] = theta[active] - eta[active] * g[active]
         eps = reference_angle(g, obj.grad(trial, None))
@@ -330,7 +336,7 @@ def reference_adabfe_step(obj, theta, rates, eta0, cfg, zoom_in):
                 else:
                     committed[i] = trial[i]
                     active[i] = False
-                    zoom_next[i] = False
+                    zoom_next[i] = held[i]  # a capped dim keeps its branch
             else:
                 if exceed:
                     committed[i] = trial[i]

@@ -249,6 +249,25 @@ def test_zoom_in_only_zero_gradient():
     assert out.theta_next[0] == 0.0
 
 
+def test_zoom_in_only_steps_build_no_config(monkeypatch):
+    obj = quadratic_objective([1.0, 10.0])
+    runs = {}
+    for commit in CommitPolicy:
+        opt = BfeLossOptimizer(BfeLossConfig(eta0=0.001, zoom_in_only=True,
+                                             commit_policy=commit))
+        built = []
+        monkeypatch.setattr(BfeLossConfig, "__post_init__",
+                            lambda self: built.append(self))
+        theta = np.array([1.0, 1.0])
+        for _ in range(5):
+            theta = opt.step(obj, theta, None).theta_next
+        monkeypatch.undo()
+        assert built == []
+        runs[commit] = theta.tobytes()
+    # the variant commits the half-rate point under either policy
+    assert runs[CommitPolicy.FULL_STEP] == runs[CommitPolicy.HALF_STEP]
+
+
 # ---------------------------------------------------------------------------
 # Multi-step runs vs the oracle
 # ---------------------------------------------------------------------------

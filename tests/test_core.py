@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bfeopt.core import (
     CriterionState,
@@ -10,6 +12,7 @@ from bfeopt.core import (
     angular_deviation,
     eval_criterion_threshold,
     grad_check,
+    rms_grad_norm,
 )
 from bfeopt.problems import quadratic_objective
 
@@ -106,3 +109,9 @@ def test_grad_check_flags_non_finite():
 
     with pytest.raises(NonFiniteEvaluation):
         grad_check(Bad(), np.array([1.0]))
+
+
+@given(st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=200))
+def test_rms_grad_norm_is_the_linalg_norm_float(values):
+    g = np.array(values)
+    assert rms_grad_norm(g) == float(np.linalg.norm(g) / math.sqrt(g.size))

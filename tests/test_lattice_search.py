@@ -3,6 +3,7 @@
 ``bfe_step`` and ``bfe_grad_step`` are checked bit for bit against
 reference copies that each spell the search out as their own loops, one per
 branch, with the lattice bounds, the pass budget and the cap test inline.
+``adabfe_step``'s per-dimension rates are checked to stay on the lattice.
 """
 import math
 import re
@@ -16,6 +17,7 @@ from bfeopt.bfe_grad import (
     BfeGradConfig,
     ThresholdMode,
     ZoomOutExit,
+    adabfe_step,
     bfe_grad_step,
     grad_probe,
 )
@@ -272,6 +274,56 @@ def test_bfe_grad_step_matches_reference(case, exit_rule, mode, zoom_in,
     assert got == ref
     if ref[0] != "NonTermination":
         assert_on_lattice(float.fromhex(got[1]), eta0, base)
+
+
+@st.composite
+def adabfe_search_cases(draw):
+    """``search_cases`` with a rate ``eta0 * base**k`` and a branch per
+    dimension; the caps are drawn more often than the rates between."""
+    dim = draw(st.integers(1, 4))
+    obj, theta, _, eta0, base, _, max_inner = draw(search_cases())
+    theta = np.resize(theta, dim)
+    if isinstance(obj, SignFlip):
+        theta = np.zeros(dim)
+    else:
+        obj = quadratic_objective(np.resize(obj.h, dim))
+    ks = draw(st.lists(st.one_of(st.integers(-CAP_EXP, CAP_EXP),
+                                 st.sampled_from([-CAP_EXP, CAP_EXP])),
+                       min_size=dim, max_size=dim))
+    rates = np.array([eta0 * float(base) ** k for k in ks])
+    zoom_in = np.array(draw(st.lists(st.booleans(), min_size=dim,
+                                     max_size=dim)))
+    return obj, theta, rates, zoom_in, eta0, base, max_inner
+
+
+@settings(max_examples=300, deadline=None)
+@given(adabfe_search_cases(), st.booleans(),
+       st.sampled_from(list(ThresholdMode)), st.sampled_from([0.1, 1.0, 10.0]))
+def test_adabfe_step_rates_stay_on_the_lattice(case, pre_halve, mode,
+                                               angle_deg):
+    obj, theta, rates, zoom_in, eta0, base, max_inner = case
+    cfg = BfeGradConfig(eta0=eta0, angle_threshold=math.radians(angle_deg),
+                        threshold_mode=mode, base=base, pre_halve=pre_halve,
+                        max_inner=max_inner)
+    try:
+        out = adabfe_step(obj, theta, rates, cfg, None, zoom_in=zoom_in)
+    except NonTermination:
+        return
+    for eta in out.rates_next:
+        assert_on_lattice(float(eta), eta0, base)
+
+
+@pytest.mark.parametrize("base", [2, 3])
+def test_adabfe_pre_halving_from_the_lowest_rate_is_a_cap_hit(base):
+    lo, _ = rate_caps(1e-3, base)
+    cfg = BfeGradConfig(eta0=1e-3, base=base, pre_halve=True)
+    # the probe at the lowest rate crosses the threshold at once
+    out = adabfe_step(quadratic_objective([1.0]), np.array([1.0]),
+                      np.array([lo]), cfg, None)
+    assert (out.rates_next.tolist(), out.inner_loops, out.capped) == \
+        ([lo], 1, True)
+    assert out.theta_next.tolist() == [1.0 - lo]
+    assert out.branches_next.tolist() == [True]  # capped: branch kept
 
 
 @pytest.mark.parametrize("config", [BfeLossConfig, BfeGradConfig])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bfeopt import problems
+from bfeopt import harness, problems
 from bfeopt.core import grad_check
 from bfeopt.problems import (
     BatchStream,
@@ -312,3 +312,103 @@ def test_batch_stream_deterministic():
     b = iter(BatchStream(n=50, batch_size=16, seed=4))
     for _ in range(10):
         np.testing.assert_array_equal(next(a), next(b))
+
+
+@st.composite
+def run_cases(draw):
+    """The first run of batches a stream hands over, over a seeded dataset.
+    The batch size is 1, n, above n, one that leaves a partial batch, or
+    any; ``clustered`` x is far from zero for its spread (the flat reference
+    line, beta = 0), and ``constant`` and ``two-valued`` x give batches with
+    Vxx = 0."""
+    n = draw(st.one_of(st.integers(1, 40), st.integers(1, 3000)))
+    size = draw(st.sampled_from(["one", "n", "above", "partial", "any"]))
+    if size == "one":
+        batch_size = 1
+    elif size == "n":
+        batch_size = n
+    elif size == "above":
+        batch_size = n + draw(st.integers(1, 100))
+    elif size == "partial" and n >= 3:
+        batch_size = draw(st.integers(2, n - 1).filter(lambda b: n % b))
+    else:
+        batch_size = draw(st.integers(1, n))
+    kind = draw(st.sampled_from(["uniform", "normalized", "clustered",
+                                 "constant", "two-valued"]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    data = gen_linear_data(LinRegSpec(n=n, seed=seed))
+    rng = np.random.default_rng(seed)
+    if kind == "normalized" and n >= 2:
+        data = normalize(data)
+    elif kind == "clustered":
+        data = Dataset(x=1e3 + rng.normal(0.0, 1e-3, n), y=data.y)
+    elif kind == "constant":
+        data = Dataset(x=np.full(n, 3.7), y=data.y)
+    elif kind == "two-valued":
+        data = Dataset(x=rng.choice([2.0, 5.0], n), y=data.y)
+    runs = []
+    next(iter(BatchStream(n, batch_size, seed=seed, on_batches=runs.append)))
+    return data, runs[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(run_cases())
+def test_batch_pass_gives_each_batch_the_bits_of_its_own_pass(case):
+    data, batches = case
+    obj = linreg_objective(data)
+    obj.load_batches(batches)
+    for batch in batches:
+        want = problems._moments(data.x[batch], data.y[batch])
+        got = obj._table[id(batch)]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("n, batch_size, runs_per_epoch, partial", [
+    (100, 32, 1, [4]), (96, 32, 1, []), (10, 20, 1, []), (7, 1, 1, []),
+    (40000, 1000, 3, []), (40000, 3000, 3, [1000]), (20000, 1, 2, [])])
+def test_batch_pass_runs_moments_only_for_the_partial_batch(
+        monkeypatch, n, batch_size, runs_per_epoch, partial):
+    obj, _, stream, _ = harness.build_problem(harness.RunConfig(
+        n_samples=n, batch_size=batch_size, seed=3))
+    passes, runs = [], []
+    moments, load = problems._moments, stream.on_batches
+
+    def counted(x, y):
+        passes.append(len(x))
+        return moments(x, y)
+
+    def loaded(batches):
+        runs.append(sum(map(len, batches)))
+        load(batches)
+
+    monkeypatch.setattr(problems, "_moments", counted)
+    stream.on_batches = loaded
+    theta = np.array([1.0, 1.0])
+    batches = iter(stream)
+    for _ in range(3 * -(-n // batch_size)):  # three epochs
+        batch = next(batches)
+        obj.loss(theta, batch)
+        obj.grad(theta, batch)
+    assert stream.epoch == 2
+    assert passes == partial * 3
+    assert len(runs) == 3 * runs_per_epoch and sum(runs) == 3 * n
+    assert max(runs) <= max(problems.PASS_ROWS, batch_size)
+
+
+@pytest.mark.parametrize("n, batch_size", [(10, 3), (40000, 3000),
+                                           (20000, 1), (5, 8)])
+def test_stream_hands_each_batch_over_before_yielding_it(n, batch_size):
+    runs, handed = [], set()
+
+    def hand(batches):
+        runs.append(batches)  # keeps the ids in ``handed`` unique
+        handed.update(map(id, batches))
+
+    plain = iter(BatchStream(n, batch_size, seed=2))
+    it = iter(BatchStream(n, batch_size, seed=2, on_batches=hand))
+    for _ in range(2 * -(-n // batch_size) + 1):  # into a third epoch
+        batch = next(it)
+        assert id(batch) in handed
+        assert batch.tolist() == next(plain).tolist()
+    sizes = [sum(map(len, run)) for run in runs]
+    assert max(sizes) <= max(problems.PASS_ROWS, batch_size)

@@ -33,6 +33,23 @@ GOLDEN = {
     ("bfe-grad", "--base", "3", "--zoom-out-exit", "quarter_fresh_step",
      *LINREG):
         "ef3ed7d94f66b15b88fb88a5305976115f6459e66ea6692d82bd092be63e11f6",
+    # batch layouts: one row, three rows with a partial last batch, an
+    # epoch of equal batches, one batch larger than the dataset, and
+    # standardized features
+    ("sgd", "--batch-size", "1", *LINREG):
+        "b1a0ff0d3b011369323822e0a93eae2fb6d2af9c1a930ecaa75e126588eafa61",
+    ("sgd", "--batch-size", "1", "--n-samples", "50", *LINREG):
+        "b04570a4086f63bc7f1e8b587e3c91385767a23b792a045b0726922bdbf7f8ca",
+    ("bfe", "--batch-size", "3", *LINREG):
+        "143a04bb0be696811c082e149aee15de14d1705cd95f24aea035c11a09677b92",
+    ("bfe", "--batch-size", "3", "--n-samples", "100", *LINREG):
+        "5b508151fdb7b2ac978cd8bb7e43abce4bd09afa6210043ee5e7e7c9b6ee6578",
+    ("bfe", "--n-samples", "1024", "--batch-size", "256", *LINREG):
+        "8039284645d7b1930890d6909e65d61dd90fdde63e158a9a2dd189cb8d527763",
+    ("sgd", "--batch-size", "20000", *LINREG):
+        "e4d9add742adfaac33af8bbf0280cb03975fa663258c0b9c66f484c7cfd5117a",
+    ("sgd", "--normalize", *LINREG):
+        "9c7090f0bee7683b11755ce749860ca4d42a0ec496dce4e7a499b782d40c6d27",
     # on a batch-independent problem each step's stop check is the gradient
     # the last probe took at the committed point
     ("bfe", *QUADRATIC):
