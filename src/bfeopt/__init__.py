@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .core import (
     Branch,
-    CriterionState,
     LossPair,
     NonFiniteEvaluation,
     NonTermination,
@@ -21,7 +20,6 @@ from .core import (
 __all__ = [
     "__version__",
     "Branch",
-    "CriterionState",
     "LossPair",
     "NonFiniteEvaluation",
     "NonTermination",

@@ -13,6 +13,12 @@ import numpy as np
 
 from .core import Batch, NonFiniteEvaluation, Objective, StepOutcome
 
+# Adam's moment decay rates and the stabilizer added to sqrt(v_hat), at the
+# usual values; no run changes them
+BETA1 = 0.9
+BETA2 = 0.999
+EPS_STAB = 1e-8
+
 
 def _finite_grad(obj: Objective, theta: np.ndarray, batch: Batch
                  ) -> np.ndarray:
@@ -39,10 +45,7 @@ class MomentumState:
 class AdamState:
     m: np.ndarray
     v: np.ndarray
-    beta1: float = 0.9
-    beta2: float = 0.999
     alpha: float = 0.001
-    eps_stab: float = 1e-8
     t: int = 0
 
     def __post_init__(self):
@@ -72,11 +75,11 @@ def adam_step(obj: Objective, theta: np.ndarray, state: AdamState,
     """Standard bias-corrected Adam update."""
     g = _finite_grad(obj, theta, batch)
     t = state.t + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    theta_next = theta - state.alpha * m_hat / (np.sqrt(v_hat) + state.eps_stab)
+    m = BETA1 * state.m + (1.0 - BETA1) * g
+    v = BETA2 * state.v + (1.0 - BETA2) * g * g
+    m_hat = m / (1.0 - BETA1 ** t)
+    v_hat = v / (1.0 - BETA2 ** t)
+    theta_next = theta - state.alpha * m_hat / (np.sqrt(v_hat) + EPS_STAB)
     return theta_next, replace(state, m=m, v=v, t=t)
 
 
@@ -101,10 +104,8 @@ class NesterovOptimizer:
 
 
 class AdamOptimizer:
-    def __init__(self, dim: int, alpha: float = 0.001, beta1: float = 0.9,
-                 beta2: float = 0.999, eps_stab: float = 1e-8):
-        self.state = AdamState(m=np.zeros(dim), v=np.zeros(dim), beta1=beta1,
-                               beta2=beta2, alpha=alpha, eps_stab=eps_stab)
+    def __init__(self, dim: int, alpha: float = 0.001):
+        self.state = AdamState(m=np.zeros(dim), v=np.zeros(dim), alpha=alpha)
 
     def step(self, obj, theta, batch, epoch=0) -> StepOutcome:
         theta, self.state = adam_step(obj, theta, self.state, batch)

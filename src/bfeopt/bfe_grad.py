@@ -16,6 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .core import (
+    THRESHOLD_FLOOR,
     Batch,
     Branch,
     NonFiniteEvaluation,
@@ -24,14 +25,16 @@ from .core import (
     StepOutcome,
     angular_deviation,
 )
-from .bfe_loss import check_lattice, lattice_search, rate_caps
+from .bfe_loss import Lattice, lattice_search
 
 DEG = math.pi / 180.0
+# the relative mode's per-dimension threshold is RELATIVE_RATIO * |arctan(g_i)|
+RELATIVE_RATIO = 0.01
 
 
 class ThresholdMode(str, Enum):
     ABSOLUTE = "absolute"
-    RELATIVE = "relative"  # per-dim threshold = ratio * |arctan(g_i)|
+    RELATIVE = "relative"
 
 
 class ZoomOutExit(str, Enum):
@@ -40,27 +43,16 @@ class ZoomOutExit(str, Enum):
 
 
 @dataclass(frozen=True)
-class BfeGradConfig:
-    eta0: float = 0.001
+class BfeGradConfig(Lattice):
     angle_threshold: float = 1.0 * DEG
     threshold_mode: ThresholdMode = ThresholdMode.ABSOLUTE
-    relative_ratio: float = 0.01
-    base: int = 2
     zoom_out_exit: ZoomOutExit = ZoomOutExit.HALVE_COMMIT_TRIAL
     pre_halve: bool = False
-    max_inner: int = 60
-    threshold_floor: float = 1e-12
 
     def __post_init__(self):
         if not 0.0 < self.angle_threshold < math.pi / 2:
             raise ValueError("angle_threshold must be in (0, pi/2)")
-        if self.eta0 <= 0:
-            raise ValueError("eta0 must be positive")
-        if self.max_inner < 1:
-            raise ValueError("max_inner must be >= 1")
-        if self.base < 2:
-            raise ValueError("base must be >= 2")
-        check_lattice(self.eta0, self.base)
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -109,8 +101,8 @@ def _non_finite(where: str, g_star: np.ndarray,
 def _thresholds(g: np.ndarray, cfg: BfeGradConfig) -> np.ndarray:
     """Per-dimension angle thresholds for the configured mode."""
     if cfg.threshold_mode is ThresholdMode.RELATIVE:
-        thr = cfg.relative_ratio * np.abs(np.arctan(g))
-        return np.maximum(thr, cfg.threshold_floor)
+        thr = RELATIVE_RATIO * np.abs(np.arctan(g))
+        return np.maximum(thr, THRESHOLD_FLOOR)
     return np.full(np.shape(g), cfg.angle_threshold)
 
 
@@ -119,7 +111,7 @@ def bfe_grad_step(obj: Objective, theta: np.ndarray, eta: float,
                   ) -> StepOutcome:
     """One time-step of the global gradient-angle BFE.
 
-    The search starts at rate ``eta`` on the ``cfg.eta0 * base**k`` lattice.
+    The search starts at rate ``eta`` on the ``cfg`` lattice.
     ``zoom_in`` is the carried branch state: True after a step that ended
     with the angle at/above threshold, False after one that ended below.
     The gradient at ``theta`` is shared by all inner probes.
@@ -129,16 +121,14 @@ def bfe_grad_step(obj: Objective, theta: np.ndarray, eta: float,
     probe, eta, inner, capped = lattice_search(
         lambda eta: grad_probe(obj, theta, eta, batch, g),
         lambda p: bool(np.any(p.eps_per_dim >= thresholds)),
-        eta, cfg.eta0, cfg.base, zoom_in, cfg.max_inner,
-        "grad zoom-in" if zoom_in else "grad zoom-out")
+        eta, cfg, zoom_in, "grad zoom-in" if zoom_in else "grad zoom-out")
     theta_next = probe.theta_trial
     if not capped:
         if zoom_in:
             eta = eta * cfg.base  # undo the last shrink: the probed rate
         elif cfg.zoom_out_exit is ZoomOutExit.QUARTER_FRESH_STEP:
             # after one pass up from the lowest rate, a quarter is below it
-            eta = max(eta / (cfg.base * cfg.base),
-                      rate_caps(cfg.eta0, cfg.base)[0])
+            eta = max(eta / (cfg.base * cfg.base), cfg.lo)
             theta_next = theta - eta * probe.g
         else:
             eta = eta / cfg.base
@@ -171,7 +161,7 @@ def adabfe_step(obj: Objective, theta: np.ndarray, rates: np.ndarray,
     # A zoom-in rate is capped at lo once it falls to lo * (1 + 1e-9), a
     # zoom-out rate at hi once it reaches hi * (1 - 1e-9). The zoom-out test
     # is negated, so one `sign * eta <= edge` covers both (exact: sign = +-1).
-    lo, hi = rate_caps(cfg.eta0, base)
+    lo, hi = cfg.lo, cfg.hi
     cap = np.where(zoom_in, lo, hi)
     sign = np.where(zoom_in, 1.0, -1.0)
     edge = np.where(zoom_in, lo * (1.0 + 1e-9), -(hi * (1.0 - 1e-9)))
@@ -189,9 +179,10 @@ def adabfe_step(obj: Objective, theta: np.ndarray, rates: np.ndarray,
     while active.any():
         inner += 1
         if inner > cfg.max_inner:
+            stuck = np.flatnonzero(active).tolist()
             raise NonTermination(
-                f"adabfe exceeded max_inner={cfg.max_inner}",
-                stuck_dims=list(np.nonzero(active)[0]))
+                f"adabfe exceeded max_inner={cfg.max_inner} with dims "
+                f"{stuck} still searching", stuck_dims=stuck)
         if cfg.pre_halve:
             shrink = active & zoom_in
             np.divide(eta, base, out=eta, where=shrink)

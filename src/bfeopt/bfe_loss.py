@@ -11,7 +11,7 @@ zoom-out loop entirely.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable
 
@@ -20,12 +20,12 @@ import numpy as np
 from .core import (
     Batch,
     Branch,
-    CriterionState,
     LossPair,
     NonFiniteEvaluation,
     NonTermination,
     Objective,
     StepOutcome,
+    ThresholdPolicy,
     eval_criterion_threshold,
 )
 
@@ -33,30 +33,44 @@ from .core import (
 CAP_EXP = 60
 
 
-def rate_caps(eta0: float, base: int) -> tuple[float, float]:
-    """The lowest and the highest rate of the ``eta0 * base**k`` lattice."""
-    base = float(base)
-    return eta0 * base ** -CAP_EXP, eta0 * base ** CAP_EXP
+@dataclass(frozen=True)
+class Lattice:
+    """The rates ``eta0 * base**k``, |k| <= CAP_EXP, from ``lo`` to ``hi``,
+    and the passes one search may take. A lowest rate that rounds to 0 or a
+    highest that overflows raises ValueError: a search at rate 0 never
+    moves, and one at an infinite rate overflows."""
 
+    eta0: float = 0.001
+    base: int = 2
+    max_inner: int = 60
+    lo: float = field(init=False, repr=False, compare=False)
+    hi: float = field(init=False, repr=False, compare=False)
 
-def check_lattice(eta0: float, base: int) -> None:
-    """Raise ValueError unless the lowest rate of the lattice is positive and
-    the highest finite: a search at rate 0 never moves, and one at an
-    infinite rate overflows."""
-    try:
-        lo, hi = rate_caps(eta0, base)
-    except OverflowError:  # base ** CAP_EXP is beyond the float range
-        lo, hi = eta0 * 2.0 ** (-CAP_EXP * math.log2(base)), math.inf
-    if not (0 < lo and hi < math.inf):
-        raise ValueError(
-            f"eta0={eta0!r} and base={base!r} put the rate caps "
-            f"eta0*base**-{CAP_EXP} and eta0*base**{CAP_EXP} at {lo!r} and "
-            f"{hi!r}; they must be positive and finite")
+    def __post_init__(self):
+        if self.eta0 <= 0:
+            raise ValueError("eta0 must be positive")
+        if self.max_inner < 1:
+            raise ValueError("max_inner must be >= 1")
+        if self.base < 2:
+            raise ValueError("base must be >= 2")
+        try:
+            base = float(self.base)
+            lo, hi = self.eta0 * base ** -CAP_EXP, self.eta0 * base ** CAP_EXP
+        except OverflowError:  # base ** CAP_EXP is beyond the float range
+            lo = self.eta0 * 2.0 ** (-CAP_EXP * math.log2(self.base))
+            hi = math.inf
+        if not (0 < lo and hi < math.inf):
+            raise ValueError(
+                f"eta0={self.eta0!r} and base={self.base!r} put the rate caps "
+                f"eta0*base**-{CAP_EXP} and eta0*base**{CAP_EXP} at {lo!r} "
+                f"and {hi!r}; they must be positive and finite")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
 
 def lattice_search(probe: Callable[[float], Any],
-                   exceeds: Callable[[Any], bool], eta: float, eta0: float,
-                   base: int, zoom_in: bool, max_inner: int,
+                   exceeds: Callable[[Any], bool], eta: float,
+                   lattice: Lattice, zoom_in: bool,
                    name: str) -> tuple[Any, float, int, bool]:
     """Move ``eta`` on the lattice until ``exceeds`` differs from ``zoom_in``.
 
@@ -65,7 +79,8 @@ def lattice_search(probe: Callable[[float], Any],
     scaling or the cap, passes, capped); callers undo the scaling themselves.
     More than ``max_inner`` passes raise NonTermination with the probed rates.
     """
-    lo, hi = rate_caps(eta0, base)
+    base, max_inner, lo, hi = (lattice.base, lattice.max_inner, lattice.lo,
+                               lattice.hi)
     etas: list[float] = []
     while True:
         if len(etas) >= max_inner:
@@ -92,23 +107,17 @@ class ResetPolicy(str, Enum):
 
 
 @dataclass(frozen=True)
-class BfeLossConfig:
-    eta0: float = 0.001
-    crit: CriterionState = field(default_factory=CriterionState)
-    base: int = 2
+class BfeLossConfig(Lattice):
+    eps_ratio: float = 0.001
+    eps_val_policy: ThresholdPolicy = ThresholdPolicy.MEAN_SCALED
     commit_policy: CommitPolicy = CommitPolicy.HALF_STEP
-    max_inner: int = 60
     zoom_in_only: bool = False
     reset_policy: ResetPolicy = ResetPolicy.DOUBLE_PREV_ETA
 
     def __post_init__(self):
-        if self.eta0 <= 0:
-            raise ValueError("eta0 must be positive")
-        if self.max_inner < 1:
-            raise ValueError("max_inner must be >= 1")
-        if self.base < 2:
-            raise ValueError("base must be >= 2")
-        check_lattice(self.eta0, self.base)
+        super().__post_init__()
+        if self.eps_ratio <= 0:
+            raise ValueError("eps_ratio must be positive")
 
 
 def _check_finite(pair: LossPair, eta: float) -> LossPair:
@@ -154,44 +163,47 @@ def loss_pair_zoom_out(obj: Objective, theta: np.ndarray, eta: float,
 
 
 def bfe_step(obj: Objective, theta: np.ndarray, eta: float,
-             crit: CriterionState, cfg: BfeLossConfig, batch: Batch,
+             cfg: BfeLossConfig, batch: Batch, zoom_in: bool = True,
              epoch: int = 0) -> StepOutcome:
     """One outer time-step of the loss-comparison BFE algorithm.
 
-    The search starts at rate ``eta`` on the ``cfg.eta0 * base**k`` lattice.
-    The carried-in ``crit`` pair selects the branch: eps_comp >= eps_val runs
-    the rate-shrinking search, otherwise the rate-growing one. The mini-batch
-    and the gradient at ``theta`` are held fixed for all inner probes.
+    The search starts at rate ``eta`` on the ``cfg`` lattice. ``zoom_in`` is
+    the carried branch: True runs the rate-shrinking search, False the
+    rate-growing one. The mini-batch and the gradient at ``theta`` are held
+    fixed for all inner probes. A ``zoom_in_only`` config commits the
+    half-rate trial point under either commit policy.
     """
     g = obj.grad(theta, batch)
-    zoom_in = crit.eps_comp >= crit.eps_val
     pair_at = loss_pair_zoom_in if zoom_in else loss_pair_zoom_out
 
     def probe(eta: float) -> tuple[LossPair, float, float]:
         pair = pair_at(obj, theta, eta, batch, g)
         return (pair, abs(pair.loss2 - pair.loss1),
-                eval_criterion_threshold(pair.loss1, pair.loss2, crit, epoch))
+                eval_criterion_threshold(pair.loss1, pair.loss2,
+                                         cfg.eps_ratio, cfg.eps_val_policy,
+                                         epoch))
 
     (pair, eps_comp, eps_val), eta, inner, capped = lattice_search(
-        probe, lambda r: r[1] >= r[2], eta, cfg.eta0, cfg.base, zoom_in,
-        cfg.max_inner, "zoom-in" if zoom_in else "zoom-out")
+        probe, lambda r: r[1] >= r[2], eta, cfg, zoom_in,
+        "zoom-in" if zoom_in else "zoom-out")
     theta_next = pair.trial_half
     if not capped:
         if not zoom_in:
             eta = eta / cfg.base  # undo the last growth: the probed rate
-        elif cfg.commit_policy is CommitPolicy.FULL_STEP:
+        elif (cfg.commit_policy is CommitPolicy.FULL_STEP
+              and not cfg.zoom_in_only):
             eta = eta * cfg.base
             theta_next = pair.trial_full
         else:
             # a first pass that agrees at the lowest rate leaves half of it
-            eta = max(eta, rate_caps(cfg.eta0, cfg.base)[0])
+            eta = max(eta, cfg.lo)
     return StepOutcome(theta_next, eta, inner,
                        Branch.ZOOM_IN if zoom_in else Branch.ZOOM_OUT,
                        eps_comp, eps_val, capped)
 
 
 def zoom_in_only_step(obj: Objective, theta: np.ndarray, eta: float,
-                      crit: CriterionState, cfg: BfeLossConfig, batch: Batch,
+                      cfg: BfeLossConfig, batch: Batch,
                       epoch: int = 0) -> StepOutcome:
     """Zoom-in-only variant: reset the rate, run the shrinking loop once.
 
@@ -200,30 +212,24 @@ def zoom_in_only_step(obj: Objective, theta: np.ndarray, eta: float,
     """
     if cfg.reset_policy is ResetPolicy.DOUBLE_PREV_ETA:
         eta = eta * cfg.base
-    eta = min(eta, rate_caps(cfg.eta0, cfg.base)[1])
-    forced = replace(crit, eps_comp=math.inf)
-    # this variant always commits the half-rate trial point
-    if cfg.commit_policy is not CommitPolicy.HALF_STEP:
-        cfg = replace(cfg, commit_policy=CommitPolicy.HALF_STEP)
-    return bfe_step(obj, theta, eta, forced, cfg, batch, epoch)
+    return bfe_step(obj, theta, min(eta, cfg.hi), cfg, batch, True, epoch)
 
 
 class BfeLossOptimizer:
-    """Stateful driver threading the rate and carried criterion pair."""
+    """Stateful optimizer threading the rate and the carried branch."""
 
     def __init__(self, cfg: BfeLossConfig):
-        if cfg.zoom_in_only:
-            # built once here, not by zoom_in_only_step at every step
-            cfg = replace(cfg, commit_policy=CommitPolicy.HALF_STEP)
         self.cfg = cfg
         self.eta = cfg.eta0
-        self.crit = cfg.crit
+        self.zoom_in = True
 
     def step(self, obj: Objective, theta: np.ndarray, batch: Batch,
              epoch: int = 0) -> StepOutcome:
-        step = zoom_in_only_step if self.cfg.zoom_in_only else bfe_step
-        out = step(obj, theta, self.eta, self.crit, self.cfg, batch, epoch)
+        cfg, eta = self.cfg, self.eta
+        out = (zoom_in_only_step(obj, theta, eta, cfg, batch, epoch)
+               if cfg.zoom_in_only else
+               bfe_step(obj, theta, eta, cfg, batch, self.zoom_in, epoch))
         self.eta = out.eta_next
-        self.crit = replace(self.crit, eps_comp=out.eps_comp,
-                            eps_val=out.eps_val)
+        # losses that disagree at the last probe -> zoom-in next
+        self.zoom_in = out.eps_comp >= out.eps_val
         return out

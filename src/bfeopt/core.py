@@ -54,29 +54,12 @@ class ThresholdPolicy(str, Enum):
     EPOCH_DECAY = "epoch_decay"
 
 
-@dataclass(frozen=True)
-class CriterionState:
-    """Carried comparison/threshold pair plus the threshold policy.
-
-    ``eps_comp >= eps_val`` selects the zoom-in branch of the next step;
-    the default initialization (inf vs finite) forces zoom-in first.
-    """
-
-    eps_comp: float = math.inf
-    eps_val: float = 0.001
-    eps_ratio: float = 0.001
-    policy: ThresholdPolicy = ThresholdPolicy.MEAN_SCALED
-    constant: float = 1.0       # used by the CONSTANT policy
-    decay_rate: float = 0.01    # used by the EPOCH_DECAY policy
-    floor: float = 1e-12        # keeps the threshold strictly positive
-
-    def __post_init__(self):
-        if self.eps_ratio <= 0:
-            raise ValueError("eps_ratio must be positive")
-        if self.eps_val <= 0:
-            raise ValueError("eps_val must be positive")
-        if self.eps_comp < 0:
-            raise ValueError("eps_comp must be nonnegative")
+# settings of the loss-comparison threshold that no run changes: the value
+# of the CONSTANT policy, the decay rate of the EPOCH_DECAY policy, and a
+# floor that keeps every threshold strictly positive
+THRESHOLD_CONSTANT = 1.0
+DECAY_RATE = 0.01
+THRESHOLD_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -106,18 +89,18 @@ def angular_deviation(g, g_star):
     return out
 
 
-def eval_criterion_threshold(loss1: float, loss2: float, crit: CriterionState,
-                             epoch: int = 0) -> float:
+def eval_criterion_threshold(loss1: float, loss2: float, eps_ratio: float,
+                             policy: ThresholdPolicy, epoch: int = 0) -> float:
     """Threshold value eps_val for the loss-comparison criterion."""
-    if crit.policy is ThresholdPolicy.MIN_SCALED:
-        val = min(abs(loss1) * crit.eps_ratio, abs(loss2) * crit.eps_ratio)
-    elif crit.policy is ThresholdPolicy.CONSTANT:
-        val = crit.constant
+    if policy is ThresholdPolicy.MIN_SCALED:
+        val = min(abs(loss1) * eps_ratio, abs(loss2) * eps_ratio)
+    elif policy is ThresholdPolicy.CONSTANT:
+        val = THRESHOLD_CONSTANT
     else:
-        val = 0.5 * (abs(loss1) + abs(loss2)) * crit.eps_ratio
-        if crit.policy is ThresholdPolicy.EPOCH_DECAY:
-            val = val / (1.0 + epoch * crit.decay_rate)
-    return max(val, crit.floor)
+        val = 0.5 * (abs(loss1) + abs(loss2)) * eps_ratio
+        if policy is ThresholdPolicy.EPOCH_DECAY:
+            val = val / (1.0 + epoch * DECAY_RATE)
+    return max(val, THRESHOLD_FLOOR)
 
 
 def grad_check(obj: Objective, theta: np.ndarray, batch: Batch = None,

@@ -18,8 +18,8 @@ from .bfe_grad import AdaBfeOptimizer, BfeGradConfig, BfeGradOptimizer, \
     ThresholdMode, ZoomOutExit, DEG
 from .bfe_loss import BfeLossConfig, BfeLossOptimizer, CommitPolicy, \
     ResetPolicy
-from .core import CriterionState, NonFiniteEvaluation, NonTermination, \
-    ThresholdPolicy, TraceRecord, rms_grad_norm
+from .core import NonFiniteEvaluation, NonTermination, ThresholdPolicy, \
+    TraceRecord, rms_grad_norm
 from .problems import BatchStream, ConstantBatchStream, LinRegSpec, \
     gen_linear_data, linreg_objective, normalize, quadratic_objective
 
@@ -88,6 +88,11 @@ class RunConfig:
                 raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        if self.max_steps < 1:
+            raise ConfigError("max_steps must be >= 1")
+        # checked for every optimizer, though only bfe and bfe-zoomin read it
+        if self.eps_ratio <= 0:
+            raise ConfigError("eps_ratio must be positive")
         if self.lim_zero <= 0:
             raise ConfigError("lim_zero must be positive")
 
@@ -177,21 +182,20 @@ def build_problem(cfg: RunConfig):
 
 
 def build_optimizer(cfg: RunConfig, dim: int):
-    crit = CriterionState(eps_ratio=cfg.eps_ratio,
-                          policy=ThresholdPolicy(cfg.eps_val_policy))
+    lattice = dict(eta0=cfg.eta0, base=cfg.base, max_inner=cfg.max_inner)
     if cfg.optimizer in ("bfe", "bfe-zoomin"):
         return BfeLossOptimizer(BfeLossConfig(
-            eta0=cfg.eta0, crit=crit, base=cfg.base,
+            **lattice, eps_ratio=cfg.eps_ratio,
+            eps_val_policy=ThresholdPolicy(cfg.eps_val_policy),
             commit_policy=CommitPolicy(cfg.commit_policy),
-            max_inner=cfg.max_inner,
             zoom_in_only=(cfg.optimizer == "bfe-zoomin"),
             reset_policy=ResetPolicy(cfg.reset_policy)))
     if cfg.optimizer in ("bfe-grad", "adabfe"):
         gcfg = BfeGradConfig(
-            eta0=cfg.eta0, angle_threshold=cfg.angle_threshold_deg * DEG,
-            threshold_mode=ThresholdMode(cfg.threshold_mode), base=cfg.base,
+            **lattice, angle_threshold=cfg.angle_threshold_deg * DEG,
+            threshold_mode=ThresholdMode(cfg.threshold_mode),
             zoom_out_exit=ZoomOutExit(cfg.zoom_out_exit),
-            pre_halve=cfg.pre_halve, max_inner=cfg.max_inner)
+            pre_halve=cfg.pre_halve)
         if cfg.optimizer == "adabfe":
             return AdaBfeOptimizer(gcfg, dim)
         return BfeGradOptimizer(gcfg)
@@ -289,8 +293,13 @@ def run_experiment(cfg: RunConfig) -> tuple[list[TraceRecord], RunSummary]:
         trace.append(TraceRecord(step=t, batch_loss=batch_loss,
                                  full_loss=full_loss, eta=out.eta_next,
                                  inner_loops=out.inner_loops, grad_norm=gnorm))
-    summary = dataclasses.replace(summarize(trace, cfg.loss_threshold),
-                                  grad_evals=obj.grad_evals,
+    if trace:
+        summary = summarize(trace, cfg.loss_threshold)
+    else:  # the start met the stop check: a run of no steps
+        loss = obj.loss(theta, None)
+        met = cfg.loss_threshold is not None and loss <= cfg.loss_threshold
+        summary = RunSummary(0 if met else None, 0.0, {}, loss)
+    summary = dataclasses.replace(summary, grad_evals=obj.grad_evals,
                                   loss_evals=obj.loss_evals)
     if cfg.output_path:
         write_trace(cfg.output_path, trace, cfg)

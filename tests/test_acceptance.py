@@ -16,7 +16,7 @@ from bfeopt.bfe_grad import AdaBfeOptimizer, BfeGradConfig, BfeGradOptimizer, \
 from bfeopt.bfe_loss import BfeLossConfig, BfeLossOptimizer, CommitPolicy, \
     bfe_step, loss_pair_zoom_in, loss_pair_zoom_out
 from bfeopt.cli import main
-from bfeopt.core import CriterionState, angular_deviation, grad_check
+from bfeopt.core import angular_deviation, grad_check
 from bfeopt.harness import RunConfig, run_experiment
 from bfeopt.problems import LinRegSpec, gen_linear_data, linreg_objective, \
     quadratic_objective
@@ -241,8 +241,8 @@ def test_criterion_10_cli_determinism(tmp_path):
 
 def test_criterion_11_evaluation_budget(counting):
     obj = counting(quadratic_objective([1.0]))
-    out = bfe_step(obj, np.array([1.0]), 0.1, CriterionState(),
-                   BfeLossConfig(eta0=0.001), None)
+    out = bfe_step(obj, np.array([1.0]), 0.1, BfeLossConfig(eta0=0.001),
+                   None)
     loss_ok = (obj.grad_calls == 1 + out.inner_loops
                and obj.loss_calls == 2 * out.inner_loops)
     obj.reset()

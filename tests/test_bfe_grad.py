@@ -10,6 +10,7 @@ from bfeopt.bfe_grad import (
     BfeGradConfig,
     BfeGradOptimizer,
     DEG,
+    RELATIVE_RATIO,
     ThresholdMode,
     ZoomOutExit,
     adabfe_step,
@@ -18,6 +19,7 @@ from bfeopt.bfe_grad import (
 )
 from bfeopt.bfe_loss import CAP_EXP
 from bfeopt.core import (
+    THRESHOLD_FLOOR,
     Branch,
     NonFiniteEvaluation,
     NonTermination,
@@ -295,8 +297,8 @@ def reference_adabfe_step(obj, theta, rates, eta0, cfg, zoom_in):
     hi = eta0 * base ** CAP_EXP
     g = obj.grad(theta, None)
     if cfg.threshold_mode is ThresholdMode.RELATIVE:
-        thresholds = np.maximum(cfg.relative_ratio * np.abs(np.arctan(g)),
-                                cfg.threshold_floor)
+        thresholds = np.maximum(RELATIVE_RATIO * np.abs(np.arctan(g)),
+                                THRESHOLD_FLOOR)
     else:
         thresholds = np.full(dim, cfg.angle_threshold)
     committed = theta.copy()

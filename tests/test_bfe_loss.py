@@ -15,7 +15,6 @@ from bfeopt.bfe_loss import (
 )
 from bfeopt.core import (
     Branch,
-    CriterionState,
     NonFiniteEvaluation,
 )
 from bfeopt.problems import quadratic_objective
@@ -168,11 +167,10 @@ def test_pair_raises_on_non_finite():
 # Single steps, hand-traced
 # ---------------------------------------------------------------------------
 
-def _step(theta, eta, eps_comp=math.inf, **cfg_kw):
+def _step(theta, eta, zoom_in=True, **cfg_kw):
     obj = quadratic_objective([1.0])
     cfg = BfeLossConfig(eta0=0.001, **cfg_kw)
-    crit = CriterionState(eps_comp=eps_comp)
-    return bfe_step(obj, np.array([theta]), eta, crit, cfg, None)
+    return bfe_step(obj, np.array([theta]), eta, cfg, None, zoom_in)
 
 
 def test_zoom_in_branch_trace():
@@ -192,7 +190,7 @@ def test_zoom_in_branch_full_step_commit():
 
 
 def test_zoom_out_branch_trace():
-    out = _step(1.0, 0.00625, eps_comp=0.0)
+    out = _step(1.0, 0.00625, zoom_in=False)
     assert out.branch is Branch.ZOOM_OUT
     assert out.inner_loops == 3
     assert out.eta_next == pytest.approx(0.025, rel=1e-12)
@@ -201,7 +199,7 @@ def test_zoom_out_branch_trace():
 
 
 def test_zoom_out_at_optimum_hits_rate_cap():
-    out = _step(0.0, 0.001, eps_comp=0.0, max_inner=100)
+    out = _step(0.0, 0.001, zoom_in=False, max_inner=100)
     assert out.capped
     assert out.theta_next[0] == 0.0
     assert out.eta_next == pytest.approx(0.001 * 2.0 ** CAP, rel=1e-9)
@@ -211,8 +209,7 @@ def test_step_budget_is_one_base_grad_plus_one_grad_two_losses_per_inner_loop(
         counting):
     obj = counting(quadratic_objective([1.0]))
     cfg = BfeLossConfig(eta0=0.001)
-    crit = CriterionState()
-    out = bfe_step(obj, np.array([1.0]), 0.1, crit, cfg, None)
+    out = bfe_step(obj, np.array([1.0]), 0.1, cfg, None)
     # the gradient at theta is computed once and shared by every probe
     assert obj.grad_calls == 1 + out.inner_loops
     assert obj.loss_calls == 2 * out.inner_loops
@@ -226,8 +223,7 @@ def _zoom_in_only(theta, prev_eta, reset_policy):
     obj = quadratic_objective([1.0])
     cfg = BfeLossConfig(eta0=0.001, zoom_in_only=True,
                         reset_policy=reset_policy)
-    return zoom_in_only_step(obj, np.array([theta]), prev_eta,
-                             CriterionState(), cfg, None)
+    return zoom_in_only_step(obj, np.array([theta]), prev_eta, cfg, None)
 
 
 def test_zoom_in_only_double_reset():

@@ -6,7 +6,7 @@ import pytest
 
 from bfeopt import cli
 from bfeopt.cli import main
-from bfeopt.harness import RunConfig
+from bfeopt.harness import OPTIMIZERS, RunConfig
 
 
 def _optimize(tmp_path, name, extra=()):
@@ -121,6 +121,43 @@ def test_optimizer_failure_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "optimizer failure" in err
     assert "optimizer failure at step 3: adabfe exceeded" in err
+
+
+def test_adabfe_failure_names_the_stuck_dimensions(capsys):
+    # with normalized features the bias dimension still stalls on this seed
+    assert main(["optimize", "--optimizer", "adabfe", "--problem", "linreg",
+                 "--normalize", "--n-samples", "2000", "--seed", "0",
+                 "--max-steps", "300"]) == 3
+    assert capsys.readouterr().err == (
+        "optimizer failure at step 3: adabfe exceeded max_inner=60 with "
+        "dims [1] still searching\n")
+
+
+@pytest.mark.parametrize("epsilon", ["0", "-1"])
+@pytest.mark.parametrize("optimizer", OPTIMIZERS)
+def test_epsilon_must_be_positive_for_every_optimizer(optimizer, epsilon,
+                                                      capsys):
+    assert main(["optimize", "--optimizer", optimizer, "--problem",
+                 "quadratic", "--max-steps", "3", "--epsilon", epsilon]) == 2
+    assert capsys.readouterr().err == \
+        "config error: eps_ratio must be positive\n"
+
+
+def test_converged_start_exits_0_and_its_trace_holds_no_loss(tmp_path,
+                                                             capsys):
+    out = tmp_path / "t.csv"
+    assert main(["optimize", "--problem", "quadratic", "--curvatures", "1,2",
+                 "--theta0", "0,0", "--loss-threshold", "1",
+                 "--out", str(out)]) == 0
+    # the stop-check gradient and the full loss at the start
+    assert capsys.readouterr().out.splitlines() == [
+        "steps_to_threshold=0", "grad_evals=1", "loss_evals=1",
+        "mean_inner_loops=0", "inner_loop_histogram=", "final_loss=0"]
+    assert out.read_text().endswith(
+        "\nstep,batch_loss,full_loss,eta,inner_loops,grad_norm\n")
+    assert main(["summary", "--trace", str(out),
+                 "--loss-threshold", "1"]) == 2
+    assert capsys.readouterr().err == "config error: empty trace\n"
 
 
 @pytest.mark.parametrize("optimizer", ["bfe", "bfe-zoomin", "bfe-grad",

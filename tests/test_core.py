@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bfeopt.core import (
-    CriterionState,
     NonFiniteEvaluation,
     ThresholdPolicy,
     angular_deviation,
@@ -60,33 +59,33 @@ def test_angular_deviation_vectorized_matches_scalar():
 
 
 def test_threshold_mean_scaled():
-    crit = CriterionState()
-    assert eval_criterion_threshold(0.0, 0.03125, crit) == \
+    assert eval_criterion_threshold(0.0, 0.03125, 0.001,
+                                    ThresholdPolicy.MEAN_SCALED) == \
         pytest.approx(1.5625e-5, rel=1e-12)
 
 
 def test_threshold_min_scaled():
-    crit = CriterionState(policy=ThresholdPolicy.MIN_SCALED)
-    assert eval_criterion_threshold(2.0, 4.0, crit) == \
+    assert eval_criterion_threshold(2.0, 4.0, 0.001,
+                                    ThresholdPolicy.MIN_SCALED) == \
         pytest.approx(0.002, rel=1e-12)
 
 
 def test_threshold_constant():
-    crit = CriterionState(policy=ThresholdPolicy.CONSTANT, constant=1.0)
-    assert eval_criterion_threshold(123.0, -456.0, crit) == 1.0
+    assert eval_criterion_threshold(123.0, -456.0, 0.001,
+                                    ThresholdPolicy.CONSTANT) == 1.0
 
 
 def test_threshold_epoch_decay_monotone():
-    crit = CriterionState(policy=ThresholdPolicy.EPOCH_DECAY, decay_rate=0.01)
-    vals = [eval_criterion_threshold(1.0, 1.0, crit, epoch=e)
+    vals = [eval_criterion_threshold(1.0, 1.0, 0.001,
+                                     ThresholdPolicy.EPOCH_DECAY, epoch=e)
             for e in range(5)]
     assert vals[0] == pytest.approx(0.001)
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 def test_threshold_floor_near_zero_losses():
-    crit = CriterionState()
-    assert eval_criterion_threshold(0.0, 0.0, crit) == 1e-12
+    assert eval_criterion_threshold(0.0, 0.0, 0.001,
+                                    ThresholdPolicy.MEAN_SCALED) == 1e-12
 
 
 def test_grad_check_quadratic():

@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 from bfeopt import harness
+from bfeopt.bfe_grad import BfeGradConfig
+from bfeopt.bfe_loss import BfeLossConfig
 from bfeopt.core import Branch, NonFiniteEvaluation, TraceRecord
 from bfeopt.harness import (
     OPTIMIZERS,
     ConfigError,
     RunConfig,
+    build_optimizer,
     compare_runs,
     read_trace,
     run_experiment,
@@ -134,6 +137,8 @@ def test_invalid_names_rejected():
         RunConfig(batch_size=0)
     with pytest.raises(ConfigError):
         RunConfig(lim_zero=0.0)
+    with pytest.raises(ConfigError, match="max_steps must be >= 1"):
+        RunConfig(max_steps=0)
     with pytest.raises(ConfigError):
         RunConfig(commit_policy="nope")
 
@@ -148,6 +153,56 @@ def test_field_values_checked_against_annotations():
                 {"theta0": ("1",)}, {"output_path": 3}):
         with pytest.raises(ConfigError, match=f"{next(iter(bad))} must be"):
             RunConfig(**bad)
+
+
+@pytest.mark.parametrize("threshold, steps", [(None, None), (1e-9, None),
+                                              (1e-8, 0)])
+def test_converged_start_is_a_run_of_no_steps(threshold, steps):
+    # the start's gradient RMS, about 7.1e-5, is below lim_zero
+    cfg = RunConfig(optimizer="bfe", problem="quadratic",
+                    curvatures=(1.0, 1.0), theta0=(1e-4, 0.0),
+                    loss_threshold=threshold)
+    trace, summary = run_experiment(cfg)
+    start_loss = harness.quadratic_objective(cfg.curvatures).loss(
+        np.array(cfg.theta0), None)
+    assert trace == []
+    assert summary == harness.RunSummary(
+        steps_to_threshold=steps, mean_inner_loops=0.0,
+        inner_loop_histogram={}, final_loss=start_loss, grad_evals=1,
+        loss_evals=1)
+
+
+# Every init field of the BFE configs, the RunConfig field build_optimizer
+# sets it from, and a non-default value of that RunConfig field.
+CONFIG_SOURCES = {
+    BfeLossConfig: ("bfe", {
+        "eta0": ("eta0", 0.002), "base": ("base", 3),
+        "max_inner": ("max_inner", 40), "eps_ratio": ("eps_ratio", 0.01),
+        "eps_val_policy": ("eps_val_policy", "min_scaled"),
+        "commit_policy": ("commit_policy", "full_step"),
+        "zoom_in_only": ("optimizer", "bfe-zoomin"),
+        "reset_policy": ("reset_policy", "prev_eta")}),
+    BfeGradConfig: ("bfe-grad", {
+        "eta0": ("eta0", 0.002), "base": ("base", 3),
+        "max_inner": ("max_inner", 40),
+        "angle_threshold": ("angle_threshold_deg", 2.5),
+        "threshold_mode": ("threshold_mode", "relative"),
+        "zoom_out_exit": ("zoom_out_exit", "quarter_fresh_step"),
+        "pre_halve": ("pre_halve", True)}),
+}
+
+
+@pytest.mark.parametrize("config", list(CONFIG_SOURCES))
+def test_every_bfe_config_field_is_set_from_a_run_config_field(config):
+    optimizer, sources = CONFIG_SOURCES[config]
+    names = [f.name for f in dataclasses.fields(config) if f.init]
+    assert sorted(sources) == sorted(names)
+    default = build_optimizer(RunConfig(optimizer=optimizer), dim=2).cfg
+    for name, (run_field, value) in sources.items():
+        cfg = build_optimizer(RunConfig(**{"optimizer": optimizer,
+                                           run_field: value}), dim=2).cfg
+        assert [n for n in names
+                if getattr(cfg, n) != getattr(default, n)] == [name]
 
 
 def test_normalized_run_uses_normalized_features():

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bfeopt.bfe_grad import (
+    RELATIVE_RATIO,
     BfeGradConfig,
     ThresholdMode,
     ZoomOutExit,
@@ -25,16 +26,15 @@ from bfeopt.bfe_loss import (
     CAP_EXP,
     BfeLossConfig,
     CommitPolicy,
+    Lattice,
     bfe_step,
-    check_lattice,
     lattice_search,
     loss_pair_zoom_in,
     loss_pair_zoom_out,
-    rate_caps,
 )
 from bfeopt.core import (
+    THRESHOLD_FLOOR,
     Branch,
-    CriterionState,
     NonTermination,
     ThresholdPolicy,
     eval_criterion_threshold,
@@ -42,7 +42,7 @@ from bfeopt.core import (
 from bfeopt.problems import quadratic_objective
 
 
-def reference_bfe_step(obj, theta, eta, crit, cfg, batch, epoch=0):
+def reference_bfe_step(obj, theta, eta, cfg, batch, zoom_in=True, epoch=0):
     g = obj.grad(theta, batch)
     base = float(cfg.base)
     lo = cfg.eta0 * base ** -CAP_EXP
@@ -51,7 +51,7 @@ def reference_bfe_step(obj, theta, eta, crit, cfg, batch, epoch=0):
     inner = 0
     capped = False
 
-    if crit.eps_comp >= crit.eps_val:
+    if zoom_in:
         while True:
             inner += 1
             if inner > cfg.max_inner:
@@ -60,8 +60,9 @@ def reference_bfe_step(obj, theta, eta, crit, cfg, batch, epoch=0):
             etas.append(eta)
             pair = loss_pair_zoom_in(obj, theta, eta, batch, g)
             eps_comp = abs(pair.loss2 - pair.loss1)
-            eps_val = eval_criterion_threshold(pair.loss1, pair.loss2, crit,
-                                               epoch)
+            eps_val = eval_criterion_threshold(
+                pair.loss1, pair.loss2, cfg.eps_ratio, cfg.eps_val_policy,
+                epoch)
             eta = eta / base
             if eps_comp < eps_val:
                 break
@@ -85,8 +86,9 @@ def reference_bfe_step(obj, theta, eta, crit, cfg, batch, epoch=0):
             etas.append(eta)
             pair = loss_pair_zoom_out(obj, theta, eta, batch, g)
             eps_comp = abs(pair.loss2 - pair.loss1)
-            eps_val = eval_criterion_threshold(pair.loss1, pair.loss2, crit,
-                                               epoch)
+            eps_val = eval_criterion_threshold(
+                pair.loss1, pair.loss2, cfg.eps_ratio, cfg.eps_val_policy,
+                epoch)
             eta = eta * base
             if eps_comp >= eps_val:
                 break
@@ -104,8 +106,8 @@ def reference_bfe_step(obj, theta, eta, crit, cfg, batch, epoch=0):
 
 def reference_thresholds(g, cfg):
     if cfg.threshold_mode is ThresholdMode.RELATIVE:
-        thr = cfg.relative_ratio * np.abs(np.arctan(g))
-        return np.maximum(thr, cfg.threshold_floor)
+        thr = RELATIVE_RATIO * np.abs(np.arctan(g))
+        return np.maximum(thr, THRESHOLD_FLOOR)
     return np.full(np.shape(g), cfg.angle_threshold)
 
 
@@ -244,14 +246,13 @@ def assert_on_lattice(eta, eta0, base):
 def test_bfe_step_matches_reference(case, commit, policy, zoom_in, ratio,
                                     epoch):
     obj, theta, eta, eta0, base, _, max_inner = case
-    crit = CriterionState(eps_comp=math.inf if zoom_in else 0.0,
-                          eps_ratio=ratio, policy=policy)
-    cfg = BfeLossConfig(eta0=eta0, crit=crit, base=base,
-                        commit_policy=commit, max_inner=max_inner)
-    ref = _outcome(reference_bfe_step, obj, theta, eta, crit, cfg, None,
+    cfg = BfeLossConfig(eta0=eta0, base=base, max_inner=max_inner,
+                        eps_ratio=ratio, eps_val_policy=policy,
+                        commit_policy=commit)
+    ref = _outcome(reference_bfe_step, obj, theta, eta, cfg, None, zoom_in,
                    epoch)
-    got = _outcome(lambda *a: _fields(bfe_step(*a)), obj, theta, eta, crit,
-                   cfg, None, epoch)
+    got = _outcome(lambda *a: _fields(bfe_step(*a)), obj, theta, eta, cfg,
+                   None, zoom_in, epoch)
     assert got == ref
     if ref[0] != "NonTermination":
         assert_on_lattice(float.fromhex(got[1]), eta0, base)
@@ -315,7 +316,7 @@ def test_adabfe_step_rates_stay_on_the_lattice(case, pre_halve, mode,
 
 @pytest.mark.parametrize("base", [2, 3])
 def test_adabfe_pre_halving_from_the_lowest_rate_is_a_cap_hit(base):
-    lo, _ = rate_caps(1e-3, base)
+    lo = Lattice(1e-3, base).lo
     cfg = BfeGradConfig(eta0=1e-3, base=base, pre_halve=True)
     # the probe at the lowest rate crosses the threshold at once
     out = adabfe_step(quadratic_objective([1.0]), np.array([1.0]),
@@ -341,25 +342,23 @@ def test_config_rejects_a_lattice_beyond_the_floats(config, eta0, base):
 @pytest.mark.parametrize("eta0, base", [(2.9e-306, 2), (1.5e290, 2),
                                         (1.1e-295, 3), (4.2e279, 3)])
 def test_lattice_just_inside_the_floats_is_accepted(eta0, base):
-    check_lattice(eta0, base)
-    lo, hi = rate_caps(eta0, base)
-    assert 0.0 < lo and hi < math.inf
+    lattice = Lattice(eta0, base)
+    assert 0.0 < lattice.lo and lattice.hi < math.inf
 
 
 @pytest.mark.parametrize("base", [2, 3])
 def test_half_step_exit_from_the_lowest_rate_stays_in_range(base):
-    lo, _ = rate_caps(1e-3, base)
+    lo = Lattice(1e-3, base).lo
     cfg = BfeLossConfig(eta0=1e-3, base=base)
     # at the minimum the first probe's losses agree, so the search stops
     # after one pass, one scaling below the lowest rate
-    out = bfe_step(quadratic_objective([1.0]), np.zeros(1), lo,
-                   CriterionState(), cfg, None)
+    out = bfe_step(quadratic_objective([1.0]), np.zeros(1), lo, cfg, None)
     assert (out.eta_next, out.inner_loops, out.capped) == (lo, 1, False)
 
 
 @pytest.mark.parametrize("base", [2, 3])
 def test_quarter_exit_from_the_lowest_rate_stays_in_range(base):
-    lo, _ = rate_caps(1e-3, base)
+    lo = Lattice(1e-3, base).lo
     cfg = BfeGradConfig(eta0=1e-3, base=base,
                         zoom_out_exit=ZoomOutExit.QUARTER_FRESH_STEP)
     out = bfe_grad_step(SignFlip(), np.zeros(1), lo, cfg, None,
@@ -373,21 +372,23 @@ def test_search_returns_the_rate_after_the_last_scaling():
     probed = []
     result, eta, passes, capped = lattice_search(
         lambda e: probed.append(e) or len(probed), lambda n: n < 3,
-        1.0, 1.0, 2, True, 10, "test")
+        1.0, Lattice(1.0, 2, 10), True, "test")
     assert probed == [1.0, 0.5, 0.25]
     assert (result, eta, passes, capped) == (3, 0.125, 3, False)
     result, eta, passes, capped = lattice_search(
-        lambda e: e, lambda e: e >= 4.0, 1.0, 1.0, 2, False, 10, "test")
+        lambda e: e, lambda e: e >= 4.0, 1.0, Lattice(1.0, 2, 10), False,
+        "test")
     assert (result, eta, passes, capped) == (4.0, 8.0, 3, False)
 
 
 @pytest.mark.parametrize("zoom_in", [True, False])
 def test_search_stops_at_the_cap(zoom_in):
-    lo, hi = rate_caps(1.0, 3)
+    lattice = Lattice(1.0, 3, 1000)
+    lo, hi = lattice.lo, lattice.hi
     probed = []
     result, eta, passes, capped = lattice_search(
-        lambda e: probed.append(e) or e, lambda e: zoom_in, 1.0, 1.0, 3,
-        zoom_in, 1000, "test")
+        lambda e: probed.append(e) or e, lambda e: zoom_in, 1.0, lattice,
+        zoom_in, "test")
     # one pass per lattice point from the start up to the cap, not onto it
     assert (eta, passes, capped) == (lo if zoom_in else hi, CAP_EXP, True)
     assert result == probed[-1] == pytest.approx(
@@ -397,6 +398,6 @@ def test_search_stops_at_the_cap(zoom_in):
 def test_search_over_budget_names_the_probed_rates():
     with pytest.raises(NonTermination, match="^grad zoom-out exceeded "
                        "max_inner=3$") as exc:
-        lattice_search(lambda e: e, lambda e: False, 1.0, 1.0, 2, False, 3,
-                       "grad zoom-out")
+        lattice_search(lambda e: e, lambda e: False, 1.0, Lattice(1.0, 2, 3),
+                       False, "grad zoom-out")
     assert exc.value.etas == [1.0, 2.0, 4.0]
