@@ -14,7 +14,6 @@ from .core import (
     TraceRecord,
     angular_deviation,
     eval_criterion_threshold,
-    grad_check,
 )
 
 __all__ = [
@@ -29,5 +28,4 @@ __all__ = [
     "TraceRecord",
     "angular_deviation",
     "eval_criterion_threshold",
-    "grad_check",
 ]

@@ -1,5 +1,4 @@
-"""Shared domain types, the gradient-angle metric, and the finite-difference
-gradient checker.
+"""Shared domain types, the gradient-angle metric, and the loss threshold.
 
 Parameter vectors and gradients are plain 1-D float64 numpy arrays; all
 state objects here are immutable values and safe to share across threads.
@@ -9,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Protocol
+from typing import Any, NamedTuple, Protocol
 
 import numpy as np
 
@@ -103,38 +102,13 @@ def eval_criterion_threshold(loss1: float, loss2: float, eps_ratio: float,
     return max(val, THRESHOLD_FLOOR)
 
 
-def grad_check(obj: Objective, theta: np.ndarray, batch: Batch = None,
-               h: float = 1e-5) -> float:
-    """Max relative error between the analytic gradient and central differences.
-
-    Error per dimension is |analytic - numeric| / max(1, |analytic|).
-    Raises NonFiniteEvaluation if any probe loss is non-finite.
-    """
-    theta = np.asarray(theta, dtype=float)
-    analytic = np.asarray(obj.grad(theta, batch), dtype=float)
-    worst = 0.0
-    for i in range(theta.size):
-        step = np.zeros_like(theta)
-        step[i] = h
-        lo = obj.loss(theta - step, batch)
-        hi = obj.loss(theta + step, batch)
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise NonFiniteEvaluation(
-                f"non-finite loss while probing dimension {i}")
-        numeric = (hi - lo) / (2.0 * h)
-        err = abs(analytic[i] - numeric) / max(1.0, abs(analytic[i]))
-        worst = max(worst, err)
-    return worst
-
-
 def rms_grad_norm(g: np.ndarray) -> float:
     """Dimension-independent gradient magnitude: ||g||_2 / sqrt(dim).
 
-    For a 1-D float array the norm is ``sqrt(g.dot(g))``, as
+    ``g`` is a 1-D float array. The norm is ``sqrt(g.dot(g))``, as
     ``np.linalg.norm`` computes it, with the same float.
     """
-    g = np.asarray(g, dtype=float)
-    return math.sqrt(float(g.dot(g))) / math.sqrt(g.size)
+    return math.sqrt(g.dot(g)) / math.sqrt(g.size)
 
 
 class Branch(str, Enum):
@@ -161,9 +135,9 @@ class StepOutcome:
     branches_next: np.ndarray | None = None   # per-dimension zoom-in flags
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One per-time-step log line of an experiment run."""
+class TraceRecord(NamedTuple):
+    """One per-time-step log line of an experiment run: a tuple, in the
+    order of the trace file's columns."""
 
     step: int
     batch_loss: float

@@ -5,6 +5,7 @@ summary statistics (threshold-crossing step, inner-loop histogram).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import typing
@@ -82,7 +83,9 @@ class RunConfig:
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if not _fits(value, FIELD_TYPES[f.name]):
-                raise ConfigError(f"{f.name} must be {f.type}, not {value!r}")
+                finite = " (finite)" if "float" in f.type else ""
+                raise ConfigError(f"{f.name} must be {f.type}{finite}, "
+                                  f"not {value!r}")
         for name, allowed in CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
@@ -108,22 +111,30 @@ def field_type(hint):
     return hint
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_finite_number(value) -> bool:
+    """Whether ``value`` is an int or a float, not a bool, and a finite
+    float: NaN, the infinities and an int beyond the floats are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _fits(value, hint) -> bool:
     """Whether ``value`` may be stored in a RunConfig field annotated
     ``hint``: an int fits a float field, a bool only a bool field, None only
-    an optional field, and a tuple field holds one or more numbers."""
+    an optional field, and a tuple field holds one or more numbers. Every
+    number of a float or tuple field is finite."""
     if value is None:
         return type(None) in typing.get_args(hint)
     kind = field_type(hint)
     if typing.get_origin(kind) is tuple:
         return (isinstance(value, tuple) and len(value) > 0
-                and all(map(_is_number, value)))
+                and all(map(_is_finite_number, value)))
     if kind is float:
-        return _is_number(value)
+        return _is_finite_number(value)
     if kind is int:
         return isinstance(value, int) and not isinstance(value, bool)
     return isinstance(value, kind)
@@ -163,6 +174,9 @@ def build_problem(cfg: RunConfig):
     point, so the run loop's memo keys all points by bytes of one dtype.
     """
     if cfg.problem == "linreg":
+        if len(start_point(cfg)) != 2:
+            raise ConfigError("theta0 must hold 2 values, w and b, for "
+                              "linreg")
         data = gen_linear_data(LinRegSpec(w0=cfg.w0, b0=cfg.b0,
                                           noise_std=cfg.noise_std,
                                           n=cfg.n_samples, seed=cfg.seed))
@@ -290,9 +304,8 @@ def run_experiment(cfg: RunConfig) -> tuple[list[TraceRecord], RunSummary]:
         except (NonFiniteEvaluation, NonTermination) as exc:
             exc.step = t
             raise
-        trace.append(TraceRecord(step=t, batch_loss=batch_loss,
-                                 full_loss=full_loss, eta=out.eta_next,
-                                 inner_loops=out.inner_loops, grad_norm=gnorm))
+        trace.append(TraceRecord(t, batch_loss, full_loss, out.eta_next,
+                                 out.inner_loops, gnorm))
     if trace:
         summary = summarize(trace, cfg.loss_threshold)
     else:  # the start met the stop check: a run of no steps
@@ -374,6 +387,8 @@ def compare_runs(cfgs: list[RunConfig],
 
 
 TRACE_HEADER = "step,batch_loss,full_loss,eta,inner_loops,grad_norm"
+# one trace row, from the fields of a TraceRecord in order
+_TRACE_ROW = "{},{:.17g},{:.17g},{:.17g},{},{:.17g}\n".format
 _TRACE_TYPES = (int, float, float, float, int, float)  # one per column
 
 
@@ -391,9 +406,8 @@ def write_trace(path: str, trace: list[TraceRecord], cfg: RunConfig) -> None:
         f.write(f"# seed={cfg.seed}\n")
         f.write(f"# config={_config_json(cfg)}\n")
         f.write(TRACE_HEADER + "\n")
-        for r in trace:
-            f.write(f"{r.step},{r.batch_loss:.17g},{r.full_loss:.17g},"
-                    f"{r.eta:.17g},{r.inner_loops},{r.grad_norm:.17g}\n")
+        # row by row through the file's buffer: the whole text is never held
+        f.writelines(itertools.starmap(_TRACE_ROW, trace))
 
 
 def read_trace(path: str) -> tuple[dict, list[TraceRecord]]:

@@ -3,6 +3,7 @@ diagonal quadratic bowls, feature normalization, and epoch-shuffled batching.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,8 +28,8 @@ class LinRegSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be nonnegative")
+        if not 0 <= self.noise_std < math.inf:  # NaN fails too
+            raise ValueError("noise_std must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,7 @@ class LinRegObjective:
             self._work = (np.empty((k, size), dtype=np.intp),
                           *(np.empty((k, size)) for _ in range(4)))
         idx, x, y, dx, r = (w[:k] for w in self._work)
-        np.stack(batches[:k], out=idx)
+        np.concatenate(batches[:k], out=idx.reshape(-1))
         np.take(self._x, idx, out=x)
         np.take(self._y, idx, out=y)
         moments = _row_moments(x, y, dx, r)
@@ -126,15 +127,17 @@ class LinRegObjective:
 
     def loss(self, theta: np.ndarray, batch: Batch = None) -> float:
         xm, beta, alpha, rm, vxx, c, rv = self._cached_moments(batch)
-        d = float(theta[0]) - beta
-        m = d * xm + (float(theta[1]) - alpha) + rm
+        w, b = theta.tolist()
+        d = w - beta
+        m = d * xm + (b - alpha) + rm
         # clamped: rounding must not make the residual variance negative
         return m * m + max(d * (d * vxx + 2.0 * c) + rv, 0.0)
 
     def grad(self, theta: np.ndarray, batch: Batch = None) -> np.ndarray:
         xm, beta, alpha, rm, vxx, c, _ = self._cached_moments(batch)
-        d = float(theta[0]) - beta
-        m = d * xm + (float(theta[1]) - alpha) + rm
+        w, b = theta.tolist()
+        d = w - beta
+        m = d * xm + (b - alpha) + rm
         return np.array([2.0 * (xm * m + d * vxx + c), 2.0 * m])
 
 

@@ -16,11 +16,12 @@ from bfeopt.bfe_grad import AdaBfeOptimizer, BfeGradConfig, BfeGradOptimizer, \
 from bfeopt.bfe_loss import BfeLossConfig, BfeLossOptimizer, CommitPolicy, \
     bfe_step, loss_pair_zoom_in, loss_pair_zoom_out
 from bfeopt.cli import main
-from bfeopt.core import angular_deviation, grad_check
+from bfeopt.core import angular_deviation
 from bfeopt.harness import RunConfig, run_experiment
 from bfeopt.problems import LinRegSpec, gen_linear_data, linreg_objective, \
     quadratic_objective
 
+from gradcheck import grad_check
 from test_bfe_loss import oracle_run
 
 THRESHOLD = 1.05  # 1.05 x the noise floor sigma^2 = 1 of the seeded dataset

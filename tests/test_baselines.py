@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bfeopt.baselines import (
     AdamOptimizer,
@@ -7,6 +11,7 @@ from bfeopt.baselines import (
     MomentumState,
     NesterovOptimizer,
     SgdOptimizer,
+    _finite_grad,
     adam_step,
     nesterov_step,
     sgd_step,
@@ -177,3 +182,29 @@ def test_baseline_step_outcome(opt):
     assert out.inner_loops == 1
     assert out.branch is None
     assert out.theta_next[0] < 1.0
+
+
+class FixedGradient:
+    def __init__(self, g):
+        self.g = g
+
+    def loss(self, theta, batch=None):
+        return 0.0
+
+    def grad(self, theta, batch=None):
+        return self.g
+
+
+_EDGE = st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e308])
+
+
+@given(st.lists(st.one_of(st.floats(), _EDGE), min_size=1, max_size=200))
+def test_finite_check_is_isfinite_all_without_warnings(values):
+    g = np.array(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if np.isfinite(g).all():
+            assert _finite_grad(FixedGradient(g), g, None) is g
+        else:
+            with pytest.raises(NonFiniteEvaluation):
+                _finite_grad(FixedGradient(g), g, None)

@@ -1,12 +1,14 @@
 import argparse
 import dataclasses
 import json
+import typing
+import warnings
 
 import pytest
 
 from bfeopt import cli
 from bfeopt.cli import main
-from bfeopt.harness import OPTIMIZERS, RunConfig
+from bfeopt.harness import FIELD_TYPES, OPTIMIZERS, RunConfig, field_type
 
 
 def _optimize(tmp_path, name, extra=()):
@@ -371,3 +373,41 @@ def test_flag_and_json_spellings_give_equal_configs(tmp_path, monkeypatch):
     for name, value in VALUES.items():  # every field was set
         got = getattr(from_flags, name)
         assert (list(got) if isinstance(got, tuple) else got) == value
+
+
+def _is_tuple(name):
+    return typing.get_origin(field_type(FIELD_TYPES[name])) is tuple
+
+
+# every RunConfig field set by a float or a comma-separated list of floats
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(RunConfig)
+                if field_type(FIELD_TYPES[f.name]) is float
+                or _is_tuple(f.name)]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_non_finite_float_flag_is_a_config_error(name, value, tmp_path,
+                                                 capsys):
+    flag = "--" + cli.ALIASES.get(name, name).replace("_", "-")
+    # a list flag gets the value after a finite one; ``=`` keeps argparse
+    # from reading "-inf" as a flag
+    text = f"1.0,{value}" if _is_tuple(name) else value
+    out = tmp_path / "trace.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["optimize", f"{flag}={text}", "--max-steps", "3",
+                   "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {name} must be ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("theta0", ["1", "1,2,3"])
+def test_linreg_start_of_the_wrong_dimension_is_a_config_error(theta0,
+                                                               capsys):
+    assert main(["optimize", "--theta0", theta0, "--max-steps", "3"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: theta0 must hold 2 values, w and b, for linreg\n")

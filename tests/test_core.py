@@ -10,10 +10,10 @@ from bfeopt.core import (
     ThresholdPolicy,
     angular_deviation,
     eval_criterion_threshold,
-    grad_check,
     rms_grad_norm,
 )
 from bfeopt.problems import quadratic_objective
+from gradcheck import grad_check
 
 
 def test_angular_deviation_identical_gradients():

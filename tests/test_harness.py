@@ -3,6 +3,8 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bfeopt import harness
 from bfeopt.bfe_grad import BfeGradConfig
@@ -17,6 +19,7 @@ from bfeopt.harness import (
     read_trace,
     run_experiment,
     summarize,
+    write_trace,
 )
 from bfeopt.problems import LinRegSpec, gen_linear_data, linreg_objective, \
     normalize
@@ -78,6 +81,34 @@ def test_trace_round_trip(tmp_path):
     assert loaded == trace
     assert meta["seed"] == "7"
     assert "config" in meta
+
+
+def _per_row_text(trace):
+    """The trace rows as the writer formatted them one row at a time."""
+    return "".join(f"{r.step},{r.batch_loss:.17g},{r.full_loss:.17g},"
+                   f"{r.eta:.17g},{r.inner_loops},{r.grad_norm:.17g}\n"
+                   for r in trace)
+
+
+_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+_COUNT = st.integers(0, 10 ** 6)
+
+
+@settings(deadline=None)
+@given(st.lists(st.builds(TraceRecord, _COUNT, _FLOAT, _FLOAT, _FLOAT,
+                          _COUNT, _FLOAT), max_size=40))
+@example([TraceRecord(10 ** 6, -0.0, 5e-324, 1e308, 10 ** 6, -1e308),
+          TraceRecord(1, 0.0, -5e-324, -1e308, 0, 1.7976931348623157e308)])
+def test_trace_rows_are_the_per_row_format_and_read_back(tmp_path_factory,
+                                                         trace):
+    path = tmp_path_factory.getbasetemp() / "rows.csv"
+    write_trace(str(path), trace, RunConfig())
+    text = path.read_text()
+    assert text.split(harness.TRACE_HEADER + "\n", 1)[1] == \
+        _per_row_text(trace)
+    _, loaded = read_trace(str(path))
+    # repr tells -0.0 from 0.0, which == does not
+    assert list(map(repr, loaded)) == list(map(repr, trace))
 
 
 def test_compare_runs_table():
@@ -150,7 +181,9 @@ def test_field_values_checked_against_annotations():
     for bad in ({"base": 2.0}, {"max_steps": True}, {"eta0": False},
                 {"optimizer": None}, {"curvatures": [1.0]},
                 {"curvatures": (True,)}, {"curvatures": ()},
-                {"theta0": ("1",)}, {"output_path": 3}):
+                {"theta0": ("1",)}, {"output_path": 3},
+                {"eta0": float("nan")}, {"theta0": (1.0, float("-inf"))},
+                {"alpha": 10 ** 400}):
         with pytest.raises(ConfigError, match=f"{next(iter(bad))} must be"):
             RunConfig(**bad)
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bfeopt import harness, problems
-from bfeopt.core import grad_check
 from bfeopt.problems import (
     BatchStream,
     Dataset,
@@ -17,10 +16,19 @@ from bfeopt.problems import (
     quadratic_objective,
 )
 
+from gradcheck import grad_check
+
 
 def test_noise_free_line():
     data = gen_linear_data(LinRegSpec(noise_std=0.0, n=50, seed=1))
     np.testing.assert_allclose(data.y, 5.0 * data.x + 9.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("noise_std", [float("nan"), float("inf"), -1.0])
+def test_spec_rejects_a_noise_level_that_is_not_finite_and_nonnegative(
+        noise_std):
+    with pytest.raises(ValueError, match="noise_std"):
+        LinRegSpec(noise_std=noise_std)
 
 
 def test_generation_is_deterministic():
@@ -163,11 +171,14 @@ def test_closed_form_matches_oracle_on_random_data(case):
     assert loss >= 0.0
     # The closed form may cancel terms of size Vyy + m**2 + w**2 * Vxx. Both
     # it and the oracle also round each residual by about eps times
-    # s = |w| max|x| + |b| + max|y|; e allows thousands of times that.
+    # s = |w| max|x| + |b| + max|y|; e allows thousands of times that. Below
+    # the smallest normal float rounding is absolute, as coarse as at that
+    # float, so s counts as at least that (a subnormal w drawn with x = 1 and
+    # y = 0 gives gradients 2 units of 5e-324 apart).
     m = w * np.mean(xs) + b - np.mean(ys)
     spread = np.var(ys) + m * m + w * w * np.var(xs)
     s = abs(w) * np.max(np.abs(xs)) + abs(b) + np.max(np.abs(ys))
-    e = 1e-12 * s
+    e = 1e-12 * max(s, np.finfo(float).tiny)
     tol = 1e-12 * spread + e * (2.0 * np.sqrt(want_loss) + e)
     assert abs(loss - want_loss) <= tol
     grad_tol = 10.0 * e * np.array([np.max(np.abs(xs)), 1.0])
