@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bfeopt import harness, problems
@@ -161,6 +161,8 @@ def regression_calls(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(regression_calls())
+@example((np.array([0.0, 1.0]), np.zeros(2), np.array([0, 1]),
+          2.2250738585e-313, 0.0))
 def test_closed_form_matches_oracle_on_random_data(case):
     x, y, batch, w, b = case
     obj = linreg_objective(Dataset(x=x, y=y))
@@ -173,8 +175,8 @@ def test_closed_form_matches_oracle_on_random_data(case):
     # it and the oracle also round each residual by about eps times
     # s = |w| max|x| + |b| + max|y|; e allows thousands of times that. Below
     # the smallest normal float rounding is absolute, as coarse as at that
-    # float, so s counts as at least that (a subnormal w drawn with x = 1 and
-    # y = 0 gives gradients 2 units of 5e-324 apart).
+    # float, so s counts as at least that (with the subnormal w of the
+    # example above, the two gradients are 2 units of 5e-324 apart).
     m = w * np.mean(xs) + b - np.mean(ys)
     spread = np.var(ys) + m * m + w * w * np.var(xs)
     s = abs(w) * np.max(np.abs(xs)) + abs(b) + np.max(np.abs(ys))
