@@ -89,7 +89,8 @@ class LinRegObjective:
         """Compute the moments of a run of batches of one size, of which the
         last may be shorter. The batches of the first one's size go through
         one 2-D pass; a shorter last one goes through ``_moments``. Each
-        batch gets the same floats as a call on it alone."""
+        batch gets the same floats as a call on it alone. Every batch but
+        the last must have the first one's length; that is not checked."""
         k = len(batches)
         if len(batches[-1]) != len(batches[0]):
             k -= 1

@@ -410,4 +410,4 @@ def test_linreg_start_of_the_wrong_dimension_is_a_config_error(theta0,
                                                                capsys):
     assert main(["optimize", "--theta0", theta0, "--max-steps", "3"]) == 2
     assert capsys.readouterr().err == (
-        "config error: theta0 must hold 2 values, w and b, for linreg\n")
+        "config error: theta0 must hold 2 values for linreg\n")
