@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,47 +56,40 @@ class BfeGradConfig(Lattice):
         super().__post_init__()
 
 
-@dataclass(frozen=True)
-class GradProbe:
+class GradProbe(NamedTuple):
     """Gradients before/after a joint trial step and the per-dim angles."""
 
     g: np.ndarray
     theta_trial: np.ndarray
     g_star: np.ndarray
     eps_per_dim: np.ndarray
-    eps_max: float
+
+    @property
+    def eps_max(self) -> float:
+        return float(self.eps_per_dim.max())
 
 
 def grad_probe(obj: Objective, theta: np.ndarray, rates, batch: Batch,
                g: np.ndarray | None = None) -> GradProbe:
     """Probe the gradient change across one trial step.
 
-    ``rates`` is a scalar (broadcast) or a per-dimension array; ``g`` is the
-    gradient at ``theta``. Costs exactly 2 gradient evaluations, or 1 when
-    ``g`` is given.
+    ``theta`` and ``g``, the gradient at ``theta``, are 1-D float64 arrays;
+    ``rates`` is a scalar or a float64 array of one rate per dimension.
+    Costs exactly 2 gradient evaluations, or 1 when ``g`` is given. A
+    non-finite trial gradient raises NonFiniteEvaluation naming the
+    dimensions where it is not finite and the rates probed there.
     """
-    theta = np.asarray(theta, dtype=float)
-    rates = np.broadcast_to(np.asarray(rates, dtype=float), theta.shape)
     if g is None:
         g = obj.grad(theta, batch)
-    g = np.asarray(g, dtype=float)
     theta_trial = theta - rates * g
-    g_star = np.asarray(obj.grad(theta_trial, batch), dtype=float)
+    g_star = obj.grad(theta_trial, batch)
     if not np.isfinite(g_star).all():
-        raise _non_finite("trial point", g_star, rates)
-    eps = np.atleast_1d(angular_deviation(g, g_star))
-    return GradProbe(g=g, theta_trial=theta_trial, g_star=g_star,
-                     eps_per_dim=eps, eps_max=float(eps.max()))
-
-
-def _non_finite(where: str, g_star: np.ndarray,
-                rates: np.ndarray) -> NonFiniteEvaluation:
-    """The failure of a probe whose gradient is not finite, naming the
-    dimensions where it is not and the rates used there."""
-    dims = np.flatnonzero(~np.isfinite(g_star))
-    return NonFiniteEvaluation(
-        f"non-finite gradient at {where} in dims {dims.tolist()} "
-        f"at rates {rates[dims].tolist()}")
+        dims = np.flatnonzero(~np.isfinite(g_star))
+        rates = np.broadcast_to(rates, g_star.shape)
+        raise NonFiniteEvaluation(
+            f"non-finite gradient at joint trial point in dims "
+            f"{dims.tolist()} at rates {rates[dims].tolist()}")
+    return GradProbe(g, theta_trial, g_star, angular_deviation(g, g_star))
 
 
 def _thresholds(g: np.ndarray, cfg: BfeGradConfig) -> np.ndarray:
@@ -169,8 +163,9 @@ def adabfe_step(obj: Objective, theta: np.ndarray, rates: np.ndarray,
 
     g = np.asarray(obj.grad(theta, batch), dtype=float)  # fixed base gradient
     thresholds = _thresholds(g, cfg)
-    # trial coordinates of finished dimensions stay at their committed value
-    trial = theta
+    # the rate each dimension was last probed at: a finished dimension's
+    # trial coordinate, theta - probed * g, keeps its committed value
+    probed = eta
     active = np.ones(dim, dtype=bool)
     hits = np.zeros(dim, dtype=bool)
     inner = 0
@@ -190,11 +185,9 @@ def adabfe_step(obj: Objective, theta: np.ndarray, rates: np.ndarray,
             under = shrink & (eta < floor)
             np.copyto(eta, lo, where=under)
             hits |= under
-        trial = np.where(active, theta - eta * g, trial)
-        g_star = np.asarray(obj.grad(trial, batch), dtype=float)
-        if not np.isfinite(g_star).all():
-            raise _non_finite("joint trial point", g_star, eta)
-        eps = np.atleast_1d(angular_deviation(g, g_star))
+        probed = np.where(active, eta, probed)
+        probe = grad_probe(obj, theta, probed, batch, g)
+        eps = probe.eps_per_dim
         np.copyto(last_eps, eps, where=active)
 
         # zoom-in searches on while the angle exceeds its threshold, zoom-out
@@ -211,7 +204,8 @@ def adabfe_step(obj: Objective, theta: np.ndarray, rates: np.ndarray,
     branch = Branch.ZOOM_IN if zoom_in.all() else Branch.ZOOM_OUT
     # a dimension that crossed its threshold switches branch; a capped one
     # keeps it
-    return StepOutcome(theta_next=trial, eta_next=float(eta.mean()),
+    return StepOutcome(theta_next=probe.theta_trial,
+                       eta_next=float(eta.mean()),
                        inner_loops=inner, branch=branch,
                        eps_comp=float(last_eps.max()),
                        eps_val=float(thresholds.max()),

@@ -120,46 +120,39 @@ class BfeLossConfig(Lattice):
             raise ValueError("eps_ratio must be positive")
 
 
-def _check_finite(pair: LossPair, eta: float) -> LossPair:
-    if not (math.isfinite(pair.loss1) and math.isfinite(pair.loss2)):
-        raise NonFiniteEvaluation(
-            f"non-finite trial loss at eta={eta!r}", eta=eta)
-    return pair
-
-
-def loss_pair_zoom_in(obj: Objective, theta: np.ndarray, eta: float,
-                      batch: Batch, g: np.ndarray | None = None) -> LossPair:
-    """One full step vs. two half-rate substeps from ``theta``.
+def _loss_pair(obj: Objective, theta: np.ndarray, eta: float, half: float,
+               full: float, batch: Batch, g: np.ndarray | None) -> LossPair:
+    """One step at rate ``full`` vs. two substeps at rate ``half`` from
+    ``theta``; a non-finite loss raises NonFiniteEvaluation at the searched
+    rate ``eta``.
 
     ``g`` is the gradient at ``theta``. Costs exactly 2 loss and 2 gradient
     evaluations, or 1 gradient evaluation when ``g`` is given.
     """
     if g is None:
         g = obj.grad(theta, batch)
-    trial_full = theta - eta * g
-    trial_half = theta - (eta / 2.0) * g
-    trial_two_step = trial_half - (eta / 2.0) * obj.grad(trial_half, batch)
-    loss1 = obj.loss(trial_full, batch)
-    loss2 = obj.loss(trial_two_step, batch)
-    return _check_finite(
-        LossPair(loss1, loss2, trial_half, trial_full, trial_two_step), eta)
+    trial_half = theta - half * g
+    trial_two_step = trial_half - half * obj.grad(trial_half, batch)
+    trial_full = theta - full * g
+    loss_full = obj.loss(trial_full, batch)
+    loss_two_step = obj.loss(trial_two_step, batch)
+    if not (math.isfinite(loss_full) and math.isfinite(loss_two_step)):
+        raise NonFiniteEvaluation(
+            f"non-finite trial loss at eta={eta!r}", eta=eta)
+    return LossPair(loss_full, loss_two_step, trial_half, trial_full,
+                    trial_two_step)
+
+
+def loss_pair_zoom_in(obj: Objective, theta: np.ndarray, eta: float,
+                      batch: Batch, g: np.ndarray | None = None) -> LossPair:
+    """One full step vs. two half-rate substeps from ``theta``."""
+    return _loss_pair(obj, theta, eta, eta / 2.0, eta, batch, g)
 
 
 def loss_pair_zoom_out(obj: Objective, theta: np.ndarray, eta: float,
                        batch: Batch, g: np.ndarray | None = None) -> LossPair:
-    """Two full-rate substeps vs. one double-rate step from ``theta``.
-
-    Same cost as ``loss_pair_zoom_in``.
-    """
-    if g is None:
-        g = obj.grad(theta, batch)
-    trial_half = theta - eta * g
-    trial_two_step = trial_half - eta * obj.grad(trial_half, batch)
-    trial_full = theta - 2.0 * eta * g
-    loss1 = obj.loss(trial_two_step, batch)
-    loss2 = obj.loss(trial_full, batch)
-    return _check_finite(
-        LossPair(loss1, loss2, trial_half, trial_full, trial_two_step), eta)
+    """Two full-rate substeps vs. one double-rate step from ``theta``."""
+    return _loss_pair(obj, theta, eta, eta, 2.0 * eta, batch, g)
 
 
 def bfe_step(obj: Objective, theta: np.ndarray, eta: float,
@@ -178,8 +171,10 @@ def bfe_step(obj: Objective, theta: np.ndarray, eta: float,
 
     def probe(eta: float) -> tuple[LossPair, float, float]:
         pair = pair_at(obj, theta, eta, batch, g)
-        return (pair, abs(pair.loss2 - pair.loss1),
-                eval_criterion_threshold(pair.loss1, pair.loss2,
+        # the criterion is symmetric in the two losses, so it reads them by
+        # trial point in either direction
+        return (pair, abs(pair.loss_two_step - pair.loss_full),
+                eval_criterion_threshold(pair.loss_full, pair.loss_two_step,
                                          cfg.eps_ratio, cfg.eps_val_policy,
                                          epoch))
 

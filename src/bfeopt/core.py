@@ -61,12 +61,12 @@ DECAY_RATE = 0.01
 THRESHOLD_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class LossPair:
-    """The two forward-explored losses of one probe, with their trial points."""
+class LossPair(NamedTuple):
+    """The two forward-explored losses of one probe, named by the trial point
+    each was taken at, with the three trial points."""
 
-    loss1: float
-    loss2: float
+    loss_full: float
+    loss_two_step: float
     trial_half: np.ndarray
     trial_full: np.ndarray
     trial_two_step: np.ndarray

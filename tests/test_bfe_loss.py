@@ -101,41 +101,41 @@ def oracle_run(h, theta0, eta0, steps, commit="half_step", eps_ratio=0.001):
 def test_zoom_in_pair_unit_rate():
     obj = quadratic_objective([1.0])
     pair = loss_pair_zoom_in(obj, np.array([1.0]), 1.0, None)
-    assert pair.loss1 == 0.0
+    assert pair.loss_full == 0.0
     assert pair.trial_half[0] == 0.5
     assert pair.trial_two_step[0] == 0.25
-    assert pair.loss2 == pytest.approx(0.03125, rel=1e-12)
+    assert pair.loss_two_step == pytest.approx(0.03125, rel=1e-12)
 
 
 def test_zoom_in_pair_small_rate():
     obj = quadratic_objective([1.0])
     pair = loss_pair_zoom_in(obj, np.array([1.0]), 0.1, None)
-    assert pair.loss1 == pytest.approx(0.405, rel=1e-12)
-    assert pair.loss2 == pytest.approx(0.407253125, rel=1e-12)
-    assert abs(pair.loss2 - pair.loss1) == pytest.approx(0.002253125,
-                                                         rel=1e-10)
+    assert pair.loss_full == pytest.approx(0.405, rel=1e-12)
+    assert pair.loss_two_step == pytest.approx(0.407253125, rel=1e-12)
+    assert abs(pair.loss_two_step - pair.loss_full) == pytest.approx(
+        0.002253125, rel=1e-10)
 
 
 def test_zoom_in_pair_zero_rate_limit():
     obj = quadratic_objective([1.0])
     pair = loss_pair_zoom_in(obj, np.array([1.0]), 1e-300, None)
-    assert abs(pair.loss2 - pair.loss1) < 1e-200
+    assert abs(pair.loss_two_step - pair.loss_full) < 1e-200
 
 
 def test_zoom_out_pair():
     obj = quadratic_objective([1.0])
     pair = loss_pair_zoom_out(obj, np.array([1.0]), 0.025, None)
-    assert pair.loss1 == pytest.approx(0.5 * 0.975 ** 4, rel=1e-12)
-    assert pair.loss2 == pytest.approx(0.45125, rel=1e-12)
-    assert abs(pair.loss2 - pair.loss1) == pytest.approx(5.9394531e-4,
-                                                         rel=1e-6)
+    assert pair.loss_two_step == pytest.approx(0.5 * 0.975 ** 4, rel=1e-12)
+    assert pair.loss_full == pytest.approx(0.45125, rel=1e-12)
+    assert abs(pair.loss_full - pair.loss_two_step) == pytest.approx(
+        5.9394531e-4, rel=1e-6)
 
 
 def test_zoom_out_pair_criterion_passes_at_small_rate():
     obj = quadratic_objective([1.0])
     pair = loss_pair_zoom_out(obj, np.array([1.0]), 0.00625, None)
-    ec = abs(pair.loss2 - pair.loss1)
-    ev = 0.5 * (abs(pair.loss1) + abs(pair.loss2)) * 0.001
+    ec = abs(pair.loss_full - pair.loss_two_step)
+    ev = 0.5 * (abs(pair.loss_two_step) + abs(pair.loss_full)) * 0.001
     assert ec == pytest.approx(3.86e-5, rel=1e-2)
     assert ev == pytest.approx(4.876e-4, rel=1e-2)
     assert ec < ev

@@ -114,6 +114,29 @@ def test_bad_theta0_dimension_exits_2(capsys):
                  "--curvatures", "1.0,2.0", "--theta0", "1.0"]) == 2
 
 
+def test_value_starting_with_minus_needs_the_equals_form(tmp_path,
+                                                         monkeypatch, capsys):
+    seen = []
+    run = cli.run_experiment
+
+    def record(cfg):
+        seen.append(cfg)
+        return run(cfg)
+
+    monkeypatch.setattr(cli, "run_experiment", record)
+    argv = ["optimize", "--problem", "quadratic", "--curvatures", "1,2",
+            "--max-steps", "5", "--out", str(tmp_path / "t.csv")]
+    assert main([*argv, "--theta0=-1,2"]) == 0
+    assert seen[0].theta0 == (-1.0, 2.0)
+    capsys.readouterr()
+    # with a space, argparse reads "-1,2" as a flag
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--theta0", "-1,2"])
+    assert exc.value.code == 2
+    assert "argument --theta0: expected one argument" in \
+        capsys.readouterr().err
+
+
 def test_optimizer_failure_exits_3(tmp_path, capsys):
     # adabfe on the unnormalized regression problem stalls on the bias
     # dimension once the weight freezes; the runner must surface that

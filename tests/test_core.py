@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -114,3 +115,21 @@ def test_grad_check_flags_non_finite():
 def test_rms_grad_norm_is_the_linalg_norm_float(values):
     g = np.array(values)
     assert rms_grad_norm(g) == float(np.linalg.norm(g) / math.sqrt(g.size))
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(_FINITE, _FINITE, st.sampled_from(ThresholdPolicy),
+       st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+       st.integers(0, 1000))
+def test_loss_criterion_is_symmetric_in_the_two_losses(a, b, policy,
+                                                       eps_ratio, epoch):
+    # a loss pair's two losses swap places between the zoom-in and the
+    # zoom-out probe; eps_comp and eps_val must not see the order
+    def bits(x):
+        return struct.pack("<d", x)
+
+    assert bits(eval_criterion_threshold(a, b, eps_ratio, policy, epoch)) \
+        == bits(eval_criterion_threshold(b, a, eps_ratio, policy, epoch))
+    assert bits(abs(b - a)) == bits(abs(a - b))

@@ -59,10 +59,10 @@ def reference_bfe_step(obj, theta, eta, cfg, batch, zoom_in=True, epoch=0):
                     f"zoom-in exceeded max_inner={cfg.max_inner}", etas=etas)
             etas.append(eta)
             pair = loss_pair_zoom_in(obj, theta, eta, batch, g)
-            eps_comp = abs(pair.loss2 - pair.loss1)
+            eps_comp = abs(pair.loss_two_step - pair.loss_full)
             eps_val = eval_criterion_threshold(
-                pair.loss1, pair.loss2, cfg.eps_ratio, cfg.eps_val_policy,
-                epoch)
+                pair.loss_full, pair.loss_two_step, cfg.eps_ratio,
+                cfg.eps_val_policy, epoch)
             eta = eta / base
             if eps_comp < eps_val:
                 break
@@ -85,10 +85,10 @@ def reference_bfe_step(obj, theta, eta, cfg, batch, zoom_in=True, epoch=0):
                     f"zoom-out exceeded max_inner={cfg.max_inner}", etas=etas)
             etas.append(eta)
             pair = loss_pair_zoom_out(obj, theta, eta, batch, g)
-            eps_comp = abs(pair.loss2 - pair.loss1)
+            eps_comp = abs(pair.loss_full - pair.loss_two_step)
             eps_val = eval_criterion_threshold(
-                pair.loss1, pair.loss2, cfg.eps_ratio, cfg.eps_val_policy,
-                epoch)
+                pair.loss_two_step, pair.loss_full, cfg.eps_ratio,
+                cfg.eps_val_policy, epoch)
             eta = eta * base
             if eps_comp >= eps_val:
                 break

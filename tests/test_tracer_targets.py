@@ -7,6 +7,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+from bfeopt.cli import main
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 # patched by the tracer, but gone since the batch kernels were replaced by
 # closed-form moments
@@ -14,11 +18,15 @@ KNOWN_STALE = {("bfeopt.kernels", "linreg_loss"),
                ("bfeopt.kernels", "linreg_loss_grad")}
 
 
-def _tracer_targets():
+def _tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
+
+
+def _tracer_targets():
+    return _tracer().TARGETS
 
 
 def _resolves(module_name, name):
@@ -35,3 +43,23 @@ def test_every_traced_name_resolves():
     missing = {(module, name) for module, name, _ in targets
                if not _resolves(module, name)}
     assert missing <= KNOWN_STALE
+
+
+LINREG = ("--problem", "linreg", "--seed", "42")
+QUADRATIC = ("--problem", "quadratic", "--curvatures", "0.1,1,10",
+             "--theta0", "1,1,1", "--lim-zero", "1e-9")
+
+
+@pytest.mark.parametrize("optimizer, problem", [
+    ("bfe", LINREG), ("bfe-zoomin", LINREG),
+    ("bfe-grad", QUADRATIC), ("adabfe", QUADRATIC)])
+def test_each_search_pass_makes_one_probe(optimizer, problem, tmp_path):
+    tracer = _tracer().Tracer()
+    with tracer.installed():
+        rc, _ = tracer.run_op(main, [
+            "optimize", "--optimizer", optimizer, *problem,
+            "--max-steps", "50", "--out", str(tmp_path / "trace.csv")])
+    assert rc == 0
+    metrics = tracer.layer_metrics()
+    assert metrics["search.inner_loops"] > 0
+    assert metrics["probe.calls"] == metrics["search.inner_loops"]
