@@ -83,7 +83,7 @@ def grad_probe(obj: Objective, theta: np.ndarray, rates, batch: Batch,
         g = obj.grad(theta, batch)
     theta_trial = theta - rates * g
     g_star = obj.grad(theta_trial, batch)
-    if not np.isfinite(g_star).all():
+    if np.count_nonzero(np.isfinite(g_star)) != g_star.size:
         dims = np.flatnonzero(~np.isfinite(g_star))
         rates = np.broadcast_to(rates, g_star.shape)
         raise NonFiniteEvaluation(
@@ -114,7 +114,7 @@ def bfe_grad_step(obj: Objective, theta: np.ndarray, eta: float,
     thresholds = _thresholds(g, cfg)
     probe, eta, inner, capped = lattice_search(
         lambda eta: grad_probe(obj, theta, eta, batch, g),
-        lambda p: bool(np.any(p.eps_per_dim >= thresholds)),
+        lambda p: bool(np.logical_or.reduce(p.eps_per_dim >= thresholds)),
         eta, cfg, zoom_in, "grad zoom-in" if zoom_in else "grad zoom-out")
     theta_next = probe.theta_trial
     if not capped:
@@ -150,7 +150,6 @@ def adabfe_step(obj: Objective, theta: np.ndarray, rates: np.ndarray,
     if zoom_in is None:
         zoom_in = np.ones(dim, dtype=bool)
     zoom_in = np.array(zoom_in, dtype=bool)
-    zoom_out = ~zoom_in
 
     # A zoom-in rate is capped at lo once it falls to lo * (1 + 1e-9), a
     # zoom-out rate at hi once it reaches hi * (1 - 1e-9). The zoom-out test
@@ -160,18 +159,22 @@ def adabfe_step(obj: Objective, theta: np.ndarray, rates: np.ndarray,
     sign = np.where(zoom_in, 1.0, -1.0)
     edge = np.where(zoom_in, lo * (1.0 + 1e-9), -(hi * (1.0 - 1e-9)))
     floor = lo * (1.0 - 1e-9)
+    # a zoom-in rate is divided by base and a zoom-out rate multiplied by it;
+    # the other factor of each is 1.0, which leaves a rate exactly as it is
+    div = np.where(zoom_in, base, 1.0)
+    mul = np.where(zoom_in, 1.0, base)
 
     g = np.asarray(obj.grad(theta, batch), dtype=float)  # fixed base gradient
     thresholds = _thresholds(g, cfg)
     # the rate each dimension was last probed at: a finished dimension's
     # trial coordinate, theta - probed * g, keeps its committed value
-    probed = eta
+    probed = eta.copy()
     active = np.ones(dim, dtype=bool)
     hits = np.zeros(dim, dtype=bool)
     inner = 0
     last_eps = np.zeros(dim)
 
-    while active.any():
+    while np.count_nonzero(active):
         inner += 1
         if inner > cfg.max_inner:
             stuck = np.flatnonzero(active).tolist()
@@ -185,18 +188,20 @@ def adabfe_step(obj: Objective, theta: np.ndarray, rates: np.ndarray,
             under = shrink & (eta < floor)
             np.copyto(eta, lo, where=under)
             hits |= under
-        probed = np.where(active, eta, probed)
+        np.copyto(probed, eta, where=active)
         probe = grad_probe(obj, theta, probed, batch, g)
         eps = probe.eps_per_dim
         np.copyto(last_eps, eps, where=active)
 
         # zoom-in searches on while the angle exceeds its threshold, zoom-out
         # while it does not; any other active dimension has crossed
-        move = active & ((eps >= thresholds) == zoom_in)
+        move = np.equal(eps >= thresholds, zoom_in)
+        move &= active
         if not cfg.pre_halve:
-            np.divide(eta, base, out=eta, where=move & zoom_in)
-        np.multiply(eta, base, out=eta, where=move & zoom_out)
-        hit = move & (sign * eta <= edge)
+            np.divide(eta, div, out=eta, where=move)
+        np.multiply(eta, mul, out=eta, where=move)
+        hit = sign * eta <= edge
+        hit &= move
         np.copyto(eta, cap, where=hit)
         hits |= hit
         active = move ^ hit

@@ -82,7 +82,7 @@ def angular_deviation(g, g_star):
     g = np.asarray(g, dtype=float)
     g_star = np.asarray(g_star, dtype=float)
     with np.errstate(divide="ignore"):  # x / 0 -> inf, and arctan(inf) == pi/2
-        out = np.arctan(np.abs(g_star - g) / np.abs(1.0 + g_star * g))
+        out = np.arctan(np.abs((g_star - g) / (1.0 + g_star * g)))
     if out.ndim == 0:
         return float(out)
     return out

@@ -387,10 +387,11 @@ _TRACE_TYPES = (int, float, float, float, int, float)  # one per column
 
 
 def _config_json(cfg: RunConfig) -> str:
-    d = dataclasses.asdict(cfg)
+    # shallow: asdict would deep-copy the curvature and theta0 tuples
+    d = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
     # the file location is not part of the run; identical runs written to
     # different paths must produce byte-identical traces
-    d.pop("output_path", None)
+    del d["output_path"]
     return json.dumps(d, sort_keys=True)
 
 

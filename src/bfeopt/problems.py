@@ -216,7 +216,7 @@ class QuadraticObjective:
 
     def loss(self, theta: np.ndarray, batch: Batch = None) -> float:
         theta = np.asarray(theta, dtype=float)
-        return float(0.5 * np.sum(self.h * theta * theta))
+        return float(0.5 * np.add.reduce(self.h * theta * theta))
 
     def grad(self, theta: np.ndarray, batch: Batch = None) -> np.ndarray:
         return self.h * np.asarray(theta, dtype=float)

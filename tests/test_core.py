@@ -1,9 +1,10 @@
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bfeopt.core import (
@@ -57,6 +58,52 @@ def test_angular_deviation_vectorized_matches_scalar():
     vec = angular_deviation(g, gs)
     for i in range(3):
         assert vec[i] == angular_deviation(g[i], gs[i])
+
+
+def _angle_two_abs(g, g_star):
+    """The angle with |num| / |den|: the reference for angular_deviation's
+    |num / den|."""
+    g = np.asarray(g, dtype=float)
+    g_star = np.asarray(g_star, dtype=float)
+    with np.errstate(divide="ignore"):
+        out = np.arctan(np.abs(g_star - g) / np.abs(1.0 + g_star * g))
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def _bits_and_warnings(f, g, g_star):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = np.asarray(f(g, g_star), dtype=float)
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+# a pair whose product is exactly -1: 1 + g * g_star is +0.0
+_PERPENDICULAR = st.integers(-1022, 1022).map(
+    lambda k: (2.0 ** k, -(2.0 ** -k)))
+_ANY_PAIR = st.tuples(st.floats(), st.floats())
+
+
+@given(st.lists(_ANY_PAIR | _PERPENDICULAR, min_size=1, max_size=20))
+@example([(0.0, -0.0)])
+@example([(-0.0, 0.0), (0.0, 0.0), (-0.0, -0.0)])
+@example([(1.0, -1.0), (-1.0, 1.0), (2.0, -0.5), (-0.5, 2.0)])
+@example([(1e308, 1e308), (-1e308, 1e308), (1e308, -1e308)])
+@example([(5e-324, -5e-324), (2.2e-308, 1e-310), (-1e-310, 5e-324)])
+@example([(1e308, 5e-324), (math.inf, 1.0), (math.inf, -math.inf)])
+@example([(math.nan, 0.0), (1.0, math.nan)])
+def test_angle_single_abs_is_bitwise_the_two_abs_form(pairs):
+    # IEEE division rounds sign-symmetrically, so |a| / |b| == |a / b|
+    # bit for bit, NaN for NaN, and with the same floating-point warnings
+    g, g_star = map(np.array, zip(*pairs))
+    for args in ((g, g_star), (g[0], g_star[0])):
+        got, got_w = _bits_and_warnings(angular_deviation, *args)
+        want, want_w = _bits_and_warnings(_angle_two_abs, *args)
+        same = (got.view(np.uint64) == want.view(np.uint64)) \
+            | (np.isnan(got) & np.isnan(want))
+        assert same.all(), (args, got, want)
+        assert got_w == want_w
 
 
 def test_threshold_mean_scaled():

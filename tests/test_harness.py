@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import json
 
 import numpy as np
 import pytest
@@ -81,6 +82,21 @@ def test_trace_round_trip(tmp_path):
     assert loaded == trace
     assert meta["seed"] == "7"
     assert "config" in meta
+
+
+@pytest.mark.parametrize("cfg", [
+    RunConfig(),
+    RunConfig(optimizer="adabfe", problem="quadratic",
+              curvatures=tuple(np.geomspace(0.1, 10.0, 128)),
+              theta0=tuple(np.linspace(0.5, 1.5, 128)), lim_zero=1e-9)])
+def test_trace_config_line_is_the_run_config_without_its_path(tmp_path, cfg):
+    path = tmp_path / "trace.csv"
+    write_trace(str(path), [], dataclasses.replace(cfg,
+                                                   output_path=str(path)))
+    want = dataclasses.asdict(cfg)
+    del want["output_path"]
+    lines = path.read_text().splitlines()
+    assert lines[2] == "# config=" + json.dumps(want, sort_keys=True)
 
 
 def _per_row_text(trace):

@@ -63,3 +63,7 @@ def test_each_search_pass_makes_one_probe(optimizer, problem, tmp_path):
     metrics = tracer.layer_metrics()
     assert metrics["search.inner_loops"] > 0
     assert metrics["probe.calls"] == metrics["search.inner_loops"]
+    if optimizer in ("bfe-grad", "adabfe"):
+        # each gradient-angle probe takes its angle through the traced name
+        assert metrics["core.angular_deviation.calls"] == \
+            metrics["probe.calls"]
