@@ -150,12 +150,13 @@ def adabfe_step(obj: Objective, theta: np.ndarray, rates: np.ndarray,
     if zoom_in is None:
         zoom_in = np.ones(dim, dtype=bool)
     zoom_in = np.array(zoom_in, dtype=bool)
+    if zoom_in.size != dim:
+        raise ValueError("per-dimension branch count must match theta")
 
     # A zoom-in rate is capped at lo once it falls to lo * (1 + 1e-9), a
     # zoom-out rate at hi once it reaches hi * (1 - 1e-9). The zoom-out test
-    # is negated, so one `sign * eta <= edge` covers both (exact: sign = +-1).
+    # is negated, so one `sign * nxt <= edge` covers both (exact: sign = +-1).
     lo, hi = cfg.lo, cfg.hi
-    cap = np.where(zoom_in, lo, hi)
     sign = np.where(zoom_in, 1.0, -1.0)
     edge = np.where(zoom_in, lo * (1.0 + 1e-9), -(hi * (1.0 - 1e-9)))
     floor = lo * (1.0 - 1e-9)
@@ -163,12 +164,14 @@ def adabfe_step(obj: Objective, theta: np.ndarray, rates: np.ndarray,
     # the other factor of each is 1.0, which leaves a rate exactly as it is
     div = np.where(zoom_in, base, 1.0)
     mul = np.where(zoom_in, 1.0, base)
+    # every pass computes every dimension's next rate; if a grown rate can
+    # overflow, only moving ones grow, so it warns only where a search steps
+    spill = math.isinf(float(np.maximum.reduce(eta, initial=hi)) * base)
 
     g = np.asarray(obj.grad(theta, batch), dtype=float)  # fixed base gradient
     thresholds = _thresholds(g, cfg)
-    # the rate each dimension was last probed at: a finished dimension's
-    # trial coordinate, theta - probed * g, keeps its committed value
-    probed = eta.copy()
+    # eta holds the rate each dimension was last probed at: a finished
+    # dimension's trial coordinate, theta - eta * g, keeps its committed value
     active = np.ones(dim, dtype=bool)
     hits = np.zeros(dim, dtype=bool)
     inner = 0
@@ -188,8 +191,7 @@ def adabfe_step(obj: Objective, theta: np.ndarray, rates: np.ndarray,
             under = shrink & (eta < floor)
             np.copyto(eta, lo, where=under)
             hits |= under
-        np.copyto(probed, eta, where=active)
-        probe = grad_probe(obj, theta, probed, batch, g)
+        probe = grad_probe(obj, theta, eta, batch, g)
         eps = probe.eps_per_dim
         np.copyto(last_eps, eps, where=active)
 
@@ -197,24 +199,27 @@ def adabfe_step(obj: Objective, theta: np.ndarray, rates: np.ndarray,
         # while it does not; any other active dimension has crossed
         move = np.equal(eps >= thresholds, zoom_in)
         move &= active
-        if not cfg.pre_halve:
-            np.divide(eta, div, out=eta, where=move)
-        np.multiply(eta, mul, out=eta, where=move)
-        hit = sign * eta <= edge
+        grow = np.where(move, mul, 1.0) if spill else mul
+        nxt = eta * grow if cfg.pre_halve else eta / div * grow
+        hit = sign * nxt <= edge
         hit &= move
-        np.copyto(eta, cap, where=hit)
         hits |= hit
         active = move ^ hit
+        np.copyto(eta, nxt, where=active)
+    capped = bool(np.count_nonzero(hits))
+    if capped:  # a capped dimension kept its last probed rate until here
+        np.copyto(eta, np.where(zoom_in, lo, hi), where=hits)
 
-    branch = Branch.ZOOM_IN if zoom_in.all() else Branch.ZOOM_OUT
+    branch = (Branch.ZOOM_IN if np.count_nonzero(zoom_in) == dim
+              else Branch.ZOOM_OUT)
     # a dimension that crossed its threshold switches branch; a capped one
     # keeps it
     return StepOutcome(theta_next=probe.theta_trial,
-                       eta_next=float(eta.mean()),
+                       eta_next=float(np.add.reduce(eta)) / dim,
                        inner_loops=inner, branch=branch,
-                       eps_comp=float(last_eps.max()),
-                       eps_val=float(thresholds.max()),
-                       capped=bool(hits.any()), rates_next=eta,
+                       eps_comp=float(np.maximum.reduce(last_eps)),
+                       eps_val=float(np.maximum.reduce(thresholds)),
+                       capped=capped, rates_next=eta,
                        branches_next=zoom_in ^ ~hits)
 
 

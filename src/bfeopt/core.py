@@ -77,12 +77,18 @@ def angular_deviation(g, g_star):
 
     Computed as arctan(|(g_star - g) / (1 + g_star * g)|); a zero denominator
     means perpendicular slopes and returns pi/2 exactly. Accepts scalars or
-    arrays (elementwise).
+    arrays (elementwise). Only a call with a zero denominator enters errstate.
     """
     g = np.asarray(g, dtype=float)
     g_star = np.asarray(g_star, dtype=float)
-    with np.errstate(divide="ignore"):  # x / 0 -> inf, and arctan(inf) == pi/2
-        out = np.arctan(np.abs((g_star - g) / (1.0 + g_star * g)))
+    num = g_star - g  # first, so overflow warnings follow the formula's order
+    den = 1.0 + g_star * g
+    if np.count_nonzero(den) == den.size:
+        out = num / den
+    else:
+        with np.errstate(divide="ignore"):  # x / 0 -> inf, arctan(inf) == pi/2
+            out = num / den
+    out = np.arctan(np.abs(out))
     if out.ndim == 0:
         return float(out)
     return out

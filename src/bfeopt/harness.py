@@ -5,7 +5,6 @@ summary statistics (threshold-crossing step, inner-loop histogram).
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import math
 import typing
@@ -381,8 +380,8 @@ def compare_runs(cfgs: list[RunConfig],
 
 
 TRACE_HEADER = "step,batch_loss,full_loss,eta,inner_loops,grad_norm"
-# one trace row, from the fields of a TraceRecord in order
-_TRACE_ROW = "{},{:.17g},{:.17g},{:.17g},{},{:.17g}\n".format
+# one trace row from a TraceRecord, a tuple of the fields in order
+_TRACE_ROW = "%d,%.17g,%.17g,%.17g,%d,%.17g\n".__mod__
 _TRACE_TYPES = (int, float, float, float, int, float)  # one per column
 
 
@@ -402,7 +401,7 @@ def write_trace(path: str, trace: list[TraceRecord], cfg: RunConfig) -> None:
         f.write(f"# config={_config_json(cfg)}\n")
         f.write(TRACE_HEADER + "\n")
         # row by row through the file's buffer: the whole text is never held
-        f.writelines(itertools.starmap(_TRACE_ROW, trace))
+        f.writelines(map(_TRACE_ROW, trace))
 
 
 def read_trace(path: str) -> tuple[dict, list[TraceRecord]]:

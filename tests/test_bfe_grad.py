@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -408,6 +409,18 @@ def test_adabfe_matches_per_dimension_reference(case):
     assert out.capped is capped
     assert out.eps_comp == eps_comp
     assert out.eps_val == eps_val
+    # the trace's eta column: the mean of the rates, to the bit
+    assert out.eta_next.hex() == float(np.mean(rates_next)).hex()
+    assert out.branch is (Branch.ZOOM_IN if all(zoom_in) else Branch.ZOOM_OUT)
+
+
+@pytest.mark.parametrize("zoom_in", [[False], [True, False]])
+def test_adabfe_rejects_a_branch_count_other_than_dim(zoom_in):
+    # a length-1 list would broadcast over all 3 dims without a word
+    obj = quadratic_objective([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="branch count must match theta"):
+        adabfe_step(obj, np.ones(3), np.full(3, 1e-3), BfeGradConfig(), None,
+                    zoom_in=zoom_in)
 
 
 class SignFlip:
@@ -452,6 +465,25 @@ def test_adabfe_zoom_out_caps_at_the_highest_rate(base):
     again = adabfe_step(obj, np.array([1.0, 1.0]), rates, cfg, None,
                         zoom_in=np.array([False, False]))
     assert not again.capped
+
+
+def test_adabfe_rate_overflows_only_on_the_pass_that_grows_it():
+    # at eta0 = 1e290 the highest rate doubles past the float range. Dim 0
+    # has no gradient and grows from there once, to its cap; dim 1 crosses
+    # its threshold on the 7th pass. Only dim 0's one growth overflows.
+    cfg = BfeGradConfig(eta0=1e290)
+    obj = quadratic_objective([1.0, 1e-146])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = adabfe_step(obj, np.array([0.0, 1.0]),
+                          np.array([cfg.hi, cfg.eta0 / 32]), cfg, None,
+                          zoom_in=np.array([False, False]))
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (RuntimeWarning, "overflow encountered in multiply")]
+    assert out.inner_loops == 7
+    assert out.capped
+    assert out.rates_next.tolist() == [cfg.hi, cfg.eta0 * 2]
+    assert out.branches_next.tolist() == [False, True]
 
 
 class NanAfterStep:

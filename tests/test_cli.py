@@ -221,14 +221,30 @@ def test_baseline_alpha_must_be_positive(optimizer, alpha, capsys):
     assert capsys.readouterr().err == "config error: alpha must be positive\n"
 
 
+def _main_and_warnings(argv):
+    """Exit code of ``main(argv)`` and every warning it raised, in order, as
+    (category, message) pairs."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv)
+    return rc, [(w.category, str(w.message)) for w in caught]
+
+
+_DOT = (RuntimeWarning, "overflow encountered in dot")
+_MULTIPLY = (RuntimeWarning, "overflow encountered in multiply")
+# every warning a diverging run below raises before it fails, in order
+_DIVERGED_WARNINGS = {"bfe-grad": [_DOT, _MULTIPLY, _MULTIPLY],
+                      "adabfe": [_DOT] + [_MULTIPLY] * 4}
+
+
 def test_non_finite_gradient_failure_names_dims_and_rates(capsys):
     # the first trial step of the stiff dimension overflows its gradient
     # while the loss at the starting point is still finite
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        rc = main(["optimize", "--optimizer", "adabfe", "--problem",
-                   "quadratic", "--curvatures", "1e300,1",
-                   "--theta0", "1,1", "--eta0", "1"])
+    rc, caught = _main_and_warnings([
+        "optimize", "--optimizer", "adabfe", "--problem", "quadratic",
+        "--curvatures", "1e300,1", "--theta0", "1,1", "--eta0", "1"])
     assert rc == 3
+    assert caught == [_DOT, _MULTIPLY]
     assert capsys.readouterr().err == (
         "optimizer failure at step 1: non-finite gradient at joint trial "
         "point in dims [0] at rates [1.0]\n")
@@ -251,10 +267,11 @@ def test_diverged_run_is_an_optimizer_failure(argv, failure, tmp_path,
                                               capsys):
     out = tmp_path / "trace.csv"
     # the overflow warnings before the failure are still printed
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        rc = main(["optimize", "--optimizer", *argv, "--problem",
-                   "quadratic", "--eta0", "1", "--out", str(out)])
+    rc, caught = _main_and_warnings([
+        "optimize", "--optimizer", *argv, "--problem", "quadratic",
+        "--eta0", "1", "--out", str(out)])
     assert rc == 3
+    assert caught == _DIVERGED_WARNINGS[argv[0]]
     assert capsys.readouterr().err == failure
     assert not out.exists()
 

@@ -93,6 +93,10 @@ _ANY_PAIR = st.tuples(st.floats(), st.floats())
 @example([(5e-324, -5e-324), (2.2e-308, 1e-310), (-1e-310, 5e-324)])
 @example([(1e308, 5e-324), (math.inf, 1.0), (math.inf, -math.inf)])
 @example([(math.nan, 0.0), (1.0, math.nan)])
+# a zero denominator in one call with a nonzero one, and with an
+# overflowing product
+@example([(2.0, -0.5), (1.0, 3.0)])
+@example([(1e308, 1e308), (2.0, -0.5)])
 def test_angle_single_abs_is_bitwise_the_two_abs_form(pairs):
     # IEEE division rounds sign-symmetrically, so |a| / |b| == |a / b|
     # bit for bit, NaN for NaN, and with the same floating-point warnings
