@@ -21,7 +21,6 @@ from .core import (
     Batch,
     Branch,
     NonFiniteEvaluation,
-    NonTermination,
     Objective,
     StepOutcome,
     angular_deviation,
@@ -115,7 +114,7 @@ def bfe_grad_step(obj: Objective, theta: np.ndarray, eta: float,
     probe, eta, inner, capped = lattice_search(
         lambda eta: grad_probe(obj, theta, eta, batch, g),
         lambda p: bool(np.logical_or.reduce(p.eps_per_dim >= thresholds)),
-        eta, cfg, zoom_in, "grad zoom-in" if zoom_in else "grad zoom-out")
+        eta, cfg, zoom_in)
     theta_next = probe.theta_trial
     if not capped:
         if zoom_in:
@@ -142,16 +141,27 @@ def adabfe_step(obj: Objective, theta: np.ndarray, rates: np.ndarray,
     once their exit condition holds.
     """
     theta = np.asarray(theta, dtype=float)
+    if theta.ndim != 1 or not theta.size:
+        raise ValueError(f"theta must be a non-empty 1-D array, not one of "
+                         f"shape {theta.shape}")
     dim = theta.size
     base = float(cfg.base)
     eta = np.array(rates, dtype=float)
-    if eta.size != dim:
-        raise ValueError("per-dimension rate count must match theta")
+    if eta.shape != theta.shape:
+        raise ValueError(f"per-dimension rates must have theta's shape "
+                         f"{theta.shape}, not {eta.shape}")
     if zoom_in is None:
         zoom_in = np.ones(dim, dtype=bool)
     zoom_in = np.array(zoom_in, dtype=bool)
-    if zoom_in.size != dim:
-        raise ValueError("per-dimension branch count must match theta")
+    if zoom_in.shape != theta.shape:
+        raise ValueError(f"per-dimension branches must have theta's shape "
+                         f"{theta.shape}, not {zoom_in.shape}")
+    # a rate of 0 or NaN never reaches a cap, and an infinite one overflows
+    top = float(np.maximum.reduce(eta))
+    if not (float(np.minimum.reduce(eta)) > 0.0 and top < math.inf):
+        bad = np.flatnonzero(~((eta > 0.0) & (eta < math.inf)))
+        raise ValueError(f"per-dimension rates must be positive and finite, "
+                         f"not {eta[bad].tolist()} in dims {bad.tolist()}")
 
     # A zoom-in rate is capped at lo once it falls to lo * (1 + 1e-9), a
     # zoom-out rate at hi once it reaches hi * (1 - 1e-9). The zoom-out test
@@ -166,7 +176,7 @@ def adabfe_step(obj: Objective, theta: np.ndarray, rates: np.ndarray,
     mul = np.where(zoom_in, 1.0, base)
     # every pass computes every dimension's next rate; if a grown rate can
     # overflow, only moving ones grow, so it warns only where a search steps
-    spill = math.isinf(float(np.maximum.reduce(eta, initial=hi)) * base)
+    spill = math.isinf(max(top, hi) * base)
 
     g = np.asarray(obj.grad(theta, batch), dtype=float)  # fixed base gradient
     thresholds = _thresholds(g, cfg)
@@ -179,11 +189,6 @@ def adabfe_step(obj: Objective, theta: np.ndarray, rates: np.ndarray,
 
     while np.count_nonzero(active):
         inner += 1
-        if inner > cfg.max_inner:
-            stuck = np.flatnonzero(active).tolist()
-            raise NonTermination(
-                f"adabfe exceeded max_inner={cfg.max_inner} with dims "
-                f"{stuck} still searching", stuck_dims=stuck)
         if cfg.pre_halve:
             shrink = active & zoom_in
             np.divide(eta, base, out=eta, where=shrink)

@@ -22,7 +22,6 @@ from .core import (
     Branch,
     LossPair,
     NonFiniteEvaluation,
-    NonTermination,
     Objective,
     StepOutcome,
     ThresholdPolicy,
@@ -35,22 +34,19 @@ CAP_EXP = 60
 
 @dataclass(frozen=True)
 class Lattice:
-    """The rates ``eta0 * base**k``, |k| <= CAP_EXP, from ``lo`` to ``hi``,
-    and the passes one search may take. A lowest rate that rounds to 0 or a
-    highest that overflows raises ValueError: a search at rate 0 never
-    moves, and one at an infinite rate overflows."""
+    """The rates ``eta0 * base**k``, |k| <= CAP_EXP, from ``lo`` to ``hi``.
+    A lowest rate that rounds to 0 or a highest that overflows raises
+    ValueError: a search at rate 0 never moves, and one at an infinite rate
+    overflows."""
 
     eta0: float = 0.001
     base: int = 2
-    max_inner: int = 60
     lo: float = field(init=False, repr=False, compare=False)
     hi: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.eta0 <= 0:
             raise ValueError("eta0 must be positive")
-        if self.max_inner < 1:
-            raise ValueError("max_inner must be >= 1")
         if self.base < 2:
             raise ValueError("base must be >= 2")
         try:
@@ -70,30 +66,31 @@ class Lattice:
 
 def lattice_search(probe: Callable[[float], Any],
                    exceeds: Callable[[Any], bool], eta: float,
-                   lattice: Lattice, zoom_in: bool,
-                   name: str) -> tuple[Any, float, int, bool]:
+                   lattice: Lattice, zoom_in: bool
+                   ) -> tuple[Any, float, int, bool]:
     """Move ``eta`` on the lattice until ``exceeds`` differs from ``zoom_in``.
 
     Each pass probes at ``eta``, then divides it by ``base`` (zoom-in) or
     multiplies it (zoom-out). Returns (last probe result, rate after the last
     scaling or the cap, passes, capped); callers undo the scaling themselves.
-    More than ``max_inner`` passes raise NonTermination with the probed rates.
+    The caps end every search: from a rate between them, within
+    ``2 * CAP_EXP + 1`` passes. A rate that is not positive and finite would
+    never reach a cap, and raises ValueError.
     """
-    base, max_inner, lo, hi = (lattice.base, lattice.max_inner, lattice.lo,
-                               lattice.hi)
-    etas: list[float] = []
+    if not 0.0 < eta < math.inf:
+        raise ValueError(f"the search rate {eta!r} must be positive and "
+                         f"finite")
+    base, lo, hi = lattice.base, lattice.lo, lattice.hi
+    passes = 0
     while True:
-        if len(etas) >= max_inner:
-            raise NonTermination(f"{name} exceeded max_inner={max_inner}",
-                                 etas=etas)
-        etas.append(eta)
+        passes += 1
         result = probe(eta)
         eta = eta / base if zoom_in else eta * base
         if exceeds(result) != zoom_in:
-            return result, eta, len(etas), False
+            return result, eta, passes, False
         # a rate within a relative 1e-9 of its cap is the cap
         if eta <= lo * (1 + 1e-9) if zoom_in else eta >= hi * (1 - 1e-9):
-            return result, lo if zoom_in else hi, len(etas), True
+            return result, lo if zoom_in else hi, passes, True
 
 
 class CommitPolicy(str, Enum):
@@ -179,8 +176,7 @@ def bfe_step(obj: Objective, theta: np.ndarray, eta: float,
                                          epoch))
 
     (pair, eps_comp, eps_val), eta, inner, capped = lattice_search(
-        probe, lambda r: r[1] >= r[2], eta, cfg, zoom_in,
-        "zoom-in" if zoom_in else "zoom-out")
+        probe, lambda r: r[1] >= r[2], eta, cfg, zoom_in)
     theta_next = pair.trial_half
     if not capped:
         if not zoom_in:

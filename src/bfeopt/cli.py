@@ -5,7 +5,8 @@ Subcommands:
   compare   run a list of configurations (JSON file) and print a comparison
   summary   summarize an existing trace file against a loss threshold
 
-Exit codes: 0 success, 2 configuration error, 3 optimizer failure.
+Exit codes: 0 success, 2 configuration error, 3 optimizer failure (a loss
+or gradient that is not finite).
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import json
 import sys
 import typing
 
-from .core import NonFiniteEvaluation, NonTermination
+from .core import NonFiniteEvaluation
 from .harness import (
     CHOICES,
     FIELD_TYPES,
@@ -87,6 +88,7 @@ def _print_summary(summary) -> None:
     if summary.grad_evals is not None:
         print(f"grad_evals={summary.grad_evals}")
         print(f"loss_evals={summary.loss_evals}")
+        print(f"capped_steps={summary.capped_steps}")
     print(f"mean_inner_loops={summary.mean_inner_loops:.6g}")
     hist = ",".join(f"{k}:{v}" for k, v in
                     sorted(summary.inner_loop_histogram.items()))
@@ -133,7 +135,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NonFiniteEvaluation, NonTermination) as exc:
+    except NonFiniteEvaluation as exc:
         where = f" at step {exc.step}" if exc.step is not None else ""
         print(f"optimizer failure{where}: {exc}", file=sys.stderr)
         return 3

@@ -27,17 +27,6 @@ class NonFiniteEvaluation(RuntimeError):
         self.last_finite_loss: float | None = None
 
 
-class NonTermination(RuntimeError):
-    """An inner rate-search loop exceeded its iteration budget."""
-
-    def __init__(self, message: str, etas: list[float] | None = None,
-                 stuck_dims: list[int] | None = None):
-        super().__init__(message)
-        self.etas = etas or []
-        self.stuck_dims = stuck_dims or []
-        self.step: int | None = None  # set by the run loop
-
-
 class Objective(Protocol):
     """Deterministic loss/gradient pair over a fixed mini-batch."""
 

@@ -18,8 +18,8 @@ from .bfe_grad import AdaBfeOptimizer, BfeGradConfig, BfeGradOptimizer, \
     ThresholdMode, ZoomOutExit, DEG
 from .bfe_loss import BfeLossConfig, BfeLossOptimizer, CommitPolicy, \
     ResetPolicy
-from .core import NonFiniteEvaluation, NonTermination, ThresholdPolicy, \
-    TraceRecord, rms_grad_norm
+from .core import NonFiniteEvaluation, ThresholdPolicy, TraceRecord, \
+    rms_grad_norm
 from .problems import BatchStream, ConstantBatchStream, LinRegSpec, \
     gen_linear_data, linreg_objective, normalize, quadratic_objective
 
@@ -57,7 +57,6 @@ class RunConfig:
     reset_policy: str = ResetPolicy.DOUBLE_PREV_ETA.value
     base: int = 2
     lim_zero: float = 0.001
-    max_inner: int = 60
     # gradient-angle knobs
     angle_threshold_deg: float = 1.0
     threshold_mode: str = ThresholdMode.ABSOLUTE.value
@@ -143,10 +142,12 @@ class RunSummary:
     mean_inner_loops: float
     inner_loop_histogram: dict[int, int]
     final_loss: float
-    # objective evaluations of the run, after the memo; a trace file does
-    # not hold them, so a summary of one leaves them None
+    # objective evaluations of the run, after the memo, and the steps whose
+    # rate search ended at a cap; a trace file does not hold them, so a
+    # summary of one leaves them None
     grad_evals: int | None = None
     loss_evals: int | None = None
+    capped_steps: int | None = None
 
 
 # the RunConfig fields build_problem reads to make the objective and the
@@ -189,7 +190,7 @@ def build_problem(cfg: RunConfig):
 
 
 def build_optimizer(cfg: RunConfig, dim: int):
-    lattice = dict(eta0=cfg.eta0, base=cfg.base, max_inner=cfg.max_inner)
+    lattice = dict(eta0=cfg.eta0, base=cfg.base)
     if cfg.optimizer in ("bfe", "bfe-zoomin"):
         return BfeLossOptimizer(BfeLossConfig(
             **lattice, eps_ratio=cfg.eps_ratio,
@@ -278,6 +279,7 @@ def run_experiment(cfg: RunConfig) -> tuple[list[TraceRecord], RunSummary]:
     obj = EvalMemo(raw)
     opt = build_optimizer(cfg, dim=theta.size)
     trace: list[TraceRecord] = []
+    capped = 0
     batches = iter(stream)
     for t in range(1, cfg.max_steps + 1):
         batch = next(batches)
@@ -294,9 +296,10 @@ def run_experiment(cfg: RunConfig) -> tuple[list[TraceRecord], RunSummary]:
             batch_loss = obj.loss(theta, batch)
             if not (math.isfinite(full_loss) and math.isfinite(batch_loss)):
                 raise _diverged(full_loss, batch_loss, out.eta_next, trace)
-        except (NonFiniteEvaluation, NonTermination) as exc:
+        except NonFiniteEvaluation as exc:
             exc.step = t
             raise
+        capped += out.capped
         trace.append(TraceRecord(t, batch_loss, full_loss, out.eta_next,
                                  out.inner_loops, gnorm))
     if trace:
@@ -306,7 +309,8 @@ def run_experiment(cfg: RunConfig) -> tuple[list[TraceRecord], RunSummary]:
         met = cfg.loss_threshold is not None and loss <= cfg.loss_threshold
         summary = RunSummary(0 if met else None, 0.0, {}, loss)
     summary = dataclasses.replace(summary, grad_evals=obj.grad_evals,
-                                  loss_evals=obj.loss_evals)
+                                  loss_evals=obj.loss_evals,
+                                  capped_steps=capped)
     if cfg.output_path:
         write_trace(cfg.output_path, trace, cfg)
     return trace, summary

@@ -114,7 +114,7 @@ def test_criterion_5_quadratic_oracle_equivalence():
             for theta0 in (1.0, -1.0, 10.0, -10.0):
                 for commit in ("half_step", "full_step"):
                     obj = quadratic_objective([h])
-                    cfg = BfeLossConfig(eta0=eta0, max_inner=200,
+                    cfg = BfeLossConfig(eta0=eta0,
                                         commit_policy=CommitPolicy(commit))
                     opt = BfeLossOptimizer(cfg)
                     theta = np.array([theta0])
@@ -165,7 +165,7 @@ def test_criterion_7_rate_lattice():
     worst = 0.0
     for base in (2, 3, 10):
         obj = quadratic_objective([1.0])
-        cfg = BfeLossConfig(eta0=0.001, base=base, max_inner=200)
+        cfg = BfeLossConfig(eta0=0.001, base=base)
         opt = BfeLossOptimizer(cfg)
         theta = np.array([1.0])
         for _ in range(1000):
@@ -174,7 +174,7 @@ def test_criterion_7_rate_lattice():
             k = math.log(out.eta_next / cfg.eta0) / math.log(base)
             worst = max(worst, abs(k - round(k)))
         aobj = quadratic_objective([1.0, 100.0])
-        acfg = BfeGradConfig(eta0=0.001, base=base, max_inner=300)
+        acfg = BfeGradConfig(eta0=0.001, base=base)
         aopt = AdaBfeOptimizer(acfg, dim=2)
         atheta = np.array([1.0, 1.0])
         for _ in range(1000):
@@ -198,8 +198,8 @@ def test_criterion_8_baseline_reductions():
     bitwise = trace_n == trace_s
 
     obj = quadratic_objective([3.0])
-    gopt = BfeGradOptimizer(BfeGradConfig(eta0=0.001, max_inner=200))
-    aopt = AdaBfeOptimizer(BfeGradConfig(eta0=0.001, max_inner=200), dim=1)
+    gopt = BfeGradOptimizer(BfeGradConfig(eta0=0.001))
+    aopt = AdaBfeOptimizer(BfeGradConfig(eta0=0.001), dim=1)
     gtheta, atheta = np.array([1.0]), np.array([1.0])
     stepwise = True
     for _ in range(50):

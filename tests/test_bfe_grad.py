@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -23,7 +24,6 @@ from bfeopt.core import (
     THRESHOLD_FLOOR,
     Branch,
     NonFiniteEvaluation,
-    NonTermination,
 )
 from bfeopt.problems import quadratic_objective
 
@@ -151,27 +151,28 @@ def test_grad_zoom_out_trace(exit_mode):
 
 def test_grad_zoom_out_zero_gradient_caps():
     obj = quadratic_objective([1.0])
-    cfg = BfeGradConfig(eta0=0.001, max_inner=100)
+    cfg = BfeGradConfig(eta0=0.001)
     out = bfe_grad_step(obj, np.array([0.0]), 0.001, cfg, None,
                         zoom_in=False)
     assert out.capped
     assert out.theta_next[0] == 0.0
 
 
-def test_grad_zoom_in_non_termination_reports_rates():
+def test_grad_zoom_in_that_never_crosses_caps_at_the_lowest_rate():
     class ConstantAngle:
         # gradient flips sign regardless of step size: angle never shrinks
         def loss(self, theta, batch=None):
             return float(abs(theta[0]))
 
         def grad(self, theta, batch=None):
-            return np.array([1.0 if theta[0] >= 1.0 else -1.0])
+            return np.array([1.0 if theta[0] >= 0.0 else -1.0])
 
-    cfg = BfeGradConfig(eta0=1.0, max_inner=5)
-    with pytest.raises(NonTermination) as exc:
-        bfe_grad_step(ConstantAngle(), np.array([1.0]), 1.0, cfg, None,
-                      zoom_in=True)
-    assert len(exc.value.etas) == 5
+    cfg = BfeGradConfig(eta0=1.0)
+    out = bfe_grad_step(ConstantAngle(), np.array([0.0]), 1.0, cfg, None,
+                        zoom_in=True)
+    # one shrink per pass from eta0 down to the lowest rate
+    assert (out.inner_loops, out.capped, out.eta_next) == \
+        (CAP_EXP, True, cfg.lo)
 
 
 def test_zoom_in_angles_decrease_with_rate():
@@ -190,7 +191,7 @@ def test_zoom_in_angles_decrease_with_rate():
 
 def test_adabfe_anisotropic_rates_diverge():
     obj = quadratic_objective([1.0, 100.0])
-    cfg = BfeGradConfig(eta0=0.001, max_inner=200)
+    cfg = BfeGradConfig(eta0=0.001)
     rates = np.array([0.001, 0.001])
     out = adabfe_step(obj, np.array([1.0, 1.0]), rates, cfg, None,
                       zoom_in=np.array([False, False]))
@@ -200,7 +201,7 @@ def test_adabfe_anisotropic_rates_diverge():
 
 def test_adabfe_symmetric_dims_stay_equal():
     obj = quadratic_objective([2.0, 2.0])
-    cfg = BfeGradConfig(eta0=0.001, max_inner=200)
+    cfg = BfeGradConfig(eta0=0.001)
     opt = AdaBfeOptimizer(cfg, dim=2)
     theta = np.array([1.5, 1.5])
     for _ in range(20):
@@ -212,7 +213,7 @@ def test_adabfe_symmetric_dims_stay_equal():
 
 def test_adabfe_one_joint_gradient_per_inner_pass(counting):
     obj = counting(quadratic_objective([1.0, 100.0]))
-    cfg = BfeGradConfig(eta0=0.001, max_inner=200)
+    cfg = BfeGradConfig(eta0=0.001)
     rates = np.array([0.001, 0.001])
     out = adabfe_step(obj, np.array([1.0, 1.0]), rates, cfg, None)
     # one base gradient plus one joint probe gradient per inner pass
@@ -223,8 +224,8 @@ def test_adabfe_one_joint_gradient_per_inner_pass(counting):
 @pytest.mark.parametrize("pre_halve", [False, True])
 def test_adabfe_1d_matches_global_variant(pre_halve):
     obj = quadratic_objective([3.0])
-    cfg = BfeGradConfig(eta0=0.001, max_inner=200, pre_halve=pre_halve)
-    acfg = BfeGradConfig(eta0=0.001, max_inner=200, pre_halve=pre_halve)
+    cfg = BfeGradConfig(eta0=0.001, pre_halve=pre_halve)
+    acfg = BfeGradConfig(eta0=0.001, pre_halve=pre_halve)
     gopt = BfeGradOptimizer(cfg)
     aopt = AdaBfeOptimizer(acfg, dim=1)
     gtheta = np.array([1.0])
@@ -243,25 +244,27 @@ def test_adabfe_1d_matches_global_variant(pre_halve):
         assert gout.eta_next == aout.rates_next[0], f"step {step}"
 
 
-def test_adabfe_non_termination_names_stuck_dims():
+def test_adabfe_stuck_dimension_searches_on_to_its_cap():
     class Stuck:
         def loss(self, theta, batch=None):
             return 0.0
 
         def grad(self, theta, batch=None):
             # dim 1 angle never falls below threshold
-            return np.array([theta[0], 1.0 if theta[1] >= 1.0 else -1.0])
+            return np.array([theta[0], 1.0 if theta[1] >= 0.0 else -1.0])
 
-    cfg = BfeGradConfig(eta0=1.0, max_inner=5)
+    cfg = BfeGradConfig(eta0=1.0)
     rates = np.array([1.0, 1.0])
-    with pytest.raises(NonTermination) as exc:
-        adabfe_step(Stuck(), np.array([0.5, 1.0]), rates, cfg, None)
-    assert 1 in exc.value.stuck_dims
+    out = adabfe_step(Stuck(), np.array([0.5, 0.0]), rates, cfg, None)
+    # dim 0 crosses at 1/32; dim 1 shrinks on down to the lowest rate
+    assert (out.inner_loops, out.capped) == (CAP_EXP, True)
+    assert out.rates_next.tolist() == [1.0 / 32, cfg.lo]
+    assert out.branches_next.tolist() == [False, True]
 
 
 def test_adabfe_rates_on_lattice():
     obj = quadratic_objective([1.0, 100.0])
-    cfg = BfeGradConfig(eta0=0.001, max_inner=200)
+    cfg = BfeGradConfig(eta0=0.001)
     opt = AdaBfeOptimizer(cfg, dim=2)
     theta = np.array([1.0, 1.0])
     for _ in range(50):
@@ -287,7 +290,7 @@ def reference_angle(g, g_star):
 
 def reference_adabfe_step(obj, theta, rates, eta0, cfg, zoom_in):
     """Returns (theta_next, rates_next, branches_next, inner_loops, capped,
-    eps_comp, eps_val); raises NonTermination naming the stuck dimensions."""
+    eps_comp, eps_val)."""
     theta = np.asarray(theta, dtype=float)
     dim = theta.size
     base = float(cfg.base)
@@ -310,9 +313,6 @@ def reference_adabfe_step(obj, theta, rates, eta0, cfg, zoom_in):
     last_eps = np.zeros(dim)
     while active.any():
         inner += 1
-        if inner > cfg.max_inner:
-            raise NonTermination("reference", stuck_dims=list(
-                np.nonzero(active)[0]))
         if cfg.pre_halve:
             shrink = active & zoom_in
             eta[shrink] = eta[shrink] / base
@@ -378,10 +378,7 @@ def adabfe_cases(draw):
         eta0=eta0, base=base,
         angle_threshold=draw(st.sampled_from([0.1, 1.0, 10.0])) * DEG,
         threshold_mode=draw(st.sampled_from(list(ThresholdMode))),
-        pre_halve=draw(st.booleans()),
-        # 2 * CAP_EXP + 1 passes take any rate from one cap to the other
-        max_inner=draw(st.one_of(st.integers(1, 2 * CAP_EXP),
-                                 st.just(2 * CAP_EXP + 1))))
+        pre_halve=draw(st.booleans()))
     rates = [eta0 * float(base) ** k for k in ks]
     return curvatures, theta, rates, zoom_in, cfg
 
@@ -392,13 +389,7 @@ def test_adabfe_matches_per_dimension_reference(case):
     curvatures, theta, rates, zoom_in, cfg = case
     obj = quadratic_objective(curvatures)
     theta = np.array(theta)
-    try:
-        ref = reference_adabfe_step(obj, theta, rates, cfg.eta0, cfg, zoom_in)
-    except NonTermination as exc:
-        with pytest.raises(NonTermination) as got:
-            adabfe_step(obj, theta, rates, cfg, None, zoom_in=zoom_in)
-        assert got.value.stuck_dims == exc.stuck_dims
-        return
+    ref = reference_adabfe_step(obj, theta, rates, cfg.eta0, cfg, zoom_in)
     out = adabfe_step(obj, theta, rates, cfg, None, zoom_in=zoom_in)
     theta_next, rates_next, branches_next, inner, capped, eps_comp, \
         eps_val = ref
@@ -418,9 +409,38 @@ def test_adabfe_matches_per_dimension_reference(case):
 def test_adabfe_rejects_a_branch_count_other_than_dim(zoom_in):
     # a length-1 list would broadcast over all 3 dims without a word
     obj = quadratic_objective([1.0, 2.0, 3.0])
-    with pytest.raises(ValueError, match="branch count must match theta"):
+    with pytest.raises(ValueError, match=re.escape(
+            f"branches must have theta's shape (3,), not ({len(zoom_in)},)")):
         adabfe_step(obj, np.ones(3), np.full(3, 1e-3), BfeGradConfig(), None,
                     zoom_in=zoom_in)
+
+
+@pytest.mark.parametrize("theta", [[], [[1.0]], 1.0])
+def test_adabfe_rejects_a_theta_that_is_not_a_non_empty_vector(theta):
+    shape = np.shape(theta)
+    with pytest.raises(ValueError, match=re.escape(
+            f"theta must be a non-empty 1-D array, not one of shape {shape}")):
+        adabfe_step(quadratic_objective([1.0]), theta, np.full(shape, 1e-3),
+                    BfeGradConfig(), None)
+
+
+@pytest.mark.parametrize("rates", [1e-3, [[1e-3]]])
+def test_adabfe_rejects_rates_of_another_shape(rates):
+    # a bare rate has one entry, as theta does, but not its shape
+    with pytest.raises(ValueError, match=re.escape(
+            f"rates must have theta's shape (1,), not {np.shape(rates)}")):
+        adabfe_step(quadratic_objective([1.0]), np.array([1.0]), rates,
+                    BfeGradConfig(), None)
+
+
+@pytest.mark.parametrize("rate", [0.0, -1e-3, math.inf, math.nan])
+@pytest.mark.parametrize("zoom_in", [True, False])
+def test_adabfe_rejects_a_rate_that_never_reaches_a_cap(rate, zoom_in):
+    with pytest.raises(ValueError, match=re.escape(
+            f"rates must be positive and finite, not [{rate}] in dims [1]")):
+        adabfe_step(quadratic_objective([1.0, 1.0]), np.array([0.0, 0.0]),
+                    np.array([1e-3, rate]), BfeGradConfig(), None,
+                    zoom_in=np.array([zoom_in, zoom_in]))
 
 
 class SignFlip:

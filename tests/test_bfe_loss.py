@@ -199,7 +199,7 @@ def test_zoom_out_branch_trace():
 
 
 def test_zoom_out_at_optimum_hits_rate_cap():
-    out = _step(0.0, 0.001, zoom_in=False, max_inner=100)
+    out = _step(0.0, 0.001, zoom_in=False)
     assert out.capped
     assert out.theta_next[0] == 0.0
     assert out.eta_next == pytest.approx(0.001 * 2.0 ** CAP, rel=1e-9)
@@ -274,8 +274,7 @@ def test_zoom_in_only_steps_build_no_config(monkeypatch):
 def test_oracle_equivalence_sample(h, eta0, commit):
     theta0 = 1.0
     obj = quadratic_objective([h])
-    cfg = BfeLossConfig(eta0=eta0, commit_policy=CommitPolicy(commit),
-                        max_inner=200)
+    cfg = BfeLossConfig(eta0=eta0, commit_policy=CommitPolicy(commit))
     opt = BfeLossOptimizer(cfg)
     theta = np.array([theta0])
     expected = oracle_run(h, theta0, eta0, steps=15, commit=commit)
@@ -289,7 +288,7 @@ def test_oracle_equivalence_sample(h, eta0, commit):
 
 def test_committed_rates_stay_on_lattice():
     obj = quadratic_objective([1.0])
-    cfg = BfeLossConfig(eta0=0.001, max_inner=200)
+    cfg = BfeLossConfig(eta0=0.001)
     opt = BfeLossOptimizer(cfg)
     theta = np.array([1.0])
     for _ in range(40):
@@ -301,7 +300,7 @@ def test_committed_rates_stay_on_lattice():
 
 def test_branch_alternates_between_steps():
     obj = quadratic_objective([1.0])
-    opt = BfeLossOptimizer(BfeLossConfig(eta0=0.001, max_inner=200))
+    opt = BfeLossOptimizer(BfeLossConfig(eta0=0.001))
     theta = np.array([1.0])
     branches = []
     for _ in range(6):

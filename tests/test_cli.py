@@ -138,24 +138,38 @@ def test_value_starting_with_minus_needs_the_equals_form(tmp_path,
 
 
 def test_optimizer_failure_exits_3(tmp_path, capsys):
-    # adabfe on the unnormalized regression problem stalls on the bias
-    # dimension once the weight freezes; the runner must surface that
-    assert main(["optimize", "--optimizer", "adabfe", "--problem", "linreg",
-                 "--seed", "42", "--max-steps", "50",
-                 "--n-samples", "2000"]) == 3
-    err = capsys.readouterr().err
-    assert "optimizer failure" in err
-    assert "optimizer failure at step 3: adabfe exceeded" in err
+    # the first trial step overflows the stiff dimension's loss
+    rc, caught = _main_and_warnings([
+        "optimize", "--problem", "quadratic", "--curvatures", "1e300,1",
+        "--theta0", "1,1", "--max-steps", "50"])
+    assert rc == 3
+    assert caught and all(w[0] is RuntimeWarning and "overflow" in w[1]
+                          for w in caught)
+    assert capsys.readouterr().err == (
+        "optimizer failure at step 1: non-finite trial loss at eta=0.001\n")
 
 
-def test_adabfe_failure_names_the_stuck_dimensions(capsys):
-    # with normalized features the bias dimension still stalls on this seed
+def test_adabfe_with_a_slow_coupled_step_reaches_the_threshold(capsys):
+    # with normalized features the bias dimension's search at step 3 takes
+    # 69 passes down to the lowest rate, where it stays until step 11; the
+    # run goes on and reaches the threshold
     assert main(["optimize", "--optimizer", "adabfe", "--problem", "linreg",
                  "--normalize", "--n-samples", "2000", "--seed", "0",
-                 "--max-steps", "300"]) == 3
-    assert capsys.readouterr().err == (
-        "optimizer failure at step 3: adabfe exceeded max_inner=60 with "
-        "dims [1] still searching\n")
+                 "--max-steps", "300", "--loss-threshold", "1.05"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "steps_to_threshold=56"
+    assert "capped_steps=5" in out
+
+
+def test_run_held_at_the_cap_exits_0_and_counts_its_capped_steps(capsys):
+    # step 2's zoom-out climbs 61 passes from 5e-291 to the highest rate,
+    # about 1.2e-272; every later step starts there and stays capped
+    assert main(["optimize", "--problem", "quadratic", "--curvatures", "1,2",
+                 "--eta0", "1e-290", "--max-steps", "300"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "steps_to_threshold=none", "grad_evals=1", "loss_evals=1",
+        "capped_steps=299", "mean_inner_loops=1.2",
+        "inner_loop_histogram=1:299,61:1", "final_loss=1.5"]
 
 
 @pytest.mark.parametrize("epsilon", ["0", "-1"])
@@ -177,7 +191,8 @@ def test_converged_start_exits_0_and_its_trace_holds_no_loss(tmp_path,
     # the stop-check gradient and the full loss at the start
     assert capsys.readouterr().out.splitlines() == [
         "steps_to_threshold=0", "grad_evals=1", "loss_evals=1",
-        "mean_inner_loops=0", "inner_loop_histogram=", "final_loss=0"]
+        "capped_steps=0", "mean_inner_loops=0", "inner_loop_histogram=",
+        "final_loss=0"]
     assert out.read_text().endswith(
         "\nstep,batch_loss,full_loss,eta,inner_loops,grad_norm\n")
     assert main(["summary", "--trace", str(out),
@@ -187,11 +202,21 @@ def test_converged_start_exits_0_and_its_trace_holds_no_loss(tmp_path,
 
 @pytest.mark.parametrize("optimizer", ["bfe", "bfe-zoomin", "bfe-grad",
                                        "adabfe"])
-def test_max_inner_below_one_is_a_config_error(optimizer, capsys):
-    assert main(["optimize", "--optimizer", optimizer, "--max-inner", "0",
-                 "--max-steps", "5"]) == 2
-    assert capsys.readouterr().err == \
-        "config error: max_inner must be >= 1\n"
+def test_max_inner_below_one_is_a_config_error(optimizer, tmp_path, capsys):
+    # the lattice's caps end every search, so no pass budget is set: a
+    # max_inner of any value, as a flag or a compare key, is an error
+    with pytest.raises(SystemExit) as exc:
+        main(["optimize", "--optimizer", optimizer, "--max-inner", "0",
+              "--max-steps", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-inner 0" in capsys.readouterr().err
+    path = tmp_path / "cfgs.json"
+    path.write_text(json.dumps([{"optimizer": optimizer, "max_inner": 60},
+                                {"optimizer": "sgd"}]))
+    assert main(["compare", "--configs", str(path),
+                 "--loss-threshold", "1.0"]) == 2
+    assert "unexpected keyword argument 'max_inner'" in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, caps", [
@@ -336,7 +361,6 @@ PARENT_FLAGS = {
     "--batch-size": ("batch_size", 512, None),
     "--seed": ("seed", 0, None),
     "--max-steps": ("max_steps", 1000, None),
-    "--max-inner": ("max_inner", 60, None),
     "--lim-zero": ("lim_zero", 0.001, None),
     "--beta": ("beta", 0.9, None),
     "--alpha": ("alpha", 0.001, None),
@@ -358,7 +382,7 @@ VALUES = {
     "commit_policy": "full_step", "reset_policy": "prev_eta", "base": 3,
     "angle_threshold_deg": 2.5, "threshold_mode": "relative",
     "zoom_out_exit": "quarter_fresh_step", "pre_halve": True,
-    "batch_size": 64, "seed": 7, "max_steps": 12, "max_inner": 40,
+    "batch_size": 64, "seed": 7, "max_steps": 12,
     "lim_zero": 1e-6, "beta": 0.5, "alpha": 0.03, "w0": 2.0, "b0": -1.0,
     "noise_std": 0.5, "n_samples": 300, "normalize": True,
     "curvatures": [0.5, 2.0], "theta0": [1.0, -1.0], "loss_threshold": 0.25,

@@ -218,7 +218,7 @@ def test_converged_start_is_a_run_of_no_steps(threshold, steps):
     assert summary == harness.RunSummary(
         steps_to_threshold=steps, mean_inner_loops=0.0,
         inner_loop_histogram={}, final_loss=start_loss, grad_evals=1,
-        loss_evals=1)
+        loss_evals=1, capped_steps=0)
 
 
 # Every init field of the BFE configs, the RunConfig field build_optimizer
@@ -226,14 +226,13 @@ def test_converged_start_is_a_run_of_no_steps(threshold, steps):
 CONFIG_SOURCES = {
     BfeLossConfig: ("bfe", {
         "eta0": ("eta0", 0.002), "base": ("base", 3),
-        "max_inner": ("max_inner", 40), "eps_ratio": ("eps_ratio", 0.01),
+        "eps_ratio": ("eps_ratio", 0.01),
         "eps_val_policy": ("eps_val_policy", "min_scaled"),
         "commit_policy": ("commit_policy", "full_step"),
         "zoom_in_only": ("optimizer", "bfe-zoomin"),
         "reset_policy": ("reset_policy", "prev_eta")}),
     BfeGradConfig: ("bfe-grad", {
         "eta0": ("eta0", 0.002), "base": ("base", 3),
-        "max_inner": ("max_inner", 40),
         "angle_threshold": ("angle_threshold_deg", 2.5),
         "threshold_mode": ("threshold_mode", "relative"),
         "zoom_out_exit": ("zoom_out_exit", "quarter_fresh_step"),

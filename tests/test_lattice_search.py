@@ -2,7 +2,7 @@
 
 ``bfe_step`` and ``bfe_grad_step`` are checked bit for bit against
 reference copies that each spell the search out as their own loops, one per
-branch, with the lattice bounds, the pass budget and the cap test inline.
+branch, with the lattice bounds and the cap test inline.
 ``adabfe_step``'s per-dimension rates are checked to stay on the lattice.
 """
 import math
@@ -35,7 +35,6 @@ from bfeopt.bfe_loss import (
 from bfeopt.core import (
     THRESHOLD_FLOOR,
     Branch,
-    NonTermination,
     ThresholdPolicy,
     eval_criterion_threshold,
 )
@@ -47,17 +46,12 @@ def reference_bfe_step(obj, theta, eta, cfg, batch, zoom_in=True, epoch=0):
     base = float(cfg.base)
     lo = cfg.eta0 * base ** -CAP_EXP
     hi = cfg.eta0 * base ** CAP_EXP
-    etas = []
     inner = 0
     capped = False
 
     if zoom_in:
         while True:
             inner += 1
-            if inner > cfg.max_inner:
-                raise NonTermination(
-                    f"zoom-in exceeded max_inner={cfg.max_inner}", etas=etas)
-            etas.append(eta)
             pair = loss_pair_zoom_in(obj, theta, eta, batch, g)
             eps_comp = abs(pair.loss_two_step - pair.loss_full)
             eps_val = eval_criterion_threshold(
@@ -80,10 +74,6 @@ def reference_bfe_step(obj, theta, eta, cfg, batch, zoom_in=True, epoch=0):
     else:
         while True:
             inner += 1
-            if inner > cfg.max_inner:
-                raise NonTermination(
-                    f"zoom-out exceeded max_inner={cfg.max_inner}", etas=etas)
-            etas.append(eta)
             pair = loss_pair_zoom_out(obj, theta, eta, batch, g)
             eps_comp = abs(pair.loss_full - pair.loss_two_step)
             eps_val = eval_criterion_threshold(
@@ -121,18 +111,12 @@ def reference_bfe_grad_step(obj, theta, eta, cfg, batch, zoom_in=True):
     base = float(cfg.base)
     lo = cfg.eta0 * base ** -CAP_EXP
     hi = cfg.eta0 * base ** CAP_EXP
-    etas = []
     inner = 0
     capped = False
 
     if zoom_in:
         while True:
             inner += 1
-            if inner > cfg.max_inner:
-                raise NonTermination(
-                    f"grad zoom-in exceeded max_inner={cfg.max_inner}",
-                    etas=etas)
-            etas.append(eta)
             probe = grad_probe(obj, theta, eta, batch, g)
             eta = eta / base
             if not reference_exceeds(probe, cfg):
@@ -148,11 +132,6 @@ def reference_bfe_grad_step(obj, theta, eta, cfg, batch, zoom_in=True):
     else:
         while True:
             inner += 1
-            if inner > cfg.max_inner:
-                raise NonTermination(
-                    f"grad zoom-out exceeded max_inner={cfg.max_inner}",
-                    etas=etas)
-            etas.append(eta)
             probe = grad_probe(obj, theta, eta, batch, g)
             eta = eta * base
             if reference_exceeds(probe, cfg):
@@ -209,19 +188,12 @@ def search_cases(draw):
     base = draw(st.sampled_from([2, 3]))
     k = draw(st.integers(-CAP_EXP, CAP_EXP))
     eta = eta0 * float(base) ** k
-    # 2 * CAP_EXP + 1 passes take a rate from one cap to the other
-    max_inner = draw(st.one_of(st.integers(1, 2 * CAP_EXP),
-                               st.just(2 * CAP_EXP + 1)))
-    return obj, theta, eta, eta0, base, k, max_inner
+    return obj, theta, eta, eta0, base, k
 
 
 def _outcome(step, *args):
-    """A step's result as comparable bytes, or its failure."""
-    try:
-        theta_next, eta, inner, branch, eps_comp, eps_val, capped = step(
-            *args)
-    except NonTermination as exc:
-        return ("NonTermination", str(exc), exc.etas)
+    """A step's result as comparable bytes."""
+    theta_next, eta, inner, branch, eps_comp, eps_val, capped = step(*args)
     return (np.asarray(theta_next, dtype=float).tobytes(),
             float(eta).hex(), inner, branch, float(eps_comp).hex(),
             float(eps_val).hex(), capped)
@@ -245,17 +217,15 @@ def assert_on_lattice(eta, eta0, base):
        st.sampled_from([1e-3, 0.1]), st.integers(0, 5))
 def test_bfe_step_matches_reference(case, commit, policy, zoom_in, ratio,
                                     epoch):
-    obj, theta, eta, eta0, base, _, max_inner = case
-    cfg = BfeLossConfig(eta0=eta0, base=base, max_inner=max_inner,
-                        eps_ratio=ratio, eps_val_policy=policy,
-                        commit_policy=commit)
+    obj, theta, eta, eta0, base, _ = case
+    cfg = BfeLossConfig(eta0=eta0, base=base, eps_ratio=ratio,
+                        eps_val_policy=policy, commit_policy=commit)
     ref = _outcome(reference_bfe_step, obj, theta, eta, cfg, None, zoom_in,
                    epoch)
     got = _outcome(lambda *a: _fields(bfe_step(*a)), obj, theta, eta, cfg,
                    None, zoom_in, epoch)
     assert got == ref
-    if ref[0] != "NonTermination":
-        assert_on_lattice(float.fromhex(got[1]), eta0, base)
+    assert_on_lattice(float.fromhex(got[1]), eta0, base)
 
 
 @settings(max_examples=300, deadline=None)
@@ -264,17 +234,15 @@ def test_bfe_step_matches_reference(case, commit, policy, zoom_in, ratio,
        st.sampled_from([0.1, 1.0, 10.0]))
 def test_bfe_grad_step_matches_reference(case, exit_rule, mode, zoom_in,
                                          angle_deg):
-    obj, theta, eta, eta0, base, _, max_inner = case
+    obj, theta, eta, eta0, base, _ = case
     cfg = BfeGradConfig(eta0=eta0, angle_threshold=math.radians(
-        angle_deg), threshold_mode=mode, base=base, zoom_out_exit=exit_rule,
-        max_inner=max_inner)
+        angle_deg), threshold_mode=mode, base=base, zoom_out_exit=exit_rule)
     ref = _outcome(reference_bfe_grad_step, obj, theta, eta, cfg, None,
                    zoom_in)
     got = _outcome(lambda *a: _fields(bfe_grad_step(*a)), obj, theta, eta,
                    cfg, None, zoom_in)
     assert got == ref
-    if ref[0] != "NonTermination":
-        assert_on_lattice(float.fromhex(got[1]), eta0, base)
+    assert_on_lattice(float.fromhex(got[1]), eta0, base)
 
 
 @st.composite
@@ -282,7 +250,7 @@ def adabfe_search_cases(draw):
     """``search_cases`` with a rate ``eta0 * base**k`` and a branch per
     dimension; the caps are drawn more often than the rates between."""
     dim = draw(st.integers(1, 4))
-    obj, theta, _, eta0, base, _, max_inner = draw(search_cases())
+    obj, theta, _, eta0, base, _ = draw(search_cases())
     theta = np.resize(theta, dim)
     if isinstance(obj, SignFlip):
         theta = np.zeros(dim)
@@ -294,7 +262,7 @@ def adabfe_search_cases(draw):
     rates = np.array([eta0 * float(base) ** k for k in ks])
     zoom_in = np.array(draw(st.lists(st.booleans(), min_size=dim,
                                      max_size=dim)))
-    return obj, theta, rates, zoom_in, eta0, base, max_inner
+    return obj, theta, rates, zoom_in, eta0, base
 
 
 @settings(max_examples=300, deadline=None)
@@ -302,16 +270,48 @@ def adabfe_search_cases(draw):
        st.sampled_from(list(ThresholdMode)), st.sampled_from([0.1, 1.0, 10.0]))
 def test_adabfe_step_rates_stay_on_the_lattice(case, pre_halve, mode,
                                                angle_deg):
-    obj, theta, rates, zoom_in, eta0, base, max_inner = case
+    obj, theta, rates, zoom_in, eta0, base = case
     cfg = BfeGradConfig(eta0=eta0, angle_threshold=math.radians(angle_deg),
-                        threshold_mode=mode, base=base, pre_halve=pre_halve,
-                        max_inner=max_inner)
-    try:
-        out = adabfe_step(obj, theta, rates, cfg, None, zoom_in=zoom_in)
-    except NonTermination:
-        return
+                        threshold_mode=mode, base=base, pre_halve=pre_halve)
+    out = adabfe_step(obj, theta, rates, cfg, None, zoom_in=zoom_in)
+    assert out.inner_loops <= 2 * CAP_EXP + 1
     for eta in out.rates_next:
         assert_on_lattice(float(eta), eta0, base)
+
+
+class NeverCrosses:
+    """At the origin no probe crosses: a zoom-in dimension's slope flips at
+    any trial step, so its angle is pi/2, and a zoom-out dimension has no
+    slope, so its angle is 0."""
+
+    def __init__(self, zoom_in):
+        self.zoom_in = zoom_in
+
+    def loss(self, theta, batch=None):
+        return 0.0
+
+    def grad(self, theta, batch=None):
+        return np.where(self.zoom_in, np.where(theta == 0.0, 1.0, -1.0), 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda dim: st.tuples(
+    st.lists(st.integers(-CAP_EXP, CAP_EXP), min_size=dim, max_size=dim),
+    st.lists(st.booleans(), min_size=dim, max_size=dim))),
+    st.sampled_from([1e-3, 1.0, 1e18]), st.integers(2, 6), st.booleans())
+def test_adabfe_search_that_never_crosses_caps_every_dimension(
+        ks_branches, eta0, base, pre_halve):
+    ks, branches = ks_branches
+    zoom_in = np.array(branches)
+    cfg = BfeGradConfig(eta0=eta0, base=base, pre_halve=pre_halve)
+    rates = np.array([eta0 * float(base) ** k for k in ks])
+    out = adabfe_step(NeverCrosses(zoom_in), np.zeros(len(ks)), rates, cfg,
+                      None, zoom_in=zoom_in)
+    assert out.capped
+    assert out.inner_loops <= 2 * CAP_EXP + 1
+    assert out.rates_next.tolist() == np.where(zoom_in, cfg.lo,
+                                               cfg.hi).tolist()
+    assert out.branches_next.tolist() == branches  # capped: branches kept
 
 
 @pytest.mark.parametrize("base", [2, 3])
@@ -372,32 +372,49 @@ def test_search_returns_the_rate_after_the_last_scaling():
     probed = []
     result, eta, passes, capped = lattice_search(
         lambda e: probed.append(e) or len(probed), lambda n: n < 3,
-        1.0, Lattice(1.0, 2, 10), True, "test")
+        1.0, Lattice(1.0, 2), True)
     assert probed == [1.0, 0.5, 0.25]
     assert (result, eta, passes, capped) == (3, 0.125, 3, False)
     result, eta, passes, capped = lattice_search(
-        lambda e: e, lambda e: e >= 4.0, 1.0, Lattice(1.0, 2, 10), False,
-        "test")
+        lambda e: e, lambda e: e >= 4.0, 1.0, Lattice(1.0, 2), False)
     assert (result, eta, passes, capped) == (4.0, 8.0, 3, False)
 
 
 @pytest.mark.parametrize("zoom_in", [True, False])
 def test_search_stops_at_the_cap(zoom_in):
-    lattice = Lattice(1.0, 3, 1000)
+    lattice = Lattice(1.0, 3)
     lo, hi = lattice.lo, lattice.hi
     probed = []
     result, eta, passes, capped = lattice_search(
         lambda e: probed.append(e) or e, lambda e: zoom_in, 1.0, lattice,
-        zoom_in, "test")
+        zoom_in)
     # one pass per lattice point from the start up to the cap, not onto it
     assert (eta, passes, capped) == (lo if zoom_in else hi, CAP_EXP, True)
     assert result == probed[-1] == pytest.approx(
         3.0 ** (1 - CAP_EXP if zoom_in else CAP_EXP - 1), rel=1e-12)
 
 
-def test_search_over_budget_names_the_probed_rates():
-    with pytest.raises(NonTermination, match="^grad zoom-out exceeded "
-                       "max_inner=3$") as exc:
-        lattice_search(lambda e: e, lambda e: False, 1.0, Lattice(1.0, 2, 3),
-                       False, "grad zoom-out")
-    assert exc.value.etas == [1.0, 2.0, 4.0]
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1e-300, 1e-3, 1.0, 1e18, 1e270]),
+       st.integers(2, 6), st.integers(-CAP_EXP, CAP_EXP), st.booleans())
+def test_search_that_never_crosses_ends_at_a_cap(eta0, base, k, zoom_in):
+    try:
+        lattice = Lattice(eta0, base)
+    except ValueError:  # the caps of this pair are beyond the floats
+        return
+    probed = []
+    # a criterion that never flips: zoom-in always exceeds, zoom-out never
+    result, eta, passes, capped = lattice_search(
+        lambda e: probed.append(e) or e, lambda e: zoom_in,
+        eta0 * float(base) ** k, lattice, zoom_in)
+    assert capped
+    assert eta == (lattice.lo if zoom_in else lattice.hi)
+    assert passes == len(probed) <= 2 * CAP_EXP + 1
+
+
+@pytest.mark.parametrize("eta", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("zoom_in", [True, False])
+def test_search_rejects_a_rate_that_never_reaches_a_cap(eta, zoom_in):
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        lattice_search(lambda e: e, lambda e: zoom_in, eta, Lattice(1.0, 2),
+                       zoom_in)

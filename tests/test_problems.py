@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bfeopt import harness, problems
@@ -161,6 +161,9 @@ def regression_calls(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(regression_calls())
+# a subnormal w: 1e-12 * s underflows to 0, a tolerance no rounding meets
+@example((np.array([0.0, 1.0]), np.array([0.0, 0.0]), np.array([0, 1]),
+          2.2250738585e-313, 0.0))
 def test_closed_form_matches_oracle_on_random_data(case):
     x, y, batch, w, b = case
     obj = linreg_objective(Dataset(x=x, y=y))
@@ -171,10 +174,13 @@ def test_closed_form_matches_oracle_on_random_data(case):
     assert loss >= 0.0
     # The closed form may cancel terms of size Vyy + m**2 + w**2 * Vxx. Both
     # it and the oracle also round each residual by about eps times
-    # s = |w| max|x| + |b| + max|y|; e allows thousands of times that.
+    # s = |w| max|x| + |b| + max|y|; e allows thousands of times that. Below
+    # the smallest normal float, s counts as that float: subnormals round by
+    # a fixed step, and 1e-12 * s would underflow to a tolerance of 0.
     m = w * np.mean(xs) + b - np.mean(ys)
     spread = np.var(ys) + m * m + w * w * np.var(xs)
-    s = abs(w) * np.max(np.abs(xs)) + abs(b) + np.max(np.abs(ys))
+    s = max(abs(w) * np.max(np.abs(xs)) + abs(b) + np.max(np.abs(ys)),
+            np.finfo(float).tiny)
     e = 1e-12 * s
     tol = 1e-12 * spread + e * (2.0 * np.sqrt(want_loss) + e)
     assert abs(loss - want_loss) <= tol

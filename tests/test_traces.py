@@ -57,7 +57,7 @@ GOLDEN = {
     ("adabfe", *QUADRATIC):
         "1f4ed31a7aa4baddd04b91d2dbe5b28ea0199b47cc3e9b99adacdc888dfe5f94",
     # from a rate of 1e-30 every other step ends at the highest rate
-    ("bfe-grad", *QUADRATIC, "--eta0", "1e-30", "--max-inner", "200"):
+    ("bfe-grad", *QUADRATIC, "--eta0", "1e-30"):
         "caa4dad174c18cb0e819a373387eb4b8f9d2a88c9ab1fd93548d65d235ff044c",
 }
 
