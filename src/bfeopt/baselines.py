@@ -79,6 +79,10 @@ def adam_step(obj: Objective, theta: np.ndarray, state: AdamState,
     t = state.t + 1
     m = BETA1 * state.m + (1.0 - BETA1) * g
     v = BETA2 * state.v + (1.0 - BETA2) * g * g
+    if np.count_nonzero(np.isfinite(v)) != v.size:  # g * g overflowed
+        dims = np.flatnonzero(~np.isfinite(v))
+        raise NonFiniteEvaluation(
+            f"non-finite Adam second moment in dims {dims.tolist()}")
     m_hat = m / (1.0 - BETA1 ** t)
     v_hat = v / (1.0 - BETA2 ** t)
     theta_next = theta - state.alpha * m_hat / (np.sqrt(v_hat) + EPS_STAB)

@@ -25,7 +25,7 @@ from .core import (
     StepOutcome,
     angular_deviation,
 )
-from .bfe_loss import Lattice, lattice_search
+from .bfe_loss import CAP_EXP, Lattice, lattice_search
 
 DEG = math.pi / 180.0
 # the relative mode's per-dimension threshold is RELATIVE_RATIO * |arctan(g_i)|
@@ -99,89 +99,80 @@ def _thresholds(g: np.ndarray, cfg: BfeGradConfig) -> np.ndarray:
     return np.full(np.shape(g), cfg.angle_threshold)
 
 
-def bfe_grad_step(obj: Objective, theta: np.ndarray, eta: float,
+def bfe_grad_step(obj: Objective, theta: np.ndarray, k: int,
                   cfg: BfeGradConfig, batch: Batch, zoom_in: bool = True
                   ) -> StepOutcome:
     """One time-step of the global gradient-angle BFE.
 
-    The search starts at rate ``eta`` on the ``cfg`` lattice.
+    The search starts at index ``k`` of the ``cfg`` lattice.
     ``zoom_in`` is the carried branch state: True after a step that ended
     with the angle at/above threshold, False after one that ended below.
     The gradient at ``theta`` is shared by all inner probes.
     """
     g = obj.grad(theta, batch)
     thresholds = _thresholds(g, cfg)
-    probe, eta, inner, capped = lattice_search(
+    probe, k, inner, capped = lattice_search(
         lambda eta: grad_probe(obj, theta, eta, batch, g),
         lambda p: bool(np.logical_or.reduce(p.eps_per_dim >= thresholds)),
-        eta, cfg, zoom_in)
+        k, cfg, zoom_in)
     theta_next = probe.theta_trial
     if not capped:
         if zoom_in:
-            eta = eta * cfg.base  # undo the last shrink: the probed rate
+            k += 1  # undo the last shrink: the probed rate
         elif cfg.zoom_out_exit is ZoomOutExit.QUARTER_FRESH_STEP:
             # after one pass up from the lowest rate, a quarter is below it
-            eta = max(eta / (cfg.base * cfg.base), cfg.lo)
-            theta_next = theta - eta * probe.g
+            k = max(k - 2, -CAP_EXP)
+            theta_next = theta - cfg.rates.item(k) * probe.g
         else:
-            eta = eta / cfg.base
-    return StepOutcome(theta_next, eta, inner,
+            k -= 1
+    return StepOutcome(theta_next, cfg.rates.item(k), inner,
                        Branch.ZOOM_IN if zoom_in else Branch.ZOOM_OUT,
-                       probe.eps_max, float(thresholds.max()), capped)
+                       probe.eps_max, float(thresholds.max()), capped,
+                       k_next=k)
 
 
-def adabfe_step(obj: Objective, theta: np.ndarray, rates: np.ndarray,
+def adabfe_step(obj: Objective, theta: np.ndarray, k: np.ndarray,
                 cfg: BfeGradConfig, batch: Batch,
                 zoom_in: np.ndarray | None = None) -> StepOutcome:
     """One time-step of per-parameter AdaBFE.
 
-    Each dimension keeps its own rate from ``rates`` (not modified) and its
-    own branch; active dimensions probe jointly (one gradient evaluation at
-    the joint trial point per inner pass) and freeze their trial coordinate
-    once their exit condition holds.
+    Each dimension keeps its own lattice index from ``k`` (not modified) and
+    its own branch; active dimensions probe jointly (one gradient evaluation
+    at the joint trial point per inner pass) and freeze their trial
+    coordinate once their exit condition holds.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1 or not theta.size:
         raise ValueError(f"theta must be a non-empty 1-D array, not one of "
                          f"shape {theta.shape}")
     dim = theta.size
-    base = float(cfg.base)
-    eta = np.array(rates, dtype=float)
-    if eta.shape != theta.shape:
-        raise ValueError(f"per-dimension rates must have theta's shape "
-                         f"{theta.shape}, not {eta.shape}")
+    k = np.array(k)
+    if k.shape != theta.shape or k.dtype.kind != "i":
+        raise ValueError(f"per-dimension lattice indices must be ints of "
+                         f"theta's shape {theta.shape}, not {k.dtype} of "
+                         f"shape {k.shape}")
     if zoom_in is None:
         zoom_in = np.ones(dim, dtype=bool)
     zoom_in = np.array(zoom_in, dtype=bool)
     if zoom_in.shape != theta.shape:
         raise ValueError(f"per-dimension branches must have theta's shape "
                          f"{theta.shape}, not {zoom_in.shape}")
-    # a rate of 0 or NaN never reaches a cap, and an infinite one overflows
-    top = float(np.maximum.reduce(eta))
-    if not (float(np.minimum.reduce(eta)) > 0.0 and top < math.inf):
-        bad = np.flatnonzero(~((eta > 0.0) & (eta < math.inf)))
-        raise ValueError(f"per-dimension rates must be positive and finite, "
-                         f"not {eta[bad].tolist()} in dims {bad.tolist()}")
+    # an index beyond the caps would read the rate table wrapped round
+    bad = np.flatnonzero(np.abs(k) > CAP_EXP)
+    if bad.size:
+        raise ValueError(f"per-dimension lattice indices must be within "
+                         f"+-{CAP_EXP}, not {k[bad].tolist()} in dims "
+                         f"{bad.tolist()}")
 
-    # A zoom-in rate is capped at lo once it falls to lo * (1 + 1e-9), a
-    # zoom-out rate at hi once it reaches hi * (1 - 1e-9). The zoom-out test
-    # is negated, so one `sign * nxt <= edge` covers both (exact: sign = +-1).
-    lo, hi = cfg.lo, cfg.hi
-    sign = np.where(zoom_in, 1.0, -1.0)
-    edge = np.where(zoom_in, lo * (1.0 + 1e-9), -(hi * (1.0 - 1e-9)))
-    floor = lo * (1.0 - 1e-9)
-    # a zoom-in rate is divided by base and a zoom-out rate multiplied by it;
-    # the other factor of each is 1.0, which leaves a rate exactly as it is
-    div = np.where(zoom_in, base, 1.0)
-    mul = np.where(zoom_in, 1.0, base)
-    # every pass computes every dimension's next rate; if a grown rate can
-    # overflow, only moving ones grow, so it warns only where a search steps
-    spill = math.isinf(max(top, hi) * base)
-
+    rates = cfg.rates
+    # each pass moves a zoom-in index down by one and a zoom-out index up;
+    # under pre_halve a zoom-in index moves before its probe instead
+    move_by = np.where(zoom_in, 0 if cfg.pre_halve else -1, 1)
     g = np.asarray(obj.grad(theta, batch), dtype=float)  # fixed base gradient
     thresholds = _thresholds(g, cfg)
-    # eta holds the rate each dimension was last probed at: a finished
-    # dimension's trial coordinate, theta - eta * g, keeps its committed value
+    # k holds the index each dimension was last probed at: a finished
+    # dimension's trial coordinate, theta - rate * g, keeps its committed
+    # value
     active = np.ones(dim, dtype=bool)
     hits = np.zeros(dim, dtype=bool)
     inner = 0
@@ -190,13 +181,11 @@ def adabfe_step(obj: Objective, theta: np.ndarray, rates: np.ndarray,
     while np.count_nonzero(active):
         inner += 1
         if cfg.pre_halve:
-            shrink = active & zoom_in
-            np.divide(eta, base, out=eta, where=shrink)
+            k -= active & zoom_in
             # a halving from the lowest rate is held there, as a cap hit
-            under = shrink & (eta < floor)
-            np.copyto(eta, lo, where=under)
-            hits |= under
-        probe = grad_probe(obj, theta, eta, batch, g)
+            hits |= k < -CAP_EXP
+            np.maximum(k, -CAP_EXP, out=k)
+        probe = grad_probe(obj, theta, rates[k], batch, g)
         eps = probe.eps_per_dim
         np.copyto(last_eps, eps, where=active)
 
@@ -204,27 +193,27 @@ def adabfe_step(obj: Objective, theta: np.ndarray, rates: np.ndarray,
         # while it does not; any other active dimension has crossed
         move = np.equal(eps >= thresholds, zoom_in)
         move &= active
-        grow = np.where(move, mul, 1.0) if spill else mul
-        nxt = eta * grow if cfg.pre_halve else eta / div * grow
-        hit = sign * nxt <= edge
-        hit &= move
+        nxt = k + move_by
+        # an index moves toward its branch's cap only, the one |nxt| can reach
+        hit = move & (np.abs(nxt) >= CAP_EXP)
         hits |= hit
         active = move ^ hit
-        np.copyto(eta, nxt, where=active)
+        np.copyto(k, nxt, where=active)
     capped = bool(np.count_nonzero(hits))
-    if capped:  # a capped dimension kept its last probed rate until here
-        np.copyto(eta, np.where(zoom_in, lo, hi), where=hits)
+    if capped:  # a capped dimension kept its last probed index until here
+        np.copyto(k, np.where(zoom_in, -CAP_EXP, CAP_EXP), where=hits)
+    rates_next = rates[k]
 
     branch = (Branch.ZOOM_IN if np.count_nonzero(zoom_in) == dim
               else Branch.ZOOM_OUT)
     # a dimension that crossed its threshold switches branch; a capped one
     # keeps it
     return StepOutcome(theta_next=probe.theta_trial,
-                       eta_next=float(np.add.reduce(eta)) / dim,
+                       eta_next=float(np.add.reduce(rates_next)) / dim,
                        inner_loops=inner, branch=branch,
                        eps_comp=float(np.maximum.reduce(last_eps)),
                        eps_val=float(np.maximum.reduce(thresholds)),
-                       capped=capped, rates_next=eta,
+                       capped=capped, k_next=k, rates_next=rates_next,
                        branches_next=zoom_in ^ ~hits)
 
 
@@ -233,14 +222,14 @@ class BfeGradOptimizer:
 
     def __init__(self, cfg: BfeGradConfig):
         self.cfg = cfg
-        self.eta = cfg.eta0
+        self.k = 0
         self.zoom_in = True
 
     def step(self, obj: Objective, theta: np.ndarray, batch: Batch,
              epoch: int = 0) -> StepOutcome:
-        out = bfe_grad_step(obj, theta, self.eta, self.cfg, batch,
+        out = bfe_grad_step(obj, theta, self.k, self.cfg, batch,
                             self.zoom_in)
-        self.eta = out.eta_next
+        self.k = out.k_next
         # zoom-in ends below threshold -> zoom-out next; zoom-out ends
         # at/above threshold -> zoom-in next
         self.zoom_in = out.branch is Branch.ZOOM_OUT
@@ -252,13 +241,12 @@ class AdaBfeOptimizer:
 
     def __init__(self, cfg: BfeGradConfig, dim: int):
         self.cfg = cfg
-        self.rates = np.full(dim, cfg.eta0, dtype=float)
+        self.k = np.zeros(dim, dtype=int)
         self.zoom_in = np.ones(dim, dtype=bool)
 
     def step(self, obj: Objective, theta: np.ndarray, batch: Batch,
              epoch: int = 0) -> StepOutcome:
-        out = adabfe_step(obj, theta, self.rates, self.cfg, batch,
-                          self.zoom_in)
-        self.rates = out.rates_next
+        out = adabfe_step(obj, theta, self.k, self.cfg, batch, self.zoom_in)
+        self.k = out.k_next
         self.zoom_in = out.branches_next
         return out

@@ -34,24 +34,26 @@ CAP_EXP = 60
 
 @dataclass(frozen=True)
 class Lattice:
-    """The rates ``eta0 * base**k``, |k| <= CAP_EXP, from ``lo`` to ``hi``.
-    A lowest rate that rounds to 0 or a highest that overflows raises
-    ValueError: a search at rate 0 never moves, and one at an infinite rate
-    overflows."""
+    """The rates ``eta0 * base**k``, |k| <= CAP_EXP, computed once into
+    ``rates``, which ``k`` itself indexes: a negative ``k`` counts back from
+    the end. A lowest rate that rounds to 0 or a highest that overflows
+    raises ValueError: a search at rate 0 never moves, and one at an
+    infinite rate overflows."""
 
     eta0: float = 0.001
     base: int = 2
-    lo: float = field(init=False, repr=False, compare=False)
-    hi: float = field(init=False, repr=False, compare=False)
+    rates: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.eta0 <= 0:
             raise ValueError("eta0 must be positive")
         if self.base < 2:
             raise ValueError("base must be >= 2")
+        ks = (*range(CAP_EXP + 1), *range(-CAP_EXP, 0))
         try:
             base = float(self.base)
-            lo, hi = self.eta0 * base ** -CAP_EXP, self.eta0 * base ** CAP_EXP
+            rates = [self.eta0 * base ** k for k in ks]
+            lo, hi = rates[-CAP_EXP], rates[CAP_EXP]
         except OverflowError:  # base ** CAP_EXP is beyond the float range
             lo = self.eta0 * 2.0 ** (-CAP_EXP * math.log2(self.base))
             hi = math.inf
@@ -60,37 +62,37 @@ class Lattice:
                 f"eta0={self.eta0!r} and base={self.base!r} put the rate caps "
                 f"eta0*base**-{CAP_EXP} and eta0*base**{CAP_EXP} at {lo!r} "
                 f"and {hi!r}; they must be positive and finite")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "rates", np.array(rates))
 
 
 def lattice_search(probe: Callable[[float], Any],
-                   exceeds: Callable[[Any], bool], eta: float,
+                   exceeds: Callable[[Any], bool], k: int,
                    lattice: Lattice, zoom_in: bool
-                   ) -> tuple[Any, float, int, bool]:
-    """Move ``eta`` on the lattice until ``exceeds`` differs from ``zoom_in``.
+                   ) -> tuple[Any, int, int, bool]:
+    """Move the lattice index ``k`` until ``exceeds`` differs from
+    ``zoom_in``.
 
-    Each pass probes at ``eta``, then divides it by ``base`` (zoom-in) or
-    multiplies it (zoom-out). Returns (last probe result, rate after the last
-    scaling or the cap, passes, capped); callers undo the scaling themselves.
-    The caps end every search: from a rate between them, within
-    ``2 * CAP_EXP + 1`` passes. A rate that is not positive and finite would
-    never reach a cap, and raises ValueError.
+    Each pass probes at the rate ``lattice.rates[k]``, then moves ``k`` down
+    by one (zoom-in) or up (zoom-out). Returns (last probe result, ``k``
+    after the last move or the cap, passes, capped); callers undo the move
+    themselves. A search is capped once ``k`` reaches ``-CAP_EXP``
+    (zoom-in) or ``CAP_EXP`` (zoom-out), so from a ``k`` between the caps it
+    ends within ``2 * CAP_EXP + 1`` passes. A ``k`` beyond the caps raises
+    ValueError.
     """
-    if not 0.0 < eta < math.inf:
-        raise ValueError(f"the search rate {eta!r} must be positive and "
-                         f"finite")
-    base, lo, hi = lattice.base, lattice.lo, lattice.hi
+    if not -CAP_EXP <= k <= CAP_EXP:
+        raise ValueError(f"the lattice index {k!r} must be within "
+                         f"+-{CAP_EXP}")
+    rates, step = lattice.rates, -1 if zoom_in else 1
     passes = 0
     while True:
         passes += 1
-        result = probe(eta)
-        eta = eta / base if zoom_in else eta * base
+        result = probe(rates.item(k))
+        k += step
         if exceeds(result) != zoom_in:
-            return result, eta, passes, False
-        # a rate within a relative 1e-9 of its cap is the cap
-        if eta <= lo * (1 + 1e-9) if zoom_in else eta >= hi * (1 - 1e-9):
-            return result, lo if zoom_in else hi, passes, True
+            return result, k, passes, False
+        if k * step >= CAP_EXP:
+            return result, step * CAP_EXP, passes, True
 
 
 class CommitPolicy(str, Enum):
@@ -152,12 +154,12 @@ def loss_pair_zoom_out(obj: Objective, theta: np.ndarray, eta: float,
     return _loss_pair(obj, theta, eta, eta, 2.0 * eta, batch, g)
 
 
-def bfe_step(obj: Objective, theta: np.ndarray, eta: float,
+def bfe_step(obj: Objective, theta: np.ndarray, k: int,
              cfg: BfeLossConfig, batch: Batch, zoom_in: bool = True,
              epoch: int = 0) -> StepOutcome:
     """One outer time-step of the loss-comparison BFE algorithm.
 
-    The search starts at rate ``eta`` on the ``cfg`` lattice. ``zoom_in`` is
+    The search starts at index ``k`` of the ``cfg`` lattice. ``zoom_in`` is
     the carried branch: True runs the rate-shrinking search, False the
     rate-growing one. The mini-batch and the gradient at ``theta`` are held
     fixed for all inner probes. A ``zoom_in_only`` config commits the
@@ -175,25 +177,25 @@ def bfe_step(obj: Objective, theta: np.ndarray, eta: float,
                                          cfg.eps_ratio, cfg.eps_val_policy,
                                          epoch))
 
-    (pair, eps_comp, eps_val), eta, inner, capped = lattice_search(
-        probe, lambda r: r[1] >= r[2], eta, cfg, zoom_in)
+    (pair, eps_comp, eps_val), k, inner, capped = lattice_search(
+        probe, lambda r: r[1] >= r[2], k, cfg, zoom_in)
     theta_next = pair.trial_half
     if not capped:
         if not zoom_in:
-            eta = eta / cfg.base  # undo the last growth: the probed rate
+            k -= 1  # undo the last growth: the probed rate
         elif (cfg.commit_policy is CommitPolicy.FULL_STEP
               and not cfg.zoom_in_only):
-            eta = eta * cfg.base
+            k += 1
             theta_next = pair.trial_full
         else:
             # a first pass that agrees at the lowest rate leaves half of it
-            eta = max(eta, cfg.lo)
-    return StepOutcome(theta_next, eta, inner,
+            k = max(k, -CAP_EXP)
+    return StepOutcome(theta_next, cfg.rates.item(k), inner,
                        Branch.ZOOM_IN if zoom_in else Branch.ZOOM_OUT,
-                       eps_comp, eps_val, capped)
+                       eps_comp, eps_val, capped, k_next=k)
 
 
-def zoom_in_only_step(obj: Objective, theta: np.ndarray, eta: float,
+def zoom_in_only_step(obj: Objective, theta: np.ndarray, k: int,
                       cfg: BfeLossConfig, batch: Batch,
                       epoch: int = 0) -> StepOutcome:
     """Zoom-in-only variant: reset the rate, run the shrinking loop once.
@@ -202,25 +204,25 @@ def zoom_in_only_step(obj: Objective, theta: np.ndarray, eta: float,
     doubled) so the search always starts from the shrinking side.
     """
     if cfg.reset_policy is ResetPolicy.DOUBLE_PREV_ETA:
-        eta = eta * cfg.base
-    return bfe_step(obj, theta, min(eta, cfg.hi), cfg, batch, True, epoch)
+        k = min(k + 1, CAP_EXP)
+    return bfe_step(obj, theta, k, cfg, batch, True, epoch)
 
 
 class BfeLossOptimizer:
-    """Stateful optimizer threading the rate and the carried branch."""
+    """Stateful optimizer threading the lattice index and the branch."""
 
     def __init__(self, cfg: BfeLossConfig):
         self.cfg = cfg
-        self.eta = cfg.eta0
+        self.k = 0
         self.zoom_in = True
 
     def step(self, obj: Objective, theta: np.ndarray, batch: Batch,
              epoch: int = 0) -> StepOutcome:
-        cfg, eta = self.cfg, self.eta
-        out = (zoom_in_only_step(obj, theta, eta, cfg, batch, epoch)
+        cfg, k = self.cfg, self.k
+        out = (zoom_in_only_step(obj, theta, k, cfg, batch, epoch)
                if cfg.zoom_in_only else
-               bfe_step(obj, theta, eta, cfg, batch, self.zoom_in, epoch))
-        self.eta = out.eta_next
+               bfe_step(obj, theta, k, cfg, batch, self.zoom_in, epoch))
+        self.k = out.k_next
         # losses that disagree at the last probe -> zoom-in next
         self.zoom_in = out.eps_comp >= out.eps_val
         return out

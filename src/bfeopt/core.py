@@ -126,6 +126,7 @@ class StepOutcome:
     eps_comp: float = math.nan
     eps_val: float = math.nan
     capped: bool = False
+    k_next: int | np.ndarray | None = None    # lattice index (BFE)
     rates_next: np.ndarray | None = None      # per-dimension rates (AdaBFE)
     branches_next: np.ndarray | None = None   # per-dimension zoom-in flags
 

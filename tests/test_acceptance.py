@@ -242,8 +242,7 @@ def test_criterion_10_cli_determinism(tmp_path):
 
 def test_criterion_11_evaluation_budget(counting):
     obj = counting(quadratic_objective([1.0]))
-    out = bfe_step(obj, np.array([1.0]), 0.1, BfeLossConfig(eta0=0.001),
-                   None)
+    out = bfe_step(obj, np.array([1.0]), 0, BfeLossConfig(eta0=0.1), None)
     loss_ok = (obj.grad_calls == 1 + out.inner_loops
                and obj.loss_calls == 2 * out.inner_loops)
     obj.reset()

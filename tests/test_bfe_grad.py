@@ -121,8 +121,8 @@ def test_probe_with_given_gradient_matches(counting):
 
 def test_grad_zoom_in_trace():
     obj = quadratic_objective([1.0])
-    cfg = BfeGradConfig(eta0=0.001)
-    out = bfe_grad_step(obj, np.array([1.0]), 1.0, cfg, None, zoom_in=True)
+    cfg = BfeGradConfig(eta0=1.0)
+    out = bfe_grad_step(obj, np.array([1.0]), 0, cfg, None, zoom_in=True)
     exp_theta, exp_eta, exp_inner = oracle_grad_step(1.0, 1.0, 1.0,
                                                      1.0 * DEG, True)
     # oracle-computed: probes at 1, 0.5, ..., 0.03125 (0.909 deg < 1 deg)
@@ -132,6 +132,7 @@ def test_grad_zoom_in_trace():
     assert out.eta_next == pytest.approx(0.03125, rel=1e-12)
     assert out.theta_next[0] == pytest.approx(exp_theta, rel=1e-12)
     assert out.eta_next == pytest.approx(exp_eta, rel=1e-12)
+    assert out.k_next == -5
 
 
 @pytest.mark.parametrize("exit_mode", ["halve_commit_trial",
@@ -139,8 +140,7 @@ def test_grad_zoom_in_trace():
 def test_grad_zoom_out_trace(exit_mode):
     obj = quadratic_objective([1.0])
     cfg = BfeGradConfig(eta0=0.001, zoom_out_exit=ZoomOutExit(exit_mode))
-    out = bfe_grad_step(obj, np.array([1.0]), 0.001, cfg, None,
-                        zoom_in=False)
+    out = bfe_grad_step(obj, np.array([1.0]), 0, cfg, None, zoom_in=False)
     exp_theta, exp_eta, exp_inner = oracle_grad_step(1.0, 1.0, 0.001,
                                                      1.0 * DEG, False,
                                                      exit_mode)
@@ -152,9 +152,9 @@ def test_grad_zoom_out_trace(exit_mode):
 def test_grad_zoom_out_zero_gradient_caps():
     obj = quadratic_objective([1.0])
     cfg = BfeGradConfig(eta0=0.001)
-    out = bfe_grad_step(obj, np.array([0.0]), 0.001, cfg, None,
-                        zoom_in=False)
+    out = bfe_grad_step(obj, np.array([0.0]), 0, cfg, None, zoom_in=False)
     assert out.capped
+    assert (out.k_next, out.eta_next) == (CAP_EXP, 0.001 * 2.0 ** CAP_EXP)
     assert out.theta_next[0] == 0.0
 
 
@@ -168,11 +168,12 @@ def test_grad_zoom_in_that_never_crosses_caps_at_the_lowest_rate():
             return np.array([1.0 if theta[0] >= 0.0 else -1.0])
 
     cfg = BfeGradConfig(eta0=1.0)
-    out = bfe_grad_step(ConstantAngle(), np.array([0.0]), 1.0, cfg, None,
+    out = bfe_grad_step(ConstantAngle(), np.array([0.0]), 0, cfg, None,
                         zoom_in=True)
     # one shrink per pass from eta0 down to the lowest rate
     assert (out.inner_loops, out.capped, out.eta_next) == \
-        (CAP_EXP, True, cfg.lo)
+        (CAP_EXP, True, 2.0 ** -CAP_EXP)
+    assert out.k_next == -CAP_EXP
 
 
 def test_zoom_in_angles_decrease_with_rate():
@@ -192,11 +193,11 @@ def test_zoom_in_angles_decrease_with_rate():
 def test_adabfe_anisotropic_rates_diverge():
     obj = quadratic_objective([1.0, 100.0])
     cfg = BfeGradConfig(eta0=0.001)
-    rates = np.array([0.001, 0.001])
-    out = adabfe_step(obj, np.array([1.0, 1.0]), rates, cfg, None,
+    out = adabfe_step(obj, np.array([1.0, 1.0]), np.array([0, 0]), cfg, None,
                       zoom_in=np.array([False, False]))
     # the stiff dimension exits its growth loop at a smaller rate
     assert out.rates_next[1] < out.rates_next[0]
+    assert out.k_next[1] < out.k_next[0]
 
 
 def test_adabfe_symmetric_dims_stay_equal():
@@ -214,8 +215,7 @@ def test_adabfe_symmetric_dims_stay_equal():
 def test_adabfe_one_joint_gradient_per_inner_pass(counting):
     obj = counting(quadratic_objective([1.0, 100.0]))
     cfg = BfeGradConfig(eta0=0.001)
-    rates = np.array([0.001, 0.001])
-    out = adabfe_step(obj, np.array([1.0, 1.0]), rates, cfg, None)
+    out = adabfe_step(obj, np.array([1.0, 1.0]), np.array([0, 0]), cfg, None)
     # one base gradient plus one joint probe gradient per inner pass
     assert obj.grad_calls == out.inner_loops + 1
     assert obj.loss_calls == 0
@@ -254,11 +254,12 @@ def test_adabfe_stuck_dimension_searches_on_to_its_cap():
             return np.array([theta[0], 1.0 if theta[1] >= 0.0 else -1.0])
 
     cfg = BfeGradConfig(eta0=1.0)
-    rates = np.array([1.0, 1.0])
-    out = adabfe_step(Stuck(), np.array([0.5, 0.0]), rates, cfg, None)
+    out = adabfe_step(Stuck(), np.array([0.5, 0.0]), np.array([0, 0]), cfg,
+                      None)
     # dim 0 crosses at 1/32; dim 1 shrinks on down to the lowest rate
     assert (out.inner_loops, out.capped) == (CAP_EXP, True)
-    assert out.rates_next.tolist() == [1.0 / 32, cfg.lo]
+    assert out.rates_next.tolist() == [1.0 / 32, 2.0 ** -CAP_EXP]
+    assert out.k_next.tolist() == [-5, -CAP_EXP]
     assert out.branches_next.tolist() == [False, True]
 
 
@@ -270,9 +271,8 @@ def test_adabfe_rates_on_lattice():
     for _ in range(50):
         out = opt.step(obj, theta, None)
         theta = out.theta_next
-        for eta in out.rates_next:
-            k = math.log2(eta / cfg.eta0)
-            assert abs(k - round(k)) < 1e-9
+        assert np.all(np.abs(out.k_next) <= CAP_EXP)
+        assert out.rates_next.tolist() == [cfg.rates[k] for k in out.k_next]
 
 
 # ---------------------------------------------------------------------------
@@ -288,17 +288,15 @@ def reference_angle(g, g_star):
                     np.arctan(np.abs(np.abs(g_star - g) / safe_den)))
 
 
-def reference_adabfe_step(obj, theta, rates, eta0, cfg, zoom_in):
-    """Returns (theta_next, rates_next, branches_next, inner_loops, capped,
-    eps_comp, eps_val)."""
+def reference_adabfe_step(obj, theta, k, eta0, cfg, zoom_in):
+    """Returns (theta_next, rates_next, k_next, branches_next, inner_loops,
+    capped, eps_comp, eps_val)."""
     theta = np.asarray(theta, dtype=float)
     dim = theta.size
     base = float(cfg.base)
-    eta = np.array(rates, dtype=float)
+    k = np.array(k)
     zoom_in = np.array(zoom_in, dtype=bool)
     zoom_next = zoom_in.copy()
-    lo = eta0 * base ** -CAP_EXP
-    hi = eta0 * base ** CAP_EXP
     g = obj.grad(theta, None)
     if cfg.threshold_mode is ThresholdMode.RELATIVE:
         thresholds = np.maximum(RELATIVE_RATIO * np.abs(np.arctan(g)),
@@ -315,14 +313,15 @@ def reference_adabfe_step(obj, theta, rates, eta0, cfg, zoom_in):
         inner += 1
         if cfg.pre_halve:
             shrink = active & zoom_in
-            eta[shrink] = eta[shrink] / base
+            k[shrink] -= 1
             # a halving from the lowest rate is held there, as a cap hit
-            under = shrink & (eta < lo * (1.0 - 1e-9))
-            eta[under] = lo
+            under = k < -CAP_EXP
+            k[under] = -CAP_EXP
             held |= under
             capped = capped or bool(under.any())
         trial = committed.copy()
-        trial[active] = theta[active] - eta[active] * g[active]
+        for i in np.nonzero(active)[0]:
+            trial[i] = theta[i] - eta0 * base ** int(k[i]) * g[i]
         eps = reference_angle(g, obj.grad(trial, None))
         last_eps[active] = eps[active]
         for i in np.nonzero(active)[0]:
@@ -330,9 +329,9 @@ def reference_adabfe_step(obj, theta, rates, eta0, cfg, zoom_in):
             if zoom_in[i]:
                 if exceed:
                     if not cfg.pre_halve:
-                        eta[i] = eta[i] / base
-                    if eta[i] <= lo * (1.0 + 1e-9):
-                        eta[i] = lo
+                        k[i] -= 1
+                    if k[i] <= -CAP_EXP:
+                        k[i] = -CAP_EXP
                         committed[i] = trial[i]
                         active[i] = False
                         capped = True
@@ -346,14 +345,15 @@ def reference_adabfe_step(obj, theta, rates, eta0, cfg, zoom_in):
                     active[i] = False
                     zoom_next[i] = True
                 else:
-                    eta[i] = eta[i] * base
-                    if eta[i] >= hi * (1.0 - 1e-9):
-                        eta[i] = hi
+                    k[i] += 1
+                    if k[i] >= CAP_EXP:
+                        k[i] = CAP_EXP
                         committed[i] = trial[i]
                         active[i] = False
                         capped = True
-    return (committed, eta, zoom_next, inner, capped, float(last_eps.max()),
-            float(thresholds.max()))
+    rates = np.array([eta0 * base ** int(j) for j in k])
+    return (committed, rates, k, zoom_next, inner, capped,
+            float(last_eps.max()), float(thresholds.max()))
 
 
 @st.composite
@@ -379,22 +379,22 @@ def adabfe_cases(draw):
         angle_threshold=draw(st.sampled_from([0.1, 1.0, 10.0])) * DEG,
         threshold_mode=draw(st.sampled_from(list(ThresholdMode))),
         pre_halve=draw(st.booleans()))
-    rates = [eta0 * float(base) ** k for k in ks]
-    return curvatures, theta, rates, zoom_in, cfg
+    return curvatures, theta, ks, zoom_in, cfg
 
 
 @settings(max_examples=300, deadline=None)
 @given(adabfe_cases())
 def test_adabfe_matches_per_dimension_reference(case):
-    curvatures, theta, rates, zoom_in, cfg = case
+    curvatures, theta, ks, zoom_in, cfg = case
     obj = quadratic_objective(curvatures)
     theta = np.array(theta)
-    ref = reference_adabfe_step(obj, theta, rates, cfg.eta0, cfg, zoom_in)
-    out = adabfe_step(obj, theta, rates, cfg, None, zoom_in=zoom_in)
-    theta_next, rates_next, branches_next, inner, capped, eps_comp, \
+    ref = reference_adabfe_step(obj, theta, ks, cfg.eta0, cfg, zoom_in)
+    out = adabfe_step(obj, theta, np.array(ks), cfg, None, zoom_in=zoom_in)
+    theta_next, rates_next, k_next, branches_next, inner, capped, eps_comp, \
         eps_val = ref
     assert out.theta_next.tobytes() == theta_next.tobytes()
     assert out.rates_next.tobytes() == rates_next.tobytes()
+    assert out.k_next.tolist() == k_next.tolist()
     assert np.array_equal(out.branches_next, branches_next)
     assert out.inner_loops == inner
     assert out.capped is capped
@@ -411,8 +411,8 @@ def test_adabfe_rejects_a_branch_count_other_than_dim(zoom_in):
     obj = quadratic_objective([1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match=re.escape(
             f"branches must have theta's shape (3,), not ({len(zoom_in)},)")):
-        adabfe_step(obj, np.ones(3), np.full(3, 1e-3), BfeGradConfig(), None,
-                    zoom_in=zoom_in)
+        adabfe_step(obj, np.ones(3), np.zeros(3, dtype=int), BfeGradConfig(),
+                    None, zoom_in=zoom_in)
 
 
 @pytest.mark.parametrize("theta", [[], [[1.0]], 1.0])
@@ -420,26 +420,31 @@ def test_adabfe_rejects_a_theta_that_is_not_a_non_empty_vector(theta):
     shape = np.shape(theta)
     with pytest.raises(ValueError, match=re.escape(
             f"theta must be a non-empty 1-D array, not one of shape {shape}")):
-        adabfe_step(quadratic_objective([1.0]), theta, np.full(shape, 1e-3),
-                    BfeGradConfig(), None)
+        adabfe_step(quadratic_objective([1.0]), theta,
+                    np.zeros(shape, dtype=int), BfeGradConfig(), None)
 
 
-@pytest.mark.parametrize("rates", [1e-3, [[1e-3]]])
-def test_adabfe_rejects_rates_of_another_shape(rates):
-    # a bare rate has one entry, as theta does, but not its shape
+@pytest.mark.parametrize("k", [0, [[0]], [1e-3]])
+def test_adabfe_rejects_indices_of_another_shape(k):
+    # a bare index has one entry, as theta does, but not its shape; a rate
+    # has its shape, but is not an index
     with pytest.raises(ValueError, match=re.escape(
-            f"rates must have theta's shape (1,), not {np.shape(rates)}")):
-        adabfe_step(quadratic_objective([1.0]), np.array([1.0]), rates,
+            f"indices must be ints of theta's shape (1,), not "
+            f"{np.array(k).dtype} of shape {np.shape(k)}")):
+        adabfe_step(quadratic_objective([1.0]), np.array([1.0]), k,
                     BfeGradConfig(), None)
 
 
-@pytest.mark.parametrize("rate", [0.0, -1e-3, math.inf, math.nan])
+@pytest.mark.parametrize("k", [-CAP_EXP - 1, CAP_EXP + 1, -2 * CAP_EXP - 1,
+                               2 * CAP_EXP + 1])
 @pytest.mark.parametrize("zoom_in", [True, False])
-def test_adabfe_rejects_a_rate_that_never_reaches_a_cap(rate, zoom_in):
+def test_adabfe_rejects_an_index_beyond_the_caps(k, zoom_in):
+    # the first three would read the rate table wrapped round, the last
+    # past its end
     with pytest.raises(ValueError, match=re.escape(
-            f"rates must be positive and finite, not [{rate}] in dims [1]")):
+            f"indices must be within +-{CAP_EXP}, not [{k}] in dims [1]")):
         adabfe_step(quadratic_objective([1.0, 1.0]), np.array([0.0, 0.0]),
-                    np.array([1e-3, rate]), BfeGradConfig(), None,
+                    np.array([0, k]), BfeGradConfig(), None,
                     zoom_in=np.array([zoom_in, zoom_in]))
 
 
@@ -456,15 +461,15 @@ class SignFlip:
 @pytest.mark.parametrize("base", [2, 3])
 def test_adabfe_zoom_in_caps_at_the_lowest_rate(base):
     cfg = BfeGradConfig(eta0=1e-3, base=base)
-    out = adabfe_step(SignFlip(), np.array([0.0]), np.array([1e-3]), cfg,
-                      None)
+    out = adabfe_step(SignFlip(), np.array([0.0]), np.array([0]), cfg, None)
     lo = 1e-3 * float(base) ** -CAP_EXP
     assert out.inner_loops == CAP_EXP  # one shrink per pass down to the cap
     assert out.capped
     assert out.rates_next[0] == lo
+    assert out.k_next.tolist() == [-CAP_EXP]
     assert out.branches_next.tolist() == [True]  # a capped dim keeps its branch
-    ref = reference_adabfe_step(SignFlip(), np.array([0.0]), [1e-3], 1e-3,
-                                cfg, [True])
+    ref = reference_adabfe_step(SignFlip(), np.array([0.0]), [0], 1e-3, cfg,
+                                [True])
     assert out.theta_next[0] == ref[0][0]
 
 
@@ -473,36 +478,38 @@ def test_adabfe_zoom_out_caps_at_the_highest_rate(base):
     # dim 0 has no gradient, so its angle never reaches the threshold
     obj = quadratic_objective([1.0, 1.0])
     cfg = BfeGradConfig(eta0=1e-3, base=base)
-    rates = np.array([1e-3, 1e-3])
-    out = adabfe_step(obj, np.array([0.0, 1.0]), rates, cfg, None,
+    k = np.array([0, 0])
+    out = adabfe_step(obj, np.array([0.0, 1.0]), k, cfg, None,
                       zoom_in=np.array([False, False]))
     assert out.inner_loops == CAP_EXP
     assert out.capped
     assert out.rates_next[0] == 1e-3 * float(base) ** CAP_EXP
+    assert out.k_next[0] == CAP_EXP
     assert out.theta_next[0] == 0.0
     # the capped dim stays on zoom-out, the crossed one switches to zoom-in
     assert out.branches_next.tolist() == [False, True]
-    again = adabfe_step(obj, np.array([1.0, 1.0]), rates, cfg, None,
+    again = adabfe_step(obj, np.array([1.0, 1.0]), k, cfg, None,
                         zoom_in=np.array([False, False]))
     assert not again.capped
 
 
-def test_adabfe_rate_overflows_only_on_the_pass_that_grows_it():
-    # at eta0 = 1e290 the highest rate doubles past the float range. Dim 0
-    # has no gradient and grows from there once, to its cap; dim 1 crosses
-    # its threshold on the 7th pass. Only dim 0's one growth overflows.
+def test_adabfe_search_at_the_highest_rate_warns_of_no_overflow():
+    # at eta0 = 1e290 the highest rate doubled is past the float range. Dim 0
+    # has no gradient and starts at that rate, its cap; dim 1 crosses its
+    # threshold on the 7th pass. Every rate is read from the lattice's table,
+    # so no rate beyond the cap is computed and nothing overflows.
     cfg = BfeGradConfig(eta0=1e290)
+    hi = 1e290 * 2.0 ** CAP_EXP
     obj = quadratic_objective([1.0, 1e-146])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        out = adabfe_step(obj, np.array([0.0, 1.0]),
-                          np.array([cfg.hi, cfg.eta0 / 32]), cfg, None,
-                          zoom_in=np.array([False, False]))
-    assert [(w.category, str(w.message)) for w in caught] == [
-        (RuntimeWarning, "overflow encountered in multiply")]
+        out = adabfe_step(obj, np.array([0.0, 1.0]), np.array([CAP_EXP, -5]),
+                          cfg, None, zoom_in=np.array([False, False]))
+    assert caught == []
     assert out.inner_loops == 7
     assert out.capped
-    assert out.rates_next.tolist() == [cfg.hi, cfg.eta0 * 2]
+    assert out.rates_next.tolist() == [hi, 1e290 * 2]
+    assert out.k_next.tolist() == [CAP_EXP, 1]
     assert out.branches_next.tolist() == [False, True]
 
 
@@ -521,8 +528,8 @@ def test_non_finite_gradient_names_dims_and_rates(adaptive):
     theta = np.array([1.0, 1.0])
     rates = np.array([0.25, 0.5])
     with pytest.raises(NonFiniteEvaluation) as exc:
-        if adaptive:
-            adabfe_step(NanAfterStep(), theta, rates,
+        if adaptive:  # the same rates as lattice indices
+            adabfe_step(NanAfterStep(), theta, np.array([0, 1]),
                         BfeGradConfig(eta0=0.25), None)
         else:
             grad_probe(NanAfterStep(), theta, rates, None)

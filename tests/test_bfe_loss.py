@@ -168,9 +168,10 @@ def test_pair_raises_on_non_finite():
 # ---------------------------------------------------------------------------
 
 def _step(theta, eta, zoom_in=True, **cfg_kw):
+    """A step from the rate ``eta``: index 0 of the lattice at ``eta``."""
     obj = quadratic_objective([1.0])
-    cfg = BfeLossConfig(eta0=0.001, **cfg_kw)
-    return bfe_step(obj, np.array([theta]), eta, cfg, None, zoom_in)
+    cfg = BfeLossConfig(eta0=eta, **cfg_kw)
+    return bfe_step(obj, np.array([theta]), 0, cfg, None, zoom_in)
 
 
 def test_zoom_in_branch_trace():
@@ -178,6 +179,7 @@ def test_zoom_in_branch_trace():
     assert out.branch is Branch.ZOOM_IN
     assert out.inner_loops == 3
     assert out.eta_next == pytest.approx(0.0125, rel=1e-12)
+    assert out.k_next == -3
     assert out.theta_next[0] == pytest.approx(0.9875, rel=1e-12)
     assert out.eps_comp < out.eps_val  # zoom-in exit postcondition
 
@@ -186,6 +188,7 @@ def test_zoom_in_branch_full_step_commit():
     out = _step(1.0, 0.1, commit_policy=CommitPolicy.FULL_STEP)
     assert out.inner_loops == 3
     assert out.eta_next == pytest.approx(0.025, rel=1e-12)
+    assert out.k_next == -2
     assert out.theta_next[0] == pytest.approx(0.975, rel=1e-12)
 
 
@@ -194,6 +197,7 @@ def test_zoom_out_branch_trace():
     assert out.branch is Branch.ZOOM_OUT
     assert out.inner_loops == 3
     assert out.eta_next == pytest.approx(0.025, rel=1e-12)
+    assert out.k_next == 2
     assert out.theta_next[0] == pytest.approx(0.975, rel=1e-12)
     assert out.eps_comp >= out.eps_val  # zoom-out exit postcondition
 
@@ -202,14 +206,14 @@ def test_zoom_out_at_optimum_hits_rate_cap():
     out = _step(0.0, 0.001, zoom_in=False)
     assert out.capped
     assert out.theta_next[0] == 0.0
-    assert out.eta_next == pytest.approx(0.001 * 2.0 ** CAP, rel=1e-9)
+    assert (out.k_next, out.eta_next) == (CAP, 0.001 * 2.0 ** CAP)
 
 
 def test_step_budget_is_one_base_grad_plus_one_grad_two_losses_per_inner_loop(
         counting):
     obj = counting(quadratic_objective([1.0]))
-    cfg = BfeLossConfig(eta0=0.001)
-    out = bfe_step(obj, np.array([1.0]), 0.1, cfg, None)
+    cfg = BfeLossConfig(eta0=0.1)
+    out = bfe_step(obj, np.array([1.0]), 0, cfg, None)
     # the gradient at theta is computed once and shared by every probe
     assert obj.grad_calls == 1 + out.inner_loops
     assert obj.loss_calls == 2 * out.inner_loops
@@ -220,10 +224,11 @@ def test_step_budget_is_one_base_grad_plus_one_grad_two_losses_per_inner_loop(
 # ---------------------------------------------------------------------------
 
 def _zoom_in_only(theta, prev_eta, reset_policy):
+    """A step after the rate ``prev_eta``: index 0 of the lattice there."""
     obj = quadratic_objective([1.0])
-    cfg = BfeLossConfig(eta0=0.001, zoom_in_only=True,
+    cfg = BfeLossConfig(eta0=prev_eta, zoom_in_only=True,
                         reset_policy=reset_policy)
-    return zoom_in_only_step(obj, np.array([theta]), prev_eta, cfg, None)
+    return zoom_in_only_step(obj, np.array([theta]), 0, cfg, None)
 
 
 def test_zoom_in_only_double_reset():
@@ -231,12 +236,14 @@ def test_zoom_in_only_double_reset():
     assert out.inner_loops == 1
     assert out.theta_next[0] == pytest.approx(0.9875, rel=1e-12)
     assert out.eta_next == pytest.approx(0.0125, rel=1e-12)
+    assert out.k_next == 0
 
 
 def test_zoom_in_only_prev_reset_mandatory_halving():
     out = _zoom_in_only(1.0, 0.0125, ResetPolicy.PREV_ETA)
     assert out.inner_loops == 1
     assert out.eta_next == pytest.approx(0.0125 / 2, rel=1e-12)
+    assert out.k_next == -1
 
 
 def test_zoom_in_only_zero_gradient():
@@ -294,8 +301,8 @@ def test_committed_rates_stay_on_lattice():
     for _ in range(40):
         out = opt.step(obj, theta, None)
         theta = out.theta_next
-        k = math.log2(out.eta_next / cfg.eta0)
-        assert abs(k - round(k)) < 1e-9
+        assert -CAP <= out.k_next <= CAP
+        assert out.eta_next == cfg.rates[out.k_next]
 
 
 def test_branch_alternates_between_steps():

@@ -259,7 +259,8 @@ _DOT = (RuntimeWarning, "overflow encountered in dot")
 _MULTIPLY = (RuntimeWarning, "overflow encountered in multiply")
 # every warning a diverging run below raises before it fails, in order
 _DIVERGED_WARNINGS = {"bfe-grad": [_DOT, _MULTIPLY, _MULTIPLY],
-                      "adabfe": [_DOT] + [_MULTIPLY] * 4}
+                      "adabfe": [_DOT] + [_MULTIPLY] * 4,
+                      "adam": [_DOT, _MULTIPLY]}
 
 
 def test_non_finite_gradient_failure_names_dims_and_rates(capsys):
@@ -287,6 +288,11 @@ def test_non_finite_gradient_failure_names_dims_and_rates(capsys):
      "optimizer failure at step 8: non-finite loss at the committed point "
      "(full inf, batch inf) at rate 3.843071682029814e+17; last finite full "
      "loss 6.894551539753719e+305\n"),
+    # the stiff dimension's squared gradient overflows Adam's second moment,
+    # which would leave that coordinate where it started and exit 0
+    (("adam", "--curvatures", "1e308,1", "--max-steps", "20"),
+     "optimizer failure at step 1: non-finite Adam second moment in dims "
+     "[0]\n"),
 ])
 def test_diverged_run_is_an_optimizer_failure(argv, failure, tmp_path,
                                               capsys):

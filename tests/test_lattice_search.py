@@ -2,8 +2,10 @@
 
 ``bfe_step`` and ``bfe_grad_step`` are checked bit for bit against
 reference copies that each spell the search out as their own loops, one per
-branch, with the lattice bounds and the cap test inline.
-``adabfe_step``'s per-dimension rates are checked to stay on the lattice.
+branch, moving an int lattice index and computing each rate as
+``eta0 * base**k`` themselves, not from the lattice's table.
+``adabfe_step``'s per-dimension rates are checked to stay on the lattice,
+and so is every rate a whole run of the four BFE optimizers commits.
 """
 import math
 import re
@@ -27,6 +29,7 @@ from bfeopt.bfe_loss import (
     BfeLossConfig,
     CommitPolicy,
     Lattice,
+    ResetPolicy,
     bfe_step,
     lattice_search,
     loss_pair_zoom_in,
@@ -35,63 +38,66 @@ from bfeopt.bfe_loss import (
 from bfeopt.core import (
     THRESHOLD_FLOOR,
     Branch,
+    NonFiniteEvaluation,
     ThresholdPolicy,
     eval_criterion_threshold,
 )
+from bfeopt.harness import RunConfig, build_optimizer, build_problem
 from bfeopt.problems import quadratic_objective
 
 
-def reference_bfe_step(obj, theta, eta, cfg, batch, zoom_in=True, epoch=0):
+def reference_bfe_step(obj, theta, k, cfg, batch, zoom_in=True, epoch=0):
     g = obj.grad(theta, batch)
     base = float(cfg.base)
-    lo = cfg.eta0 * base ** -CAP_EXP
-    hi = cfg.eta0 * base ** CAP_EXP
     inner = 0
     capped = False
 
     if zoom_in:
         while True:
             inner += 1
-            pair = loss_pair_zoom_in(obj, theta, eta, batch, g)
+            pair = loss_pair_zoom_in(obj, theta, cfg.eta0 * base ** k, batch,
+                                     g)
             eps_comp = abs(pair.loss_two_step - pair.loss_full)
             eps_val = eval_criterion_threshold(
                 pair.loss_full, pair.loss_two_step, cfg.eps_ratio,
                 cfg.eps_val_policy, epoch)
-            eta = eta / base
+            k -= 1
             if eps_comp < eps_val:
                 break
-            if eta <= lo * (1.0 + 1e-9):
-                eta = lo
+            if k <= -CAP_EXP:
+                k = -CAP_EXP
                 capped = True
                 break
         if not capped and cfg.commit_policy is CommitPolicy.FULL_STEP:
-            eta_next = eta * base
+            k_next = k + 1
             theta_next = pair.trial_full
         else:
-            eta_next = max(eta, lo)
+            k_next = max(k, -CAP_EXP)
             theta_next = pair.trial_half
         branch = Branch.ZOOM_IN
     else:
         while True:
             inner += 1
-            pair = loss_pair_zoom_out(obj, theta, eta, batch, g)
+            pair = loss_pair_zoom_out(obj, theta, cfg.eta0 * base ** k, batch,
+                                      g)
             eps_comp = abs(pair.loss_full - pair.loss_two_step)
             eps_val = eval_criterion_threshold(
                 pair.loss_two_step, pair.loss_full, cfg.eps_ratio,
                 cfg.eps_val_policy, epoch)
-            eta = eta * base
+            k += 1
             if eps_comp >= eps_val:
                 break
-            if eta >= hi * (1.0 - 1e-9):
-                eta = hi
+            if k >= CAP_EXP:
+                k = CAP_EXP
                 capped = True
                 break
         if not capped:
-            eta = eta / base
-        eta_next = eta
+            k -= 1
+        k_next = k
         theta_next = pair.trial_half
         branch = Branch.ZOOM_OUT
-    return (theta_next, eta_next, inner, branch, eps_comp, eps_val, capped)
+    return (theta_next, cfg.eta0 * base ** k_next, k_next, inner, branch,
+            eps_comp, eps_val, capped)
 
 
 def reference_thresholds(g, cfg):
@@ -106,51 +112,50 @@ def reference_exceeds(probe, cfg):
                                                                  cfg)))
 
 
-def reference_bfe_grad_step(obj, theta, eta, cfg, batch, zoom_in=True):
+def reference_bfe_grad_step(obj, theta, k, cfg, batch, zoom_in=True):
     g = obj.grad(theta, batch)
     base = float(cfg.base)
-    lo = cfg.eta0 * base ** -CAP_EXP
-    hi = cfg.eta0 * base ** CAP_EXP
     inner = 0
     capped = False
 
     if zoom_in:
         while True:
             inner += 1
-            probe = grad_probe(obj, theta, eta, batch, g)
-            eta = eta / base
+            probe = grad_probe(obj, theta, cfg.eta0 * base ** k, batch, g)
+            k -= 1
             if not reference_exceeds(probe, cfg):
                 break
-            if eta <= lo * (1.0 + 1e-9):
-                eta = lo
+            if k <= -CAP_EXP:
+                k = -CAP_EXP
                 capped = True
                 break
         if not capped:
-            eta = eta * base
+            k += 1
         theta_next = probe.theta_trial
         branch = Branch.ZOOM_IN
     else:
         while True:
             inner += 1
-            probe = grad_probe(obj, theta, eta, batch, g)
-            eta = eta * base
+            probe = grad_probe(obj, theta, cfg.eta0 * base ** k, batch, g)
+            k += 1
             if reference_exceeds(probe, cfg):
                 break
-            if eta >= hi * (1.0 - 1e-9):
-                eta = hi
+            if k >= CAP_EXP:
+                k = CAP_EXP
                 capped = True
                 break
         if capped:
             theta_next = probe.theta_trial
         elif cfg.zoom_out_exit is ZoomOutExit.QUARTER_FRESH_STEP:
-            eta = max(eta / (base * base), lo)
-            theta_next = theta - eta * probe.g
+            k = max(k - 2, -CAP_EXP)
+            theta_next = theta - cfg.eta0 * base ** k * probe.g
         else:
-            eta = eta / base
+            k -= 1
             theta_next = probe.theta_trial
         branch = Branch.ZOOM_OUT
-    return (theta_next, eta, inner, branch, probe.eps_max,
-            float(reference_thresholds(probe.g, cfg).max()), capped)
+    return (theta_next, cfg.eta0 * base ** k, k, inner, branch,
+            probe.eps_max, float(reference_thresholds(probe.g, cfg).max()),
+            capped)
 
 
 class SignFlip:
@@ -167,7 +172,7 @@ class SignFlip:
 
 @st.composite
 def search_cases(draw):
-    """An objective, a start point and a start rate ``eta0 * base**k``.
+    """An objective, a start point and a start index ``k`` on the lattice.
 
     Quadratics at a random point stop somewhere inside the lattice; at the
     minimum the probes never cross, so zoom-out runs up to the highest rate;
@@ -187,28 +192,29 @@ def search_cases(draw):
         eta0 = draw(st.sampled_from([1e-3, 1.0]))
     base = draw(st.sampled_from([2, 3]))
     k = draw(st.integers(-CAP_EXP, CAP_EXP))
-    eta = eta0 * float(base) ** k
-    return obj, theta, eta, eta0, base, k
+    return obj, theta, k, eta0, base
 
 
 def _outcome(step, *args):
     """A step's result as comparable bytes."""
-    theta_next, eta, inner, branch, eps_comp, eps_val, capped = step(*args)
+    theta_next, eta, k, inner, branch, eps_comp, eps_val, capped = step(*args)
     return (np.asarray(theta_next, dtype=float).tobytes(),
-            float(eta).hex(), inner, branch, float(eps_comp).hex(),
+            float(eta).hex(), k, inner, branch, float(eps_comp).hex(),
             float(eps_val).hex(), capped)
 
 
 def _fields(out):
-    return (out.theta_next, out.eta_next, out.inner_loops, out.branch,
-            out.eps_comp, out.eps_val, out.capped)
+    return (out.theta_next, out.eta_next, out.k_next, out.inner_loops,
+            out.branch, out.eps_comp, out.eps_val, out.capped)
 
 
-def assert_on_lattice(eta, eta0, base):
-    """``eta / eta0`` is ``base**k`` to 1e-9 for an integer k in range."""
-    k = round(math.log(eta / eta0) / math.log(base))
-    assert eta / eta0 == pytest.approx(float(base) ** k, rel=1e-9)
-    assert -CAP_EXP <= k <= CAP_EXP
+def assert_on_lattice(rates, k, lattice):
+    """``k`` holds ints within the caps, and ``rates`` is exactly the
+    lattice's table at ``k``."""
+    k = np.asarray(k)
+    assert k.dtype.kind == "i"
+    assert np.all(np.abs(k) <= CAP_EXP)
+    assert np.asarray(rates).tobytes() == lattice.rates[k].tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -217,15 +223,15 @@ def assert_on_lattice(eta, eta0, base):
        st.sampled_from([1e-3, 0.1]), st.integers(0, 5))
 def test_bfe_step_matches_reference(case, commit, policy, zoom_in, ratio,
                                     epoch):
-    obj, theta, eta, eta0, base, _ = case
+    obj, theta, k, eta0, base = case
     cfg = BfeLossConfig(eta0=eta0, base=base, eps_ratio=ratio,
                         eps_val_policy=policy, commit_policy=commit)
-    ref = _outcome(reference_bfe_step, obj, theta, eta, cfg, None, zoom_in,
+    ref = _outcome(reference_bfe_step, obj, theta, k, cfg, None, zoom_in,
                    epoch)
-    got = _outcome(lambda *a: _fields(bfe_step(*a)), obj, theta, eta, cfg,
+    got = _outcome(lambda *a: _fields(bfe_step(*a)), obj, theta, k, cfg,
                    None, zoom_in, epoch)
     assert got == ref
-    assert_on_lattice(float.fromhex(got[1]), eta0, base)
+    assert_on_lattice(float.fromhex(got[1]), got[2], cfg)
 
 
 @settings(max_examples=300, deadline=None)
@@ -234,35 +240,35 @@ def test_bfe_step_matches_reference(case, commit, policy, zoom_in, ratio,
        st.sampled_from([0.1, 1.0, 10.0]))
 def test_bfe_grad_step_matches_reference(case, exit_rule, mode, zoom_in,
                                          angle_deg):
-    obj, theta, eta, eta0, base, _ = case
+    obj, theta, k, eta0, base = case
     cfg = BfeGradConfig(eta0=eta0, angle_threshold=math.radians(
         angle_deg), threshold_mode=mode, base=base, zoom_out_exit=exit_rule)
-    ref = _outcome(reference_bfe_grad_step, obj, theta, eta, cfg, None,
+    ref = _outcome(reference_bfe_grad_step, obj, theta, k, cfg, None,
                    zoom_in)
-    got = _outcome(lambda *a: _fields(bfe_grad_step(*a)), obj, theta, eta,
+    got = _outcome(lambda *a: _fields(bfe_grad_step(*a)), obj, theta, k,
                    cfg, None, zoom_in)
     assert got == ref
-    assert_on_lattice(float.fromhex(got[1]), eta0, base)
+    assert_on_lattice(float.fromhex(got[1]), got[2], cfg)
 
 
 @st.composite
 def adabfe_search_cases(draw):
-    """``search_cases`` with a rate ``eta0 * base**k`` and a branch per
-    dimension; the caps are drawn more often than the rates between."""
+    """``search_cases`` with a lattice index and a branch per dimension; the
+    caps are drawn more often than the indices between."""
     dim = draw(st.integers(1, 4))
-    obj, theta, _, eta0, base, _ = draw(search_cases())
+    obj, theta, _, eta0, base = draw(search_cases())
     theta = np.resize(theta, dim)
     if isinstance(obj, SignFlip):
         theta = np.zeros(dim)
     else:
         obj = quadratic_objective(np.resize(obj.h, dim))
-    ks = draw(st.lists(st.one_of(st.integers(-CAP_EXP, CAP_EXP),
-                                 st.sampled_from([-CAP_EXP, CAP_EXP])),
-                       min_size=dim, max_size=dim))
-    rates = np.array([eta0 * float(base) ** k for k in ks])
+    ks = np.array(draw(st.lists(st.one_of(st.integers(-CAP_EXP, CAP_EXP),
+                                          st.sampled_from([-CAP_EXP,
+                                                           CAP_EXP])),
+                                min_size=dim, max_size=dim)))
     zoom_in = np.array(draw(st.lists(st.booleans(), min_size=dim,
                                      max_size=dim)))
-    return obj, theta, rates, zoom_in, eta0, base
+    return obj, theta, ks, zoom_in, eta0, base
 
 
 @settings(max_examples=300, deadline=None)
@@ -270,13 +276,12 @@ def adabfe_search_cases(draw):
        st.sampled_from(list(ThresholdMode)), st.sampled_from([0.1, 1.0, 10.0]))
 def test_adabfe_step_rates_stay_on_the_lattice(case, pre_halve, mode,
                                                angle_deg):
-    obj, theta, rates, zoom_in, eta0, base = case
+    obj, theta, ks, zoom_in, eta0, base = case
     cfg = BfeGradConfig(eta0=eta0, angle_threshold=math.radians(angle_deg),
                         threshold_mode=mode, base=base, pre_halve=pre_halve)
-    out = adabfe_step(obj, theta, rates, cfg, None, zoom_in=zoom_in)
+    out = adabfe_step(obj, theta, ks, cfg, None, zoom_in=zoom_in)
     assert out.inner_loops <= 2 * CAP_EXP + 1
-    for eta in out.rates_next:
-        assert_on_lattice(float(eta), eta0, base)
+    assert_on_lattice(out.rates_next, out.k_next, cfg)
 
 
 class NeverCrosses:
@@ -304,27 +309,38 @@ def test_adabfe_search_that_never_crosses_caps_every_dimension(
     ks, branches = ks_branches
     zoom_in = np.array(branches)
     cfg = BfeGradConfig(eta0=eta0, base=base, pre_halve=pre_halve)
-    rates = np.array([eta0 * float(base) ** k for k in ks])
-    out = adabfe_step(NeverCrosses(zoom_in), np.zeros(len(ks)), rates, cfg,
-                      None, zoom_in=zoom_in)
+    out = adabfe_step(NeverCrosses(zoom_in), np.zeros(len(ks)),
+                      np.array(ks), cfg, None, zoom_in=zoom_in)
     assert out.capped
     assert out.inner_loops <= 2 * CAP_EXP + 1
-    assert out.rates_next.tolist() == np.where(zoom_in, cfg.lo,
-                                               cfg.hi).tolist()
+    caps = [-CAP_EXP if z else CAP_EXP for z in branches]
+    assert out.k_next.tolist() == caps
+    assert out.rates_next.tolist() == [eta0 * float(base) ** k for k in caps]
     assert out.branches_next.tolist() == branches  # capped: branches kept
 
 
 @pytest.mark.parametrize("base", [2, 3])
 def test_adabfe_pre_halving_from_the_lowest_rate_is_a_cap_hit(base):
-    lo = Lattice(1e-3, base).lo
+    lo = 1e-3 * float(base) ** -CAP_EXP
     cfg = BfeGradConfig(eta0=1e-3, base=base, pre_halve=True)
     # the probe at the lowest rate crosses the threshold at once
     out = adabfe_step(quadratic_objective([1.0]), np.array([1.0]),
-                      np.array([lo]), cfg, None)
+                      np.array([-CAP_EXP]), cfg, None)
     assert (out.rates_next.tolist(), out.inner_loops, out.capped) == \
         ([lo], 1, True)
+    assert out.k_next.tolist() == [-CAP_EXP]
     assert out.theta_next.tolist() == [1.0 - lo]
     assert out.branches_next.tolist() == [True]  # capped: branch kept
+
+
+@pytest.mark.parametrize("eta0, base", [(1e-3, 2), (1e-3, 3), (1e-300, 2),
+                                        (1e290, 2), (1.0, 6)])
+def test_lattice_rates_are_eta0_times_base_to_the_k(eta0, base):
+    # k indexes the table itself, from -CAP_EXP to CAP_EXP
+    rates = Lattice(eta0, base).rates
+    assert len(rates) == 2 * CAP_EXP + 1
+    for k in range(-CAP_EXP, CAP_EXP + 1):
+        assert rates[k] == eta0 * float(base) ** k
 
 
 @pytest.mark.parametrize("config", [BfeLossConfig, BfeGradConfig])
@@ -342,56 +358,58 @@ def test_config_rejects_a_lattice_beyond_the_floats(config, eta0, base):
 @pytest.mark.parametrize("eta0, base", [(2.9e-306, 2), (1.5e290, 2),
                                         (1.1e-295, 3), (4.2e279, 3)])
 def test_lattice_just_inside_the_floats_is_accepted(eta0, base):
-    lattice = Lattice(eta0, base)
-    assert 0.0 < lattice.lo and lattice.hi < math.inf
+    rates = Lattice(eta0, base).rates
+    assert 0.0 < rates[-CAP_EXP] and rates[CAP_EXP] < math.inf
 
 
 @pytest.mark.parametrize("base", [2, 3])
 def test_half_step_exit_from_the_lowest_rate_stays_in_range(base):
-    lo = Lattice(1e-3, base).lo
+    lo = 1e-3 * float(base) ** -CAP_EXP
     cfg = BfeLossConfig(eta0=1e-3, base=base)
     # at the minimum the first probe's losses agree, so the search stops
-    # after one pass, one scaling below the lowest rate
-    out = bfe_step(quadratic_objective([1.0]), np.zeros(1), lo, cfg, None)
+    # after one pass, one move below the lowest rate
+    out = bfe_step(quadratic_objective([1.0]), np.zeros(1), -CAP_EXP, cfg,
+                   None)
     assert (out.eta_next, out.inner_loops, out.capped) == (lo, 1, False)
+    assert out.k_next == -CAP_EXP
 
 
 @pytest.mark.parametrize("base", [2, 3])
 def test_quarter_exit_from_the_lowest_rate_stays_in_range(base):
-    lo = Lattice(1e-3, base).lo
+    lo = 1e-3 * float(base) ** -CAP_EXP
     cfg = BfeGradConfig(eta0=1e-3, base=base,
                         zoom_out_exit=ZoomOutExit.QUARTER_FRESH_STEP)
-    out = bfe_grad_step(SignFlip(), np.zeros(1), lo, cfg, None,
+    out = bfe_grad_step(SignFlip(), np.zeros(1), -CAP_EXP, cfg, None,
                         zoom_in=False)
     # one pass up from the lowest rate; a quarter of the next is clamped
     assert (out.eta_next, out.inner_loops, out.capped) == (lo, 1, False)
+    assert out.k_next == -CAP_EXP
     assert out.theta_next.tolist() == [-lo]  # the fresh step at that rate
 
 
 def test_search_returns_the_rate_after_the_last_scaling():
     probed = []
-    result, eta, passes, capped = lattice_search(
+    result, k, passes, capped = lattice_search(
         lambda e: probed.append(e) or len(probed), lambda n: n < 3,
-        1.0, Lattice(1.0, 2), True)
+        0, Lattice(1.0, 2), True)
     assert probed == [1.0, 0.5, 0.25]
-    assert (result, eta, passes, capped) == (3, 0.125, 3, False)
-    result, eta, passes, capped = lattice_search(
-        lambda e: e, lambda e: e >= 4.0, 1.0, Lattice(1.0, 2), False)
-    assert (result, eta, passes, capped) == (4.0, 8.0, 3, False)
+    assert (result, k, passes, capped) == (3, -3, 3, False)
+    result, k, passes, capped = lattice_search(
+        lambda e: e, lambda e: e >= 4.0, 0, Lattice(1.0, 2), False)
+    assert (result, k, passes, capped) == (4.0, 3, 3, False)
 
 
 @pytest.mark.parametrize("zoom_in", [True, False])
 def test_search_stops_at_the_cap(zoom_in):
-    lattice = Lattice(1.0, 3)
-    lo, hi = lattice.lo, lattice.hi
+    step = -1 if zoom_in else 1
     probed = []
-    result, eta, passes, capped = lattice_search(
-        lambda e: probed.append(e) or e, lambda e: zoom_in, 1.0, lattice,
-        zoom_in)
+    result, k, passes, capped = lattice_search(
+        lambda e: probed.append(e) or e, lambda e: zoom_in, 0,
+        Lattice(1.0, 3), zoom_in)
     # one pass per lattice point from the start up to the cap, not onto it
-    assert (eta, passes, capped) == (lo if zoom_in else hi, CAP_EXP, True)
-    assert result == probed[-1] == pytest.approx(
-        3.0 ** (1 - CAP_EXP if zoom_in else CAP_EXP - 1), rel=1e-12)
+    assert (k, passes, capped) == (step * CAP_EXP, CAP_EXP, True)
+    assert probed == [3.0 ** j for j in range(0, step * CAP_EXP, step)]
+    assert result == probed[-1]
 
 
 @settings(max_examples=200, deadline=None)
@@ -402,19 +420,55 @@ def test_search_that_never_crosses_ends_at_a_cap(eta0, base, k, zoom_in):
         lattice = Lattice(eta0, base)
     except ValueError:  # the caps of this pair are beyond the floats
         return
+    step = -1 if zoom_in else 1
     probed = []
     # a criterion that never flips: zoom-in always exceeds, zoom-out never
-    result, eta, passes, capped = lattice_search(
-        lambda e: probed.append(e) or e, lambda e: zoom_in,
-        eta0 * float(base) ** k, lattice, zoom_in)
+    result, k_end, passes, capped = lattice_search(
+        lambda e: probed.append(e) or e, lambda e: zoom_in, k, lattice,
+        zoom_in)
     assert capped
-    assert eta == (lattice.lo if zoom_in else lattice.hi)
-    assert passes == len(probed) <= 2 * CAP_EXP + 1
+    assert k_end == step * CAP_EXP
+    # one pass per index from k until the next move reaches the cap; a
+    # search that starts at its cap probes it once
+    assert passes == len(probed) == max(
+        1, CAP_EXP + k if zoom_in else CAP_EXP - k)
+    # every probed rate is on the lattice, subnormal ones included
+    assert probed == [eta0 * float(base) ** j
+                      for j in range(k, k + step * passes, step)]
 
 
-@pytest.mark.parametrize("eta", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("k", [-CAP_EXP - 1, CAP_EXP + 1, math.inf,
+                               math.nan])
 @pytest.mark.parametrize("zoom_in", [True, False])
-def test_search_rejects_a_rate_that_never_reaches_a_cap(eta, zoom_in):
-    with pytest.raises(ValueError, match="must be positive and finite"):
-        lattice_search(lambda e: e, lambda e: zoom_in, eta, Lattice(1.0, 2),
+def test_search_rejects_an_index_beyond_the_caps(k, zoom_in):
+    with pytest.raises(ValueError, match=f"must be within \\+-{CAP_EXP}"):
+        lattice_search(lambda e: e, lambda e: zoom_in, k, Lattice(1.0, 2),
                        zoom_in)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["bfe", "bfe-zoomin", "bfe-grad", "adabfe"]),
+       st.sampled_from([2, 3]), st.sampled_from([1e-290, 1e-3, 1.0, 1e18]),
+       st.sampled_from(list(CommitPolicy)), st.sampled_from(list(ResetPolicy)),
+       st.sampled_from(list(ZoomOutExit)), st.booleans(), st.integers(1, 20))
+def test_every_committed_rate_of_a_run_is_on_the_lattice(
+        optimizer, base, eta0, commit, reset, exit_rule, pre_halve, steps):
+    cfg = RunConfig(optimizer=optimizer, problem="quadratic",
+                    curvatures=(0.1, 1.0, 10.0), eta0=eta0, base=base,
+                    commit_policy=commit.value, reset_policy=reset.value,
+                    zoom_out_exit=exit_rule.value, pre_halve=pre_halve)
+    obj, theta, _, _ = build_problem(cfg)
+    opt = build_optimizer(cfg, dim=theta.size)
+    for _ in range(steps):
+        try:
+            out = opt.step(obj, theta, None)
+        # a diverged run commits no more rates; at a rate of 1e18 the angle
+        # overflows, which the test config turns into an error, before the
+        # run fails
+        except (NonFiniteEvaluation, RuntimeWarning):
+            break
+        theta = out.theta_next
+        if optimizer == "adabfe":
+            assert_on_lattice(out.rates_next, out.k_next, opt.cfg)
+        else:  # the trace's eta column
+            assert_on_lattice(out.eta_next, out.k_next, opt.cfg)

@@ -29,10 +29,10 @@ GOLDEN = {
     ("adam", *LINREG):
         "71cbcc24539f27f9b4d690f507f77c83c4a854f2bd42b697187365ae0f278a6e",
     ("bfe", "--base", "3", "--commit-policy", "full_step", *LINREG):
-        "7d8f73ac0cf2941964e1a66a5bd3f5f6252c1e4009ab34e0769917aaf4b6a6aa",
+        "fe752a54a3c5def9fdcead8c0a1897e87da22cf350695a0906a2f636dcb469a9",
     ("bfe-grad", "--base", "3", "--zoom-out-exit", "quarter_fresh_step",
      *LINREG):
-        "ef3ed7d94f66b15b88fb88a5305976115f6459e66ea6692d82bd092be63e11f6",
+        "3c4e0cf164828483605d3b65958328d47cebfca227fd88616de8e090f9f73332",
     # batch layouts: one row, three rows with a partial last batch, an
     # epoch of equal batches, one batch larger than the dataset, and
     # standardized features
