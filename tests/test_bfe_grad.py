@@ -244,6 +244,34 @@ def test_adabfe_1d_matches_global_variant(pre_halve):
         assert gout.eta_next == aout.rates_next[0], f"step {step}"
 
 
+def test_capped_zoom_out_branch_rules_of_the_1d_variants():
+    # from eta0 = 1e-30 the angle stays below threshold up to the highest
+    # rate, so step 2's zoom-out search ends capped at k = CAP_EXP. The
+    # global variant switches branch after every step, capped or not;
+    # AdaBFE keeps a capped dimension's branch, so it stays on zoom-out and
+    # is capped on every later step. Both commit the same points.
+    obj = quadratic_objective([1.0])
+    cfg = BfeGradConfig(eta0=1e-30)
+    gopt, aopt = BfeGradOptimizer(cfg), AdaBfeOptimizer(cfg, dim=1)
+    gtheta = atheta = np.array([1.0])
+    gsteps, asteps = [], []
+    for step in range(6):
+        gout, aout = gopt.step(obj, gtheta, None), aopt.step(obj, atheta, None)
+        gtheta, atheta = gout.theta_next, aout.theta_next
+        assert gtheta[0] == atheta[0], f"step {step}"
+        gsteps.append((gout.branch, gout.capped, gout.k_next, gopt.zoom_in))
+        asteps.append((aout.branch, aout.capped, aout.k_next.tolist(),
+                       aopt.zoom_in.tolist()))
+    zi, zo = Branch.ZOOM_IN, Branch.ZOOM_OUT
+    assert gsteps == [(zi, False, 0, False),
+                      *[(zo, True, CAP_EXP, True),
+                        (zi, False, CAP_EXP, False)] * 2,
+                      (zo, True, CAP_EXP, True)]
+    assert asteps == [(zi, False, [0], [False]),
+                      *[(zo, True, [CAP_EXP], [False])] * 5]
+    assert gtheta[0] < 1.0
+
+
 def test_adabfe_stuck_dimension_searches_on_to_its_cap():
     class Stuck:
         def loss(self, theta, batch=None):

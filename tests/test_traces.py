@@ -50,12 +50,27 @@ GOLDEN = {
         "e4d9add742adfaac33af8bbf0280cb03975fa663258c0b9c66f484c7cfd5117a",
     ("sgd", "--normalize", *LINREG):
         "9c7090f0bee7683b11755ce749860ca4d42a0ec496dce4e7a499b782d40c6d27",
+    # the threshold, reset and angle-mode variants. At the default epsilon
+    # the min- and mean-scaled thresholds decide every probe alike, so
+    # min_scaled runs at a larger epsilon, where they differ
+    ("bfe", "--epsilon-v-policy", "min_scaled", "--epsilon", "0.1", *LINREG):
+        "e18c86f91dd21a4ed5b2ee006b3862a2ebe028b28ba617267d835d7190626ffd",
+    ("bfe", "--epsilon-v-policy", "constant", *LINREG):
+        "a0bede52ea16fe1447a2da878422da9f79a5afc1743e996eb70946b2964d42f6",
+    ("bfe", "--epsilon-v-policy", "epoch_decay", *LINREG):
+        "a95a8810992d6d46038e978639ed362ee5ad7ba70df1f41dc3b30bce2542752b",
+    ("bfe-zoomin", "--reset-policy", "prev_eta", *LINREG):
+        "436e181a5718c974113dbddf87506b6e2780189b6e5939aef37fa2ca182ef7a1",
+    ("bfe-grad", "--threshold-mode", "relative", *LINREG):
+        "cd227bc5a60d3dd8076683deaf435e312efaadf24058f5eb24d28b20d817426b",
     # on a batch-independent problem each step's stop check is the gradient
     # the last probe took at the committed point
     ("bfe", *QUADRATIC):
         "614f9264514a45645459f316cdeb457e9cfe6f3069b5686cb149956425c71193",
     ("adabfe", *QUADRATIC):
         "1f4ed31a7aa4baddd04b91d2dbe5b28ea0199b47cc3e9b99adacdc888dfe5f94",
+    ("adabfe", "--pre-halve", *QUADRATIC):
+        "e766e3c76dca43478e4a165063dea6c1e0d9ec47bae894f792f475d1600adbfa",
     # from a rate of 1e-30 every other step ends at the highest rate
     ("bfe-grad", *QUADRATIC, "--eta0", "1e-30"):
         "caa4dad174c18cb0e819a373387eb4b8f9d2a88c9ab1fd93548d65d235ff044c",
