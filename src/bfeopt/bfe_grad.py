@@ -25,7 +25,7 @@ from .core import (
     StepOutcome,
     angular_deviation,
 )
-from .bfe_loss import CAP_EXP, Lattice, lattice_search
+from .bfe_loss import CAP_EXP, Lattice, LatticeOptimizer, lattice_search
 
 DEG = math.pi / 180.0
 # the relative mode's per-dimension threshold is RELATIVE_RATIO * |arctan(g_i)|
@@ -125,10 +125,12 @@ def bfe_grad_step(obj: Objective, theta: np.ndarray, k: int,
             theta_next = theta - cfg.rates.item(k) * probe.g
         else:
             k -= 1
+    # a search ends across its threshold, so the branch switches; a capped
+    # search switches too, unlike an AdaBFE dimension's
     return StepOutcome(theta_next, cfg.rates.item(k), inner,
                        Branch.ZOOM_IN if zoom_in else Branch.ZOOM_OUT,
                        probe.eps_max, float(thresholds.max()), capped,
-                       k_next=k)
+                       k_next=k, zoom_in_next=not zoom_in)
 
 
 def adabfe_step(obj: Objective, theta: np.ndarray, k: np.ndarray,
@@ -214,39 +216,21 @@ def adabfe_step(obj: Objective, theta: np.ndarray, k: np.ndarray,
                        eps_comp=float(np.maximum.reduce(last_eps)),
                        eps_val=float(np.maximum.reduce(thresholds)),
                        capped=capped, k_next=k, rates_next=rates_next,
-                       branches_next=zoom_in ^ ~hits)
+                       zoom_in_next=zoom_in ^ ~hits)
 
 
-class BfeGradOptimizer:
-    """Stateful driver for the global gradient-angle variant."""
-
-    def __init__(self, cfg: BfeGradConfig):
-        self.cfg = cfg
-        self.k = 0
-        self.zoom_in = True
-
-    def step(self, obj: Objective, theta: np.ndarray, batch: Batch,
-             epoch: int = 0) -> StepOutcome:
-        out = bfe_grad_step(obj, theta, self.k, self.cfg, batch,
-                            self.zoom_in)
-        self.k = out.k_next
-        # zoom-in ends below threshold -> zoom-out next; zoom-out ends
-        # at/above threshold -> zoom-in next
-        self.zoom_in = out.branch is Branch.ZOOM_OUT
-        return out
+class BfeGradOptimizer(LatticeOptimizer):
+    def search(self, obj, theta, batch, epoch) -> StepOutcome:
+        return bfe_grad_step(obj, theta, self.k, self.cfg, batch,
+                             self.zoom_in)
 
 
-class AdaBfeOptimizer:
-    """Stateful driver for the per-parameter adaptive variant."""
+class AdaBfeOptimizer(LatticeOptimizer):
+    """Carries one lattice index and one branch per dimension."""
 
     def __init__(self, cfg: BfeGradConfig, dim: int):
-        self.cfg = cfg
-        self.k = np.zeros(dim, dtype=int)
-        self.zoom_in = np.ones(dim, dtype=bool)
+        super().__init__(cfg)
+        self.k, self.zoom_in = np.zeros(dim, int), np.ones(dim, bool)
 
-    def step(self, obj: Objective, theta: np.ndarray, batch: Batch,
-             epoch: int = 0) -> StepOutcome:
-        out = adabfe_step(obj, theta, self.k, self.cfg, batch, self.zoom_in)
-        self.k = out.k_next
-        self.zoom_in = out.branches_next
-        return out
+    def search(self, obj, theta, batch, epoch) -> StepOutcome:
+        return adabfe_step(obj, theta, self.k, self.cfg, batch, self.zoom_in)

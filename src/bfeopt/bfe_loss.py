@@ -65,6 +65,21 @@ class Lattice:
         object.__setattr__(self, "rates", np.array(rates))
 
 
+class LatticeOptimizer:
+    """Stateful driver that threads the lattice index ``k`` and the carried
+    branch ``zoom_in`` from each step's outcome into the next ``search``,
+    which a subclass defines."""
+
+    def __init__(self, cfg: Lattice):
+        self.cfg, self.k, self.zoom_in = cfg, 0, True
+
+    def step(self, obj: Objective, theta: np.ndarray, batch: Batch,
+             epoch: int = 0) -> StepOutcome:
+        out = self.search(obj, theta, batch, epoch)
+        self.k, self.zoom_in = out.k_next, out.zoom_in_next
+        return out
+
+
 def lattice_search(probe: Callable[[float], Any],
                    exceeds: Callable[[Any], bool], k: int,
                    lattice: Lattice, zoom_in: bool
@@ -190,9 +205,11 @@ def bfe_step(obj: Objective, theta: np.ndarray, k: int,
         else:
             # a first pass that agrees at the lowest rate leaves half of it
             k = max(k, -CAP_EXP)
+    # losses that disagree at the last probe -> zoom-in next
     return StepOutcome(theta_next, cfg.rates.item(k), inner,
                        Branch.ZOOM_IN if zoom_in else Branch.ZOOM_OUT,
-                       eps_comp, eps_val, capped, k_next=k)
+                       eps_comp, eps_val, capped, k_next=k,
+                       zoom_in_next=eps_comp >= eps_val)
 
 
 def zoom_in_only_step(obj: Objective, theta: np.ndarray, k: int,
@@ -208,21 +225,9 @@ def zoom_in_only_step(obj: Objective, theta: np.ndarray, k: int,
     return bfe_step(obj, theta, k, cfg, batch, True, epoch)
 
 
-class BfeLossOptimizer:
-    """Stateful optimizer threading the lattice index and the branch."""
-
-    def __init__(self, cfg: BfeLossConfig):
-        self.cfg = cfg
-        self.k = 0
-        self.zoom_in = True
-
-    def step(self, obj: Objective, theta: np.ndarray, batch: Batch,
-             epoch: int = 0) -> StepOutcome:
+class BfeLossOptimizer(LatticeOptimizer):
+    def search(self, obj, theta, batch, epoch) -> StepOutcome:
         cfg, k = self.cfg, self.k
-        out = (zoom_in_only_step(obj, theta, k, cfg, batch, epoch)
-               if cfg.zoom_in_only else
-               bfe_step(obj, theta, k, cfg, batch, self.zoom_in, epoch))
-        self.k = out.k_next
-        # losses that disagree at the last probe -> zoom-in next
-        self.zoom_in = out.eps_comp >= out.eps_val
-        return out
+        return (zoom_in_only_step(obj, theta, k, cfg, batch, epoch)
+                if cfg.zoom_in_only else
+                bfe_step(obj, theta, k, cfg, batch, self.zoom_in, epoch))

@@ -128,7 +128,7 @@ class StepOutcome:
     capped: bool = False
     k_next: int | np.ndarray | None = None    # lattice index (BFE)
     rates_next: np.ndarray | None = None      # per-dimension rates (AdaBFE)
-    branches_next: np.ndarray | None = None   # per-dimension zoom-in flags
+    zoom_in_next: bool | np.ndarray | None = None  # next branch (BFE)
 
 
 class TraceRecord(NamedTuple):

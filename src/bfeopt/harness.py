@@ -378,7 +378,8 @@ def compare_runs(cfgs: list[RunConfig],
     for i, a in enumerate(rows):
         for b in rows[i + 1:]:
             sa, sb = a["steps_to_threshold"], b["steps_to_threshold"]
-            ratio = "none" if (sa is None or sb is None) else f"{sa / sb:.17g}"
+            # a run that met the threshold at its start, in 0 steps, gives none
+            ratio = "none" if sa is None or not sb else f"{sa / sb:.17g}"
             lines.append(f"{a['optimizer']}/{b['optimizer']},{ratio}")
     return rows, "\n".join(lines) + "\n"
 

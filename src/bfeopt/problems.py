@@ -54,6 +54,8 @@ def gen_linear_data(spec: LinRegSpec) -> Dataset:
 
 def normalize(data: Dataset) -> Dataset:
     """Standardize features to zero mean, unit sample std; targets unchanged."""
+    if len(data.x) < 2:
+        raise ValueError("cannot normalize fewer than 2 samples")
     mu = float(np.mean(data.x))
     sigma = float(np.std(data.x, ddof=1))
     if sigma == 0.0:

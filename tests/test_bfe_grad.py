@@ -288,7 +288,7 @@ def test_adabfe_stuck_dimension_searches_on_to_its_cap():
     assert (out.inner_loops, out.capped) == (CAP_EXP, True)
     assert out.rates_next.tolist() == [1.0 / 32, 2.0 ** -CAP_EXP]
     assert out.k_next.tolist() == [-5, -CAP_EXP]
-    assert out.branches_next.tolist() == [False, True]
+    assert out.zoom_in_next.tolist() == [False, True]
 
 
 def test_adabfe_rates_on_lattice():
@@ -317,7 +317,7 @@ def reference_angle(g, g_star):
 
 
 def reference_adabfe_step(obj, theta, k, eta0, cfg, zoom_in):
-    """Returns (theta_next, rates_next, k_next, branches_next, inner_loops,
+    """Returns (theta_next, rates_next, k_next, zoom_in_next, inner_loops,
     capped, eps_comp, eps_val)."""
     theta = np.asarray(theta, dtype=float)
     dim = theta.size
@@ -418,12 +418,12 @@ def test_adabfe_matches_per_dimension_reference(case):
     theta = np.array(theta)
     ref = reference_adabfe_step(obj, theta, ks, cfg.eta0, cfg, zoom_in)
     out = adabfe_step(obj, theta, np.array(ks), cfg, None, zoom_in=zoom_in)
-    theta_next, rates_next, k_next, branches_next, inner, capped, eps_comp, \
+    theta_next, rates_next, k_next, zoom_in_next, inner, capped, eps_comp, \
         eps_val = ref
     assert out.theta_next.tobytes() == theta_next.tobytes()
     assert out.rates_next.tobytes() == rates_next.tobytes()
     assert out.k_next.tolist() == k_next.tolist()
-    assert np.array_equal(out.branches_next, branches_next)
+    assert np.array_equal(out.zoom_in_next, zoom_in_next)
     assert out.inner_loops == inner
     assert out.capped is capped
     assert out.eps_comp == eps_comp
@@ -495,7 +495,7 @@ def test_adabfe_zoom_in_caps_at_the_lowest_rate(base):
     assert out.capped
     assert out.rates_next[0] == lo
     assert out.k_next.tolist() == [-CAP_EXP]
-    assert out.branches_next.tolist() == [True]  # a capped dim keeps its branch
+    assert out.zoom_in_next.tolist() == [True]  # a capped dim keeps its branch
     ref = reference_adabfe_step(SignFlip(), np.array([0.0]), [0], 1e-3, cfg,
                                 [True])
     assert out.theta_next[0] == ref[0][0]
@@ -515,7 +515,7 @@ def test_adabfe_zoom_out_caps_at_the_highest_rate(base):
     assert out.k_next[0] == CAP_EXP
     assert out.theta_next[0] == 0.0
     # the capped dim stays on zoom-out, the crossed one switches to zoom-in
-    assert out.branches_next.tolist() == [False, True]
+    assert out.zoom_in_next.tolist() == [False, True]
     again = adabfe_step(obj, np.array([1.0, 1.0]), k, cfg, None,
                         zoom_in=np.array([False, False]))
     assert not again.capped
@@ -538,7 +538,7 @@ def test_adabfe_search_at_the_highest_rate_warns_of_no_overflow():
     assert out.capped
     assert out.rates_next.tolist() == [hi, 1e290 * 2]
     assert out.k_next.tolist() == [CAP_EXP, 1]
-    assert out.branches_next.tolist() == [False, True]
+    assert out.zoom_in_next.tolist() == [False, True]
 
 
 class NanAfterStep:

@@ -156,6 +156,17 @@ def test_compare_unreached_threshold_reports_none():
     assert "none" in table
 
 
+def test_compare_reports_none_against_a_run_of_no_steps():
+    # both runs start below the loss threshold; the second also stops on
+    # its first gradient, so it takes no step
+    base = RunConfig(problem="quadratic", curvatures=(1.0, 1.0),
+                     theta0=(0.001, 0.0))
+    cfgs = [base, dataclasses.replace(base, optimizer="sgd", lim_zero=1.0)]
+    rows, table = compare_runs(cfgs, loss_threshold=1e-3)
+    assert [row["steps_to_threshold"] for row in rows] == [0, 0]
+    assert table.splitlines()[-1] == "bfe/sgd,none"
+
+
 def test_compare_mismatched_problems_rejected():
     quadratic = RunConfig(problem="quadratic", curvatures=(1.0, 2.0))
     for a, b in ((RunConfig(optimizer="sgd", problem="linreg"),

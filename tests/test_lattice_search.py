@@ -316,7 +316,7 @@ def test_adabfe_search_that_never_crosses_caps_every_dimension(
     caps = [-CAP_EXP if z else CAP_EXP for z in branches]
     assert out.k_next.tolist() == caps
     assert out.rates_next.tolist() == [eta0 * float(base) ** k for k in caps]
-    assert out.branches_next.tolist() == branches  # capped: branches kept
+    assert out.zoom_in_next.tolist() == branches  # capped: branches kept
 
 
 @pytest.mark.parametrize("base", [2, 3])
@@ -330,7 +330,7 @@ def test_adabfe_pre_halving_from_the_lowest_rate_is_a_cap_hit(base):
         ([lo], 1, True)
     assert out.k_next.tolist() == [-CAP_EXP]
     assert out.theta_next.tolist() == [1.0 - lo]
-    assert out.branches_next.tolist() == [True]  # capped: branch kept
+    assert out.zoom_in_next.tolist() == [True]  # capped: branch kept
 
 
 @pytest.mark.parametrize("eta0, base", [(1e-3, 2), (1e-3, 3), (1e-300, 2),

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from bfeopt.cli import main
+from bfeopt.harness import TRACE_HEADER
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 # patched by the tracer, but gone since the batch kernels were replaced by
@@ -55,12 +56,16 @@ QUADRATIC = ("--problem", "quadratic", "--curvatures", "0.1,1,10",
     ("bfe-grad", QUADRATIC), ("adabfe", QUADRATIC)])
 def test_each_search_pass_makes_one_probe(optimizer, problem, tmp_path):
     tracer = _tracer().Tracer()
+    trace = tmp_path / "trace.csv"
     with tracer.installed():
         rc, _ = tracer.run_op(main, [
             "optimize", "--optimizer", optimizer, *problem,
-            "--max-steps", "50", "--out", str(tmp_path / "trace.csv")])
+            "--max-steps", "50", "--out", str(trace)])
     assert rc == 0
     metrics = tracer.layer_metrics()
+    # every step runs through a traced step function, one trace row each
+    rows = trace.read_text().split(TRACE_HEADER + "\n", 1)[1].splitlines()
+    assert metrics["search.steps"] == len(rows) > 0
     assert metrics["search.inner_loops"] > 0
     assert metrics["probe.calls"] == metrics["search.inner_loops"]
     if optimizer in ("bfe-grad", "adabfe"):
