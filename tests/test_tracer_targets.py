@@ -72,3 +72,19 @@ def test_each_search_pass_makes_one_probe(optimizer, problem, tmp_path):
         # each gradient-angle probe takes its angle through the traced name
         assert metrics["core.angular_deviation.calls"] == \
             metrics["probe.calls"]
+
+
+def test_tracer_and_summary_agree_on_capped_steps(tmp_path, capsys):
+    # from eta0 = 1e-30 every zoom-out search runs up to the cap
+    tracer = _tracer().Tracer()
+    with tracer.installed():
+        rc, _ = tracer.run_op(main, [
+            "optimize", "--optimizer", "bfe-grad", *QUADRATIC,
+            "--eta0", "1e-30", "--max-steps", "50",
+            "--out", str(tmp_path / "trace.csv")])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    capped = [int(line.split("=", 1)[1]) for line in lines
+              if line.startswith("capped_steps=")]
+    assert capped and capped[0] > 0
+    assert tracer.layer_metrics()["search.capped"] == capped[0]
