@@ -116,15 +116,11 @@ def bfe_grad_step(obj: Objective, theta: np.ndarray, k: int,
         lambda p: bool(np.logical_or.reduce(p.eps_per_dim >= thresholds)),
         k, cfg, zoom_in)
     theta_next = probe.theta_trial
-    if not capped:
-        if zoom_in:
-            k += 1  # undo the last shrink: the probed rate
-        elif cfg.zoom_out_exit is ZoomOutExit.QUARTER_FRESH_STEP:
-            # after one pass up from the lowest rate, a quarter is below it
-            k = max(k - 2, -CAP_EXP)
-            theta_next = theta - cfg.rates.item(k) * probe.g
-        else:
-            k -= 1
+    if (not zoom_in and not capped
+            and cfg.zoom_out_exit is ZoomOutExit.QUARTER_FRESH_STEP):
+        # a fresh step at half the probed rate; the lowest rate holds
+        k = max(k - 1, -CAP_EXP)
+        theta_next = theta - cfg.rates.item(k) * probe.g
     # a search ends across its threshold, so the branch switches; a capped
     # search switches too, unlike an AdaBFE dimension's
     return StepOutcome(theta_next, cfg.rates.item(k), inner,
@@ -167,26 +163,27 @@ def adabfe_step(obj: Objective, theta: np.ndarray, k: np.ndarray,
                          f"{bad.tolist()}")
 
     rates = cfg.rates
-    # each pass moves a zoom-in index down by one and a zoom-out index up;
-    # under pre_halve a zoom-in index moves before its probe instead
-    move_by = np.where(zoom_in, 0 if cfg.pre_halve else -1, 1)
+    # each pass moves a zoom-in index down by one and a zoom-out index up; a
+    # move reaches its branch's cap on pass ``room``
+    step = np.where(zoom_in, -1, 1)
+    room = CAP_EXP - step * k
+    hits = np.zeros(dim, dtype=bool)
+    if cfg.pre_halve:
+        # a zoom-in index starts one below, and so probes the cap on pass
+        # ``room``; a halving from the lowest rate is held there, as a hit
+        hits = zoom_in & (k == -CAP_EXP)
+        k = np.maximum(k - zoom_in, -CAP_EXP)
     g = np.asarray(obj.grad(theta, batch), dtype=float)  # fixed base gradient
     thresholds = _thresholds(g, cfg)
     # k holds the index each dimension was last probed at: a finished
     # dimension's trial coordinate, theta - rate * g, keeps its committed
     # value
     active = np.ones(dim, dtype=bool)
-    hits = np.zeros(dim, dtype=bool)
     inner = 0
     last_eps = np.zeros(dim)
 
     while np.count_nonzero(active):
         inner += 1
-        if cfg.pre_halve:
-            k -= active & zoom_in
-            # a halving from the lowest rate is held there, as a cap hit
-            hits |= k < -CAP_EXP
-            np.maximum(k, -CAP_EXP, out=k)
         probe = grad_probe(obj, theta, rates[k], batch, g)
         eps = probe.eps_per_dim
         np.copyto(last_eps, eps, where=active)
@@ -195,15 +192,13 @@ def adabfe_step(obj: Objective, theta: np.ndarray, k: np.ndarray,
         # while it does not; any other active dimension has crossed
         move = np.equal(eps >= thresholds, zoom_in)
         move &= active
-        nxt = k + move_by
-        # an index moves toward its branch's cap only, the one |nxt| can reach
-        hit = move & (np.abs(nxt) >= CAP_EXP)
+        hit = move & (room <= inner)
         hits |= hit
         active = move ^ hit
-        np.copyto(k, nxt, where=active)
+        np.add(k, step, out=k, where=active)
     capped = bool(np.count_nonzero(hits))
     if capped:  # a capped dimension kept its last probed index until here
-        np.copyto(k, np.where(zoom_in, -CAP_EXP, CAP_EXP), where=hits)
+        np.copyto(k, step * CAP_EXP, where=hits)
     rates_next = rates[k]
 
     branch = (Branch.ZOOM_IN if np.count_nonzero(zoom_in) == dim

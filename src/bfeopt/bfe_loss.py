@@ -87,13 +87,12 @@ def lattice_search(probe: Callable[[float], Any],
     """Move the lattice index ``k`` until ``exceeds`` differs from
     ``zoom_in``.
 
-    Each pass probes at the rate ``lattice.rates[k]``, then moves ``k`` down
-    by one (zoom-in) or up (zoom-out). Returns (last probe result, ``k``
-    after the last move or the cap, passes, capped); callers undo the move
-    themselves. A search is capped once ``k`` reaches ``-CAP_EXP``
-    (zoom-in) or ``CAP_EXP`` (zoom-out), so from a ``k`` between the caps it
-    ends within ``2 * CAP_EXP + 1`` passes. A ``k`` beyond the caps raises
-    ValueError.
+    Each pass probes at the rate ``lattice.rates[k]``; a probe that does not
+    cross moves ``k`` down by one (zoom-in) or up (zoom-out). Returns (last
+    probe result, the index of the last probe or the cap, passes, capped).
+    A search is capped once a move reaches ``-CAP_EXP`` (zoom-in) or
+    ``CAP_EXP`` (zoom-out), so from a ``k`` between the caps it ends within
+    ``2 * CAP_EXP + 1`` passes. A ``k`` beyond the caps raises ValueError.
     """
     if not -CAP_EXP <= k <= CAP_EXP:
         raise ValueError(f"the lattice index {k!r} must be within "
@@ -103,9 +102,9 @@ def lattice_search(probe: Callable[[float], Any],
     while True:
         passes += 1
         result = probe(rates.item(k))
-        k += step
         if exceeds(result) != zoom_in:
             return result, k, passes, False
+        k += step
         if k * step >= CAP_EXP:
             return result, step * CAP_EXP, passes, True
 
@@ -195,16 +194,12 @@ def bfe_step(obj: Objective, theta: np.ndarray, k: int,
     (pair, eps_comp, eps_val), k, inner, capped = lattice_search(
         probe, lambda r: r[1] >= r[2], k, cfg, zoom_in)
     theta_next = pair.trial_half
-    if not capped:
-        if not zoom_in:
-            k -= 1  # undo the last growth: the probed rate
-        elif (cfg.commit_policy is CommitPolicy.FULL_STEP
-              and not cfg.zoom_in_only):
-            k += 1
-            theta_next = pair.trial_full
-        else:
-            # a first pass that agrees at the lowest rate leaves half of it
-            k = max(k, -CAP_EXP)
+    if (zoom_in and not capped and not cfg.zoom_in_only
+            and cfg.commit_policy is CommitPolicy.FULL_STEP):
+        theta_next = pair.trial_full
+    elif zoom_in:
+        # the half-rate trial point; half the lowest rate is held there
+        k = max(k - 1, -CAP_EXP)
     # losses that disagree at the last probe -> zoom-in next
     return StepOutcome(theta_next, cfg.rates.item(k), inner,
                        Branch.ZOOM_IN if zoom_in else Branch.ZOOM_OUT,

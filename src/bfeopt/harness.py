@@ -331,6 +331,9 @@ def _diverged(full_loss: float, batch_loss: float, eta: float,
 
 def summarize(trace: list[TraceRecord],
               loss_threshold: float | None) -> RunSummary:
+    if not _fits(loss_threshold, FIELD_TYPES["loss_threshold"]):
+        raise ConfigError(f"loss_threshold must be float | None, not "
+                          f"{loss_threshold!r}")
     if not trace:
         raise ValueError("empty trace")
     steps = None

@@ -65,6 +65,23 @@ def test_optimize_prints_its_evaluations_and_summary_does_not(tmp_path,
     assert "_evals=" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_summary_non_finite_threshold_is_a_config_error(value, tmp_path,
+                                                        capsys):
+    out = tmp_path / "t.csv"
+    assert main(["optimize", "--problem", "quadratic", "--optimizer", "sgd",
+                 "--alpha", "0.1", "--max-steps", "5",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    # ``=`` keeps argparse from reading "-inf" as a flag
+    assert main(["summary", "--trace", str(out),
+                 f"--loss-threshold={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"config error: loss_threshold must be "
+                            f"float | None, not {float(value)!r}\n")
+    assert captured.out == ""
+
+
 def test_summary_missing_file_is_config_error(capsys):
     assert main(["summary", "--trace", "/nonexistent/trace.csv",
                  "--loss-threshold", "1.0"]) == 2

@@ -387,16 +387,38 @@ def test_quarter_exit_from_the_lowest_rate_stays_in_range(base):
     assert out.theta_next.tolist() == [-lo]  # the fresh step at that rate
 
 
-def test_search_returns_the_rate_after_the_last_scaling():
+def test_search_returns_the_index_of_its_last_probe():
     probed = []
     result, k, passes, capped = lattice_search(
         lambda e: probed.append(e) or len(probed), lambda n: n < 3,
         0, Lattice(1.0, 2), True)
     assert probed == [1.0, 0.5, 0.25]
-    assert (result, k, passes, capped) == (3, -3, 3, False)
+    assert (result, k, passes, capped) == (3, -2, 3, False)
     result, k, passes, capped = lattice_search(
         lambda e: e, lambda e: e >= 4.0, 0, Lattice(1.0, 2), False)
-    assert (result, k, passes, capped) == (4.0, 3, 3, False)
+    assert (result, k, passes, capped) == (4.0, 2, 3, False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1e-300, 1e-3, 1.0, 1e18, 1e270]),
+       st.integers(2, 6), st.integers(-CAP_EXP, CAP_EXP), st.booleans(),
+       st.data())
+def test_search_that_crosses_returns_its_last_probed_index(
+        eta0, base, k, zoom_in, data):
+    try:
+        lattice = Lattice(eta0, base)
+    except ValueError:  # the caps of this pair are beyond the floats
+        return
+    step = -1 if zoom_in else 1
+    # the criterion flips on pass n, before a move reaches the cap
+    n = data.draw(st.integers(1, max(1, CAP_EXP - step * k)))
+    probed = []
+    result, k_end, passes, capped = lattice_search(
+        lambda e: probed.append(e) or len(probed),
+        lambda p: zoom_in != (p >= n), k, lattice, zoom_in)
+    assert (result, passes, capped) == (n, n, False)
+    assert k_end == k + step * (n - 1)
+    assert lattice.rates[k_end] == probed[-1]
 
 
 @pytest.mark.parametrize("zoom_in", [True, False])

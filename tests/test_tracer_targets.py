@@ -75,7 +75,7 @@ def test_each_search_pass_makes_one_probe(optimizer, problem, tmp_path):
 
 
 def test_tracer_and_summary_agree_on_capped_steps(tmp_path, capsys):
-    # from eta0 = 1e-30 every zoom-out search runs up to the cap
+    # from eta0 = 1e-30 every zoom-out search ends at the cap
     tracer = _tracer().Tracer()
     with tracer.installed():
         rc, _ = tracer.run_op(main, [
