@@ -37,6 +37,10 @@ HELP = {"eps_ratio": "error limit ratio scaling loss magnitudes",
         "curvatures": "comma-separated curvatures for the quadratic problem",
         "theta0": "comma-separated initial parameters",
         "output_path": "trace CSV output path"}
+# how a message names the top-level value of a JSON file that is not a list;
+# any other value json.load returns is a number
+JSON_TYPES = {dict: "an object", str: "a string", bool: "a boolean",
+              type(None): "null"}
 
 
 def _float_tuple(text: str) -> tuple[float, ...]:
@@ -123,7 +127,11 @@ def main(argv=None) -> int:
             _print_summary(summary)
         elif args.command == "compare":
             with open(args.configs) as f:
-                cfgs = [_config_from_json(d) for d in json.load(f)]
+                entries = json.load(f)
+            if not isinstance(entries, list):
+                raise ConfigError("--configs must hold a JSON list, not "
+                                  + JSON_TYPES.get(type(entries), "a number"))
+            cfgs = [_config_from_json(d) for d in entries]
             _, table = compare_runs(cfgs, args.loss_threshold)
             if args.out:
                 with open(args.out, "w") as f:
@@ -132,7 +140,7 @@ def main(argv=None) -> int:
         else:
             _, trace = read_trace(args.trace)
             _print_summary(summarize(trace, args.loss_threshold))
-    except (ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NonFiniteEvaluation as exc:

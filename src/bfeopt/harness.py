@@ -166,7 +166,7 @@ def start_point(cfg: RunConfig) -> tuple[float, ...]:
 
 
 def build_problem(cfg: RunConfig):
-    """Returns (objective, theta0, batch_stream, full_data).
+    """Returns (objective, theta0, batch_stream).
 
     theta0 is float64 whatever numbers the config holds, like every later
     point, so the run loop's memo keys all points by bytes of one dtype.
@@ -184,9 +184,9 @@ def build_problem(cfg: RunConfig):
         obj = linreg_objective(data)
         stream = BatchStream(cfg.n_samples, cfg.batch_size, seed=cfg.seed,
                              on_batches=obj.load_batches)
-        return obj, theta0, stream, data
+        return obj, theta0, stream
     obj = quadratic_objective(cfg.curvatures)
-    return obj, theta0, ConstantBatchStream(), None
+    return obj, theta0, ConstantBatchStream()
 
 
 def build_optimizer(cfg: RunConfig, dim: int):
@@ -275,7 +275,7 @@ def run_experiment(cfg: RunConfig) -> tuple[list[TraceRecord], RunSummary]:
     """The run loop: every objective call goes through one ``EvalMemo``, so
     the gradient at theta that the stop check takes on the step's batch is
     the one the optimizer step asks for, at no second evaluation."""
-    raw, theta, stream, _ = build_problem(cfg)
+    raw, theta, stream = build_problem(cfg)
     obj = EvalMemo(raw)
     opt = build_optimizer(cfg, dim=theta.size)
     trace: list[TraceRecord] = []

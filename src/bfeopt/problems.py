@@ -13,7 +13,8 @@ from .core import Batch
 
 X_RANGE = (0.0, 10.0)
 # rows of the batches a BatchStream hands over at a time: an epoch of 10,000
-# rows is one hand-off, and the moment table stays small at any batch size
+# rows is one hand-off, and a moment pass's work arrays stay small at any
+# batch size
 PASS_ROWS = 16384
 
 
@@ -63,16 +64,20 @@ def normalize(data: Dataset) -> Dataset:
     return Dataset(x=(data.x - mu) / sigma, y=data.y)
 
 
+class BatchMoments(tuple):
+    """A mini-batch as ``LinRegObjective`` reads it: the seven moments of its
+    rows that ``_moments`` returns. ``load_batches`` makes them."""
+    __slots__ = ()
+
+
 class LinRegObjective:
     """Mean squared error of y ~ w*x + b; theta = (w, b).
 
-    A batch is an index array into the dataset; None means the full dataset.
     The loss is quadratic in theta, so a few moments of a batch give its loss
     and gradient in O(1) (see ``_moments``). The full-dataset moments are
-    computed once. A mini-batch's moments come from a table keyed on the
-    batch's identity, so a batch is treated as immutable: ``load_batches``
-    fills the table with a run of a stream's batches in one pass, and a
-    call on a batch not in it replaces the table with that batch alone.
+    computed once. A mini-batch is the ``BatchMoments`` handle that
+    ``load_batches`` makes from an index array into the dataset; a batch of
+    None means the full dataset, and any other batch raises ``TypeError``.
     """
 
     def __init__(self, data: Dataset):
@@ -81,22 +86,20 @@ class LinRegObjective:
         self._x = np.asarray(data.x, dtype=float)
         self._y = np.asarray(data.y, dtype=float)
         self._full = _moments(self._x, self._y)
-        # id(batch) -> moments; holding the batches keeps their ids from
-        # being reused
-        self._batches: list[np.ndarray] = []
-        self._table: dict[int, tuple] = {}
         self._work: tuple[np.ndarray, ...] | None = None
 
-    def load_batches(self, batches: list[np.ndarray]) -> None:
-        """Compute the moments of a run of batches of one size, of which the
+    def load_batches(self, batches: list[np.ndarray]) -> list[BatchMoments]:
+        """The handles of a run of index batches of one size, of which the
         last may be shorter. The batches of the first one's size go through
         one 2-D pass; a shorter last one goes through ``_moments``. Each
-        batch gets the same floats as a call on it alone. Every batch but
-        the last must have the first one's length; that is not checked."""
-        k = len(batches)
-        if len(batches[-1]) != len(batches[0]):
-            k -= 1
-        size = len(batches[0])
+        handle holds bitwise the floats of a ``_moments`` call on its batch
+        alone. Raises ``ValueError`` for an empty batch and for a run of
+        batches of other lengths."""
+        size, last = len(batches[0]), len(batches[-1])
+        k = len(batches) - (last != size)
+        if not 0 < last <= size or set(map(len, batches[:k])) != {size}:
+            raise ValueError("a run must be batches of one nonempty size, "
+                             "of which the last may be shorter")
         # the pass runs in arrays kept from one call to the next: freeing
         # arrays of this size hands their pages back, to be faulted in again
         if (self._work is None or self._work[0].shape[1] != size
@@ -107,29 +110,22 @@ class LinRegObjective:
         np.concatenate(batches[:k], out=idx.reshape(-1))
         np.take(self._x, idx, out=x)
         np.take(self._y, idx, out=y)
-        moments = _row_moments(x, y, dx, r)
+        handles = _row_moments(x, y, dx, r)
         if k < len(batches):
-            moments.append(self._batch_moments(batches[-1]))
-        self._batches = batches
-        self._table = dict(zip(map(id, batches), moments))
+            handles.append(_moments(self._x[batches[-1]],
+                                    self._y[batches[-1]]))
+        return handles
 
-    def _batch_moments(self, batch: np.ndarray) -> tuple:
-        x = self._x[batch]
-        if x.size == 0:
-            raise ValueError("empty batch")
-        return _moments(x, self._y[batch])
-
-    def _cached_moments(self, batch: Batch):
+    def _moments_of(self, batch: Batch) -> BatchMoments:
         if batch is None:
             return self._full
-        moments = self._table.get(id(batch))
-        if moments is None:
-            moments = self._batch_moments(batch)
-            self._batches, self._table = [batch], {id(batch): moments}
-        return moments
+        if not isinstance(batch, BatchMoments):
+            raise TypeError("a linreg batch is None or a handle from "
+                            f"load_batches, not {type(batch).__name__}")
+        return batch
 
     def loss(self, theta: np.ndarray, batch: Batch = None) -> float:
-        xm, beta, alpha, rm, vxx, c, rv = self._cached_moments(batch)
+        xm, beta, alpha, rm, vxx, c, rv = self._moments_of(batch)
         w, b = theta.tolist()
         d = w - beta
         m = d * xm + (b - alpha) + rm
@@ -137,14 +133,14 @@ class LinRegObjective:
         return m * m + max(d * (d * vxx + 2.0 * c) + rv, 0.0)
 
     def grad(self, theta: np.ndarray, batch: Batch = None) -> np.ndarray:
-        xm, beta, alpha, rm, vxx, c, _ = self._cached_moments(batch)
+        xm, beta, alpha, rm, vxx, c, _ = self._moments_of(batch)
         w, b = theta.tolist()
         d = w - beta
         m = d * xm + (b - alpha) + rm
         return np.array([2.0 * (xm * m + d * vxx + c), 2.0 * m])
 
 
-def _moments(x: np.ndarray, y: np.ndarray):
+def _moments(x: np.ndarray, y: np.ndarray) -> BatchMoments:
     """Moments of the residuals r0 = beta*x + alpha - y about a reference line.
 
     Returns (mean x, beta, alpha, mean r0, Vxx, Cov(x, r0), Var(r0)). With
@@ -165,7 +161,8 @@ def _moments(x: np.ndarray, y: np.ndarray):
     r0 = beta * x + alpha - y
     rm = float(r0.sum()) / n
     dr = r0 - rm
-    return xm, beta, alpha, rm, vxx, float(dx @ dr) / n, float(dr @ dr) / n
+    return BatchMoments((xm, beta, alpha, rm, vxx, float(dx @ dr) / n,
+                         float(dr @ dr) / n))
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -175,7 +172,7 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _row_moments(x: np.ndarray, y: np.ndarray, dx: np.ndarray,
-                 r: np.ndarray) -> list[tuple]:
+                 r: np.ndarray) -> list[BatchMoments]:
     """``_moments`` of each row of the (k, n) arrays ``x`` and ``y``, using
     ``dx`` and ``r``, of the same shape, as work arrays.
 
@@ -200,7 +197,7 @@ def _row_moments(x: np.ndarray, y: np.ndarray, dx: np.ndarray,
     dr = np.subtract(r0, rm[:, None], out=r)
     columns = (xm, beta, alpha, rm, vxx, _row_dots(dx, dr) / n,
                _row_dots(dr, dr) / n)
-    return list(zip(*(c.tolist() for c in columns)))
+    return list(map(BatchMoments, zip(*(c.tolist() for c in columns))))
 
 
 def linreg_objective(data: Dataset) -> LinRegObjective:
@@ -234,12 +231,13 @@ class BatchStream:
     The final partial batch of an epoch is kept. ``epoch`` reflects the epoch
     of the most recently yielded batch. The batches are sliced from the
     epoch's permutation a run at a time, of about ``PASS_ROWS`` rows and at
-    least one batch, and each run is handed to ``on_batches``, if given,
-    before its first batch is yielded.
+    least one batch. When ``on_batches`` is given, the stream yields what it
+    returns for each run, such as ``LinRegObjective.load_batches``'s
+    handles; otherwise it yields the index arrays.
     """
 
     def __init__(self, n: int, batch_size: int, seed: int = 0,
-                 on_batches: Callable[[list[np.ndarray]], None] | None = None):
+                 on_batches: Callable[[list[np.ndarray]], list] | None = None):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.n = n
@@ -257,7 +255,7 @@ class BatchStream:
                 batches = [perm[start:start + size] for start in
                            range(first, min(first + run, self.n), size)]
                 if self.on_batches is not None:
-                    self.on_batches(batches)
+                    batches = self.on_batches(batches)
                 yield from batches
             self.epoch += 1
 

@@ -126,6 +126,19 @@ def test_compare_non_object_entry_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, kind", [
+    ("null", "null"), ("5", "a number"), ('"abc"', "a string"),
+    ('{"optimizer": "sgd"}', "an object")])
+def test_compare_configs_that_are_not_a_list_exit_2(tmp_path, capsys, text,
+                                                    kind):
+    path = tmp_path / "cfgs.json"
+    path.write_text(text)
+    assert main(["compare", "--configs", str(path),
+                 "--loss-threshold", "1.0"]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: --configs must hold a JSON list, not {kind}\n")
+
+
 def test_bad_theta0_dimension_exits_2(capsys):
     assert main(["optimize", "--problem", "quadratic",
                  "--curvatures", "1.0,2.0", "--theta0", "1.0"]) == 2

@@ -50,10 +50,12 @@ def test_full_loss_matches_independent_reevaluation():
     trace, _ = run_experiment(cfg)
     # replay the run to recover committed parameters, then spot-check
     from bfeopt.harness import build_optimizer, build_problem
-    obj, theta, stream, data = build_problem(cfg)
+    obj, theta, stream = build_problem(cfg)
     opt = build_optimizer(cfg, 2)
     batches = iter(stream)
-    full = linreg_objective(data)
+    full = linreg_objective(gen_linear_data(LinRegSpec(
+        w0=cfg.w0, b0=cfg.b0, noise_std=cfg.noise_std, n=cfg.n_samples,
+        seed=cfg.seed)))
     for rec in trace:
         batch = next(batches)
         out = opt.step(obj, theta, batch)

@@ -479,7 +479,7 @@ def test_every_committed_rate_of_a_run_is_on_the_lattice(
                     curvatures=(0.1, 1.0, 10.0), eta0=eta0, base=base,
                     commit_policy=commit.value, reset_policy=reset.value,
                     zoom_out_exit=exit_rule.value, pre_halve=pre_halve)
-    obj, theta, _, _ = build_problem(cfg)
+    obj, theta, _ = build_problem(cfg)
     opt = build_optimizer(cfg, dim=theta.size)
     for _ in range(steps):
         try:

@@ -65,7 +65,7 @@ def test_loss_hand_value():
     obj = linreg_objective(Dataset(x=np.array([1.0, 2.0]),
                                    y=np.array([3.0, 5.0])))
     # residuals at w=1, b=0 are -2 and -3, mean square 6.5
-    for batch in (None, np.array([0, 1])):
+    for batch in (None, obj.load_batches([np.array([0, 1])])[0]):
         assert obj.loss(np.array([1.0, 0.0]), batch) == pytest.approx(
             6.5, rel=1e-15)
 
@@ -73,7 +73,7 @@ def test_loss_hand_value():
 def test_grad_hand_value():
     obj = linreg_objective(Dataset(x=np.array([1.0]), y=np.array([14.0])))
     theta = np.array([6.0, 9.0])
-    for batch in (None, np.array([0])):
+    for batch in (None, obj.load_batches([np.array([0])])[0]):
         assert obj.loss(theta, batch) == pytest.approx(1.0, rel=1e-15)
         np.testing.assert_allclose(obj.grad(theta, batch), [2.0, 2.0],
                                    rtol=1e-15)
@@ -85,16 +85,16 @@ def test_closed_form_matches_direct_oracle():
         x = rng.uniform(0, 10, n)
         y = 5.0 * x + 9.0 + rng.normal(0, 1, n)
         obj = linreg_objective(Dataset(x=x, y=y))
-        batch = rng.integers(0, n, size=max(1, n // 2))
+        rows = rng.integers(0, n, size=max(1, n // 2))
+        handle = obj.load_batches([rows])[0]
         for _ in range(10):
             w, b = rng.normal(0, 5, 2)
-            for rows in (None, batch):
-                xs, ys = (x, y) if rows is None else (x[rows], y[rows])
+            for batch, xs, ys in ((None, x, y), (handle, x[rows], y[rows])):
                 want_loss, want_grad = oracle(w, b, xs, ys)
                 theta = np.array([w, b])
-                assert obj.loss(theta, rows) == pytest.approx(want_loss,
-                                                               rel=1e-12)
-                for got, want in zip(obj.grad(theta, rows), want_grad):
+                assert obj.loss(theta, batch) == pytest.approx(want_loss,
+                                                                rel=1e-12)
+                for got, want in zip(obj.grad(theta, batch), want_grad):
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
@@ -105,10 +105,12 @@ def test_loss_and_grad_agree_in_either_call_order():
     theta = np.array([2.0, 1.0])
     batch = np.arange(0, 100, 3)
     first = linreg_objective(data)
-    loss, grad = first.loss(theta, batch), first.grad(theta, batch)
+    a = first.load_batches([batch])[0]
+    loss, grad = first.loss(theta, a), first.grad(theta, a)
     second = linreg_objective(data)
-    assert second.grad(theta, batch).tolist() == grad.tolist()
-    assert second.loss(theta, batch) == loss
+    b = second.load_batches([batch])[0]
+    assert second.grad(theta, b).tolist() == grad.tolist()
+    assert second.loss(theta, b) == loss
     want_loss, want_grad = oracle(2.0, 1.0, x[batch], data.y[batch])
     assert loss == pytest.approx(want_loss, rel=1e-12)
     np.testing.assert_allclose(grad, want_grad, rtol=1e-12)
@@ -171,7 +173,8 @@ def test_closed_form_matches_oracle_on_random_data(case):
     theta = np.array([w, b])
     xs, ys = x[batch], y[batch]
     want_loss, want_grad = oracle(w, b, xs, ys)
-    loss = obj.loss(theta, batch)
+    handle = obj.load_batches([batch])[0]
+    loss = obj.loss(theta, handle)
     assert loss >= 0.0
     # The closed form may cancel terms of size Vyy + m**2 + w**2 * Vxx. Both
     # it and the oracle also round each residual by about eps times
@@ -186,31 +189,20 @@ def test_closed_form_matches_oracle_on_random_data(case):
     tol = 1e-12 * spread + e * (2.0 * np.sqrt(want_loss) + e)
     assert abs(loss - want_loss) <= tol
     grad_tol = 10.0 * e * np.array([np.max(np.abs(xs)), 1.0])
-    assert np.all(np.abs(obj.grad(theta, batch) - want_grad) <= grad_tol)
+    assert np.all(np.abs(obj.grad(theta, handle) - want_grad) <= grad_tol)
 
 
-def test_batch_cache_keeps_each_batch_apart():
+def test_a_run_keeps_each_batch_apart():
     data = gen_linear_data(LinRegSpec(n=200, seed=11))
     obj = linreg_objective(data)
     theta = np.array([3.0, 4.0])
     a, b = np.arange(0, 100), np.arange(100, 200)
-    first_a = obj.loss(theta, a)
-    first_b = obj.loss(theta, b)
-    assert first_a != first_b
-    assert obj.loss(theta, a) == first_a
-    for rows, got in ((a, first_a), (b, first_b)):
+    handles = obj.load_batches([a, b])
+    loss_a, loss_b = (obj.loss(theta, h) for h in handles)
+    assert loss_a != loss_b
+    for rows, got in ((a, loss_a), (b, loss_b)):
         want, _ = oracle(3.0, 4.0, data.x[rows], data.y[rows])
         assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_batch_cache_equal_contents_give_equal_values():
-    obj = linreg_objective(gen_linear_data(LinRegSpec(n=200, seed=12)))
-    theta = np.array([3.0, 4.0])
-    batch = np.arange(0, 200, 7)
-    loss, grad = obj.loss(theta, batch), obj.grad(theta, batch)
-    fresh = batch.copy()
-    assert obj.loss(theta, fresh) == loss
-    assert obj.grad(theta, fresh).tolist() == grad.tolist()
 
 
 def test_full_dataset_moments_survive_mini_batch_calls():
@@ -218,8 +210,9 @@ def test_full_dataset_moments_survive_mini_batch_calls():
     obj = linreg_objective(data)
     theta = np.array([3.0, 4.0])
     full = obj.loss(theta, None)
-    obj.grad(theta, np.arange(10))
-    obj.loss(theta, np.arange(20, 40))
+    a, b = obj.load_batches([np.arange(20), np.arange(20, 30)])
+    obj.grad(theta, a)
+    obj.loss(theta, b)
     assert obj.loss(theta, None) == full
     want, _ = oracle(3.0, 4.0, data.x, data.y)
     assert full == pytest.approx(want, rel=1e-12)
@@ -236,20 +229,47 @@ def test_batch_moments_computed_once_per_batch(monkeypatch):
 
     monkeypatch.setattr(problems, "_moments", counted)
     theta = np.array([1.0, 1.0])
-    batch = np.arange(50)
+    # the 50-row batch goes through the 2-D pass, the shorter last one
+    # through ``_moments``
+    handles = obj.load_batches([np.arange(50), np.arange(50, 90)])
     for _ in range(3):
-        obj.loss(theta, batch)
-        obj.grad(theta, batch)
+        for batch in handles:
+            obj.loss(theta, batch)
+            obj.grad(theta, batch)
         obj.loss(theta, None)
-    assert passes == [50]
+    assert passes == [40]
 
 
 def test_empty_batch_rejected():
     obj = linreg_objective(gen_linear_data(LinRegSpec(n=10, seed=14)))
+    empty = np.array([], dtype=int)
+    for run in ([empty], [np.arange(3), empty], [empty, empty]):
+        with pytest.raises(ValueError, match="nonempty"):
+            obj.load_batches(run)
+
+
+def test_a_run_of_unequal_batches_is_rejected():
+    # read as one (4, 3) block, the 4-row batch would get a loss of 959.5
+    # instead of 1118.3, and the 2-row batch 991.2 instead of 689.5
+    obj = linreg_objective(gen_linear_data(LinRegSpec(n=20, seed=1)))
+    run = np.split(np.arange(12), np.cumsum([3, 4, 2]))
+    with pytest.raises(ValueError, match="one nonempty size"):
+        obj.load_batches(run)
+    # a shorter last batch is the one length a run may differ in
+    last = obj.load_batches([run[0], run[3], run[2]])[-1]
+    assert obj.loss(np.array([1.0, 2.0]), last) == pytest.approx(689.5,
+                                                                 abs=0.05)
+
+
+@pytest.mark.parametrize("batch", [
+    np.arange(7), np.arange(3), np.zeros(7), tuple(np.arange(7.0)),
+    list(range(7))])
+def test_loss_and_grad_reject_a_batch_that_is_not_a_handle(batch):
+    obj = linreg_objective(gen_linear_data(LinRegSpec(n=10, seed=14)))
     theta = np.array([1.0, 1.0])
     for call in (obj.loss, obj.grad):
-        with pytest.raises(ValueError, match="empty batch"):
-            call(theta, np.array([], dtype=int))
+        with pytest.raises(TypeError, match="load_batches"):
+            call(theta, batch)
 
 
 def test_linreg_grad_check_random_points():
@@ -366,7 +386,12 @@ def run_cases(draw):
     elif kind == "two-valued":
         data = Dataset(x=rng.choice([2.0, 5.0], n), y=data.y)
     runs = []
-    next(iter(BatchStream(n, batch_size, seed=seed, on_batches=runs.append)))
+
+    def keep(batches):
+        runs.append(batches)
+        return batches
+
+    next(iter(BatchStream(n, batch_size, seed=seed, on_batches=keep)))
     return data, runs[0]
 
 
@@ -374,11 +399,10 @@ def run_cases(draw):
 @given(run_cases())
 def test_batch_pass_gives_each_batch_the_bits_of_its_own_pass(case):
     data, batches = case
-    obj = linreg_objective(data)
-    obj.load_batches(batches)
-    for batch in batches:
+    handles = linreg_objective(data).load_batches(batches)
+    assert len(handles) == len(batches)
+    for batch, got in zip(batches, handles):
         want = problems._moments(data.x[batch], data.y[batch])
-        got = obj._table[id(batch)]
         assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
@@ -387,7 +411,7 @@ def test_batch_pass_gives_each_batch_the_bits_of_its_own_pass(case):
     (40000, 1000, 3, []), (40000, 3000, 3, [1000]), (20000, 1, 2, [])])
 def test_batch_pass_runs_moments_only_for_the_partial_batch(
         monkeypatch, n, batch_size, runs_per_epoch, partial):
-    obj, _, stream, _ = harness.build_problem(harness.RunConfig(
+    obj, _, stream = harness.build_problem(harness.RunConfig(
         n_samples=n, batch_size=batch_size, seed=3))
     passes, runs = [], []
     moments, load = problems._moments, stream.on_batches
@@ -398,7 +422,7 @@ def test_batch_pass_runs_moments_only_for_the_partial_batch(
 
     def loaded(batches):
         runs.append(sum(map(len, batches)))
-        load(batches)
+        return load(batches)
 
     monkeypatch.setattr(problems, "_moments", counted)
     stream.on_batches = loaded
@@ -417,17 +441,17 @@ def test_batch_pass_runs_moments_only_for_the_partial_batch(
 @pytest.mark.parametrize("n, batch_size", [(10, 3), (40000, 3000),
                                            (20000, 1), (5, 8)])
 def test_stream_hands_each_batch_over_before_yielding_it(n, batch_size):
-    runs, handed = [], set()
+    runs = []
 
     def hand(batches):
-        runs.append(batches)  # keeps the ids in ``handed`` unique
-        handed.update(map(id, batches))
+        runs.append(batches)
+        return [(len(runs), batch) for batch in batches]
 
     plain = iter(BatchStream(n, batch_size, seed=2))
     it = iter(BatchStream(n, batch_size, seed=2, on_batches=hand))
     for _ in range(2 * -(-n // batch_size) + 1):  # into a third epoch
-        batch = next(it)
-        assert id(batch) in handed
+        run, batch = next(it)  # what the hook returned for the latest run
+        assert run == len(runs)
         assert batch.tolist() == next(plain).tolist()
     sizes = [sum(map(len, run)) for run in runs]
     assert max(sizes) <= max(problems.PASS_ROWS, batch_size)
