@@ -207,22 +207,11 @@ def bfe_step(obj: Objective, theta: np.ndarray, k: int,
                        zoom_in_next=eps_comp >= eps_val)
 
 
-def zoom_in_only_step(obj: Objective, theta: np.ndarray, k: int,
-                      cfg: BfeLossConfig, batch: Batch,
-                      epoch: int = 0) -> StepOutcome:
-    """Zoom-in-only variant: reset the rate, run the shrinking loop once.
-
-    The rate is re-seeded from the previously committed rate (optionally
-    doubled) so the search always starts from the shrinking side.
-    """
-    if cfg.reset_policy is ResetPolicy.DOUBLE_PREV_ETA:
-        k = min(k + 1, CAP_EXP)
-    return bfe_step(obj, theta, k, cfg, batch, True, epoch)
-
-
 class BfeLossOptimizer(LatticeOptimizer):
     def search(self, obj, theta, batch, epoch) -> StepOutcome:
-        cfg, k = self.cfg, self.k
-        return (zoom_in_only_step(obj, theta, k, cfg, batch, epoch)
-                if cfg.zoom_in_only else
-                bfe_step(obj, theta, k, cfg, batch, self.zoom_in, epoch))
+        cfg, k, zoom_in = self.cfg, self.k, self.zoom_in
+        if cfg.zoom_in_only:  # reset the rate, then search it downward
+            zoom_in = True
+            if cfg.reset_policy is ResetPolicy.DOUBLE_PREV_ETA:
+                k = min(k + 1, CAP_EXP)
+        return bfe_step(obj, theta, k, cfg, batch, zoom_in, epoch)

@@ -47,9 +47,7 @@ def gen_linear_data(spec: LinRegSpec) -> Dataset:
     """Sample y = w0*x + b0 + noise with x uniform on the feature range."""
     rng = np.random.default_rng(spec.seed)
     x = rng.uniform(X_RANGE[0], X_RANGE[1], size=spec.n)
-    noise = rng.normal(0.0, spec.noise_std, size=spec.n) if spec.noise_std > 0 \
-        else np.zeros(spec.n)
-    y = spec.w0 * x + spec.b0 + noise
+    y = spec.w0 * x + spec.b0 + rng.normal(0.0, spec.noise_std, size=spec.n)
     return Dataset(x=x, y=y)
 
 
@@ -93,8 +91,13 @@ class LinRegObjective:
         last may be shorter. The batches of the first one's size go through
         one 2-D pass; a shorter last one goes through ``_moments``. Each
         handle holds bitwise the floats of a ``_moments`` call on its batch
-        alone. Raises ``ValueError`` for an empty batch and for a run of
-        batches of other lengths."""
+        alone. Raises ``ValueError`` for an empty run, a batch that is not
+        an integer array (a boolean mask would be read as rows 0 and 1), an
+        empty batch and a run of batches of other lengths."""
+        if not batches or any(np.asarray(b).dtype.kind not in "iu"
+                              for b in batches):
+            raise ValueError("a run must be a nonempty list of integer "
+                             "index arrays")
         size, last = len(batches[0]), len(batches[-1])
         k = len(batches) - (last != size)
         if not 0 < last <= size or set(map(len, batches[:k])) != {size}:
@@ -231,13 +234,12 @@ class BatchStream:
     The final partial batch of an epoch is kept. ``epoch`` reflects the epoch
     of the most recently yielded batch. The batches are sliced from the
     epoch's permutation a run at a time, of about ``PASS_ROWS`` rows and at
-    least one batch. When ``on_batches`` is given, the stream yields what it
-    returns for each run, such as ``LinRegObjective.load_batches``'s
-    handles; otherwise it yields the index arrays.
+    least one batch, and the stream yields what ``on_batches`` returns for
+    each run, such as ``LinRegObjective.load_batches``'s handles.
     """
 
-    def __init__(self, n: int, batch_size: int, seed: int = 0,
-                 on_batches: Callable[[list[np.ndarray]], list] | None = None):
+    def __init__(self, n: int, batch_size: int, seed: int = 0, *,
+                 on_batches: Callable[[list[np.ndarray]], list]):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.n = n
@@ -252,11 +254,9 @@ class BatchStream:
         while True:
             perm = self.rng.permutation(self.n)
             for first in range(0, self.n, run):
-                batches = [perm[start:start + size] for start in
-                           range(first, min(first + run, self.n), size)]
-                if self.on_batches is not None:
-                    batches = self.on_batches(batches)
-                yield from batches
+                yield from self.on_batches(
+                    [perm[start:start + size] for start in
+                     range(first, min(first + run, self.n), size)])
             self.epoch += 1
 
 

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bfeopt.bfe_loss import (
     BfeLossConfig,
@@ -11,13 +14,17 @@ from bfeopt.bfe_loss import (
     bfe_step,
     loss_pair_zoom_in,
     loss_pair_zoom_out,
-    zoom_in_only_step,
 )
 from bfeopt.core import (
     Branch,
     NonFiniteEvaluation,
 )
-from bfeopt.problems import quadratic_objective
+from bfeopt.problems import (
+    LinRegSpec,
+    gen_linear_data,
+    linreg_objective,
+    quadratic_objective,
+)
 
 CAP = 60
 
@@ -228,7 +235,7 @@ def _zoom_in_only(theta, prev_eta, reset_policy):
     obj = quadratic_objective([1.0])
     cfg = BfeLossConfig(eta0=prev_eta, zoom_in_only=True,
                         reset_policy=reset_policy)
-    return zoom_in_only_step(obj, np.array([theta]), 0, cfg, None)
+    return BfeLossOptimizer(cfg).step(obj, np.array([theta]), None)
 
 
 def test_zoom_in_only_double_reset():
@@ -269,6 +276,41 @@ def test_zoom_in_only_steps_build_no_config(monkeypatch):
         runs[commit] = theta.tobytes()
     # the variant commits the half-rate point under either policy
     assert runs[CommitPolicy.FULL_STEP] == runs[CommitPolicy.HALF_STEP]
+
+
+def _outcome_bits(out):
+    """Every field of a StepOutcome, with floats and arrays as their bytes."""
+    values = (getattr(out, f.name) for f in dataclasses.fields(out))
+    return tuple(np.asarray(v).tobytes()
+                 if isinstance(v, (float, np.ndarray)) else v for v in values)
+
+
+_LINREG = linreg_objective(gen_linear_data(LinRegSpec(n=40, seed=3)))
+_LINREG_BATCH = _LINREG.load_batches([np.arange(8, 24)])[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(-CAP, CAP), zoom_in=st.booleans(),
+       reset=st.sampled_from(ResetPolicy),
+       commit=st.sampled_from(CommitPolicy),
+       problem=st.sampled_from(["quadratic", "linreg"]),
+       eta0=st.sampled_from([1e-3, 0.1, 1.0]), epoch=st.integers(0, 5))
+def test_zoom_in_only_search_is_a_zoom_in_bfe_step_from_the_reset_index(
+        k, zoom_in, reset, commit, problem, eta0, epoch):
+    if problem == "quadratic":
+        obj, theta, batch = (quadratic_objective([0.5, 4.0]),
+                             np.array([1.0, -2.0]), None)
+    else:
+        obj, theta, batch = _LINREG, np.array([1.0, 2.0]), _LINREG_BATCH
+    cfg = BfeLossConfig(eta0=eta0, zoom_in_only=True, reset_policy=reset,
+                        commit_policy=commit)
+    opt = BfeLossOptimizer(cfg)
+    opt.k, opt.zoom_in = k, zoom_in  # a carried zoom-out branch is ignored
+    start = min(k + 1, CAP) if reset is ResetPolicy.DOUBLE_PREV_ETA else k
+    want = bfe_step(obj, theta, start, cfg, batch, True, epoch)
+    got = opt.step(obj, theta, batch, epoch)
+    assert _outcome_bits(got) == _outcome_bits(want)
+    assert (opt.k, opt.zoom_in) == (want.k_next, want.zoom_in_next)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,20 @@
 import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import typing
 import warnings
+from pathlib import Path
 
 import pytest
 
 from bfeopt import cli
 from bfeopt.cli import main
 from bfeopt.harness import FIELD_TYPES, OPTIMIZERS, RunConfig, field_type
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _optimize(tmp_path, name, extra=()):
@@ -511,3 +517,21 @@ def test_linreg_start_of_the_wrong_dimension_is_a_config_error(theta0,
     assert main(["optimize", "--theta0", theta0, "--max-steps", "3"]) == 2
     assert capsys.readouterr().err == (
         "config error: theta0 must hold 2 values for linreg\n")
+
+
+@pytest.mark.parametrize("argv, code, stderr", [
+    (["--optimizer", "bfe", "--max-steps", "5"], 0, ""),
+    (["--max-steps", "0"], 2, "config error: max_steps must be >= 1\n"),
+    (["--optimizer", "bfe-grad", "--eta0", "1", "--seed", "42",
+      "--max-steps", "20"], 3, "optimizer failure at step 9"),
+], ids=["success", "config-error", "failure"])
+def test_cli_process_exits_with_its_status(tmp_path, argv, code, stderr):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-m", "bfeopt.cli", "optimize",
+                           *argv], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == code
+    assert done.stderr.startswith(stderr)
+    assert code or done.stderr == ""
+    assert "Traceback" not in done.stderr

@@ -21,8 +21,15 @@ from gradcheck import grad_check
 
 
 def test_noise_free_line():
-    data = gen_linear_data(LinRegSpec(noise_std=0.0, n=50, seed=1))
-    np.testing.assert_allclose(data.y, 5.0 * data.x + 9.0, rtol=0, atol=1e-12)
+    # the targets are the line bit for bit, and the features the same draws
+    # as with noise
+    for spec in (LinRegSpec(noise_std=0.0, n=50, seed=1),
+                 *(LinRegSpec(w0=-2.5, b0=0.75, noise_std=0.0, n=n, seed=n)
+                   for n in (1, 7, 10000))):
+        data = gen_linear_data(spec)
+        assert data.y.tobytes() == (spec.w0 * data.x + spec.b0).tobytes()
+        noisy = gen_linear_data(LinRegSpec(n=spec.n, seed=spec.seed))
+        assert data.x.tobytes() == noisy.x.tobytes()
 
 
 @pytest.mark.parametrize("noise_std", [float("nan"), float("inf"), -1.0])
@@ -248,6 +255,33 @@ def test_empty_batch_rejected():
             obj.load_batches(run)
 
 
+def test_a_run_that_is_not_integer_index_arrays_is_rejected():
+    # read as rows, the mask [T, F, T, F, F, T] would be rows 1, 0, 1, 0, 0,
+    # 1 (a loss of 746.19 at theta (1, 2)) instead of rows 0, 2 and 5
+    obj = linreg_objective(gen_linear_data(LinRegSpec(n=6, seed=0)))
+    mask = np.array([True, False, True, False, False, True])
+    rows = np.arange(6)
+    for run in ([], [mask], [rows, mask[:3]], [rows.astype(float)],
+                [np.array([0.0, 2.0, 5.0])]):
+        with pytest.raises(ValueError, match="integer index arrays"):
+            obj.load_batches(run)
+    want = obj.load_batches([np.flatnonzero(mask)])[0]
+    assert obj.loss(np.array([1.0, 2.0]), want) == pytest.approx(1033.65,
+                                                                 abs=0.005)
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64, np.uint8,
+                                   np.uint64])
+def test_integer_index_arrays_of_any_width_are_rows(dtype):
+    data = gen_linear_data(LinRegSpec(n=20, seed=4))
+    obj = linreg_objective(data)
+    run = [np.array(rows, dtype=dtype) for rows in ([3, 0, 7], [19, 5, 11],
+                                                   [2, 2])]
+    for batch, got in zip(run, obj.load_batches(run)):
+        want = problems._moments(data.x[batch], data.y[batch])
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 def test_a_run_of_unequal_batches_is_rejected():
     # read as one (4, 3) block, the 4-row batch would get a loss of 959.5
     # instead of 1118.3, and the 2-row batch 991.2 instead of 689.5
@@ -330,8 +364,13 @@ def test_normalize_constant_features_rejected():
                 normalize(data)
 
 
+def _same(batches):
+    """A stream hook that hands the index batches over as they are."""
+    return batches
+
+
 def test_batch_stream_covers_epoch_without_replacement():
-    stream = BatchStream(n=100, batch_size=32, seed=0)
+    stream = BatchStream(n=100, batch_size=32, seed=0, on_batches=_same)
     it = iter(stream)
     seen = np.concatenate([next(it) for _ in range(4)])
     assert len(seen) == 100
@@ -341,14 +380,14 @@ def test_batch_stream_covers_epoch_without_replacement():
 
 
 def test_batch_stream_keeps_partial_final_batch():
-    it = iter(BatchStream(n=10, batch_size=4, seed=0))
+    it = iter(BatchStream(n=10, batch_size=4, seed=0, on_batches=_same))
     sizes = [len(next(it)) for _ in range(3)]
     assert sizes == [4, 4, 2]
 
 
 def test_batch_stream_deterministic():
-    a = iter(BatchStream(n=50, batch_size=16, seed=4))
-    b = iter(BatchStream(n=50, batch_size=16, seed=4))
+    a = iter(BatchStream(n=50, batch_size=16, seed=4, on_batches=_same))
+    b = iter(BatchStream(n=50, batch_size=16, seed=4, on_batches=_same))
     for _ in range(10):
         np.testing.assert_array_equal(next(a), next(b))
 
@@ -447,7 +486,7 @@ def test_stream_hands_each_batch_over_before_yielding_it(n, batch_size):
         runs.append(batches)
         return [(len(runs), batch) for batch in batches]
 
-    plain = iter(BatchStream(n, batch_size, seed=2))
+    plain = iter(BatchStream(n, batch_size, seed=2, on_batches=_same))
     it = iter(BatchStream(n, batch_size, seed=2, on_batches=hand))
     for _ in range(2 * -(-n // batch_size) + 1):  # into a third epoch
         run, batch = next(it)  # what the hook returned for the latest run
