@@ -94,6 +94,16 @@ class RunConfig:
             raise ConfigError("eps_ratio must be positive")
         if self.lim_zero <= 0:
             raise ConfigError("lim_zero must be positive")
+        # the optimizers' own checks, made for every run: a flag the chosen
+        # optimizer does not read is checked all the same
+        if self.eta0 <= 0:
+            raise ConfigError("eta0 must be positive")
+        if self.base < 2:
+            raise ConfigError("base must be >= 2")
+        if not 0 <= self.beta < 1:
+            raise ConfigError("beta must be in [0, 1)")
+        if self.alpha <= 0:
+            raise ConfigError("alpha must be positive")
 
 
 FIELD_TYPES = typing.get_type_hints(RunConfig)
@@ -281,27 +291,33 @@ def run_experiment(cfg: RunConfig) -> tuple[list[TraceRecord], RunSummary]:
     trace: list[TraceRecord] = []
     capped = 0
     batches = iter(stream)
-    for t in range(1, cfg.max_steps + 1):
-        batch = next(batches)
-        obj.begin(batch, theta)
-        g = obj.grad(theta, batch)
-        gnorm = rms_grad_norm(g)
-        if gnorm < cfg.lim_zero:
-            break
-        try:
-            out = opt.step(obj, theta, batch, epoch=stream.epoch)
-            theta = out.theta_next
-            # when batch is None, the second call is the memo's
-            full_loss = obj.loss(theta, None)
-            batch_loss = obj.loss(theta, batch)
-            if not (math.isfinite(full_loss) and math.isfinite(batch_loss)):
-                raise _diverged(full_loss, batch_loss, out.eta_next, trace)
-        except NonFiniteEvaluation as exc:
-            exc.step = t
-            raise
-        capped += out.capped
-        trace.append(TraceRecord(t, batch_loss, full_loss, out.eta_next,
-                                 out.inner_loops, gnorm))
+    try:
+        for t in range(1, cfg.max_steps + 1):
+            batch = next(batches)
+            obj.begin(batch, theta)
+            g = obj.grad(theta, batch)
+            gnorm = rms_grad_norm(g)
+            if gnorm < cfg.lim_zero:
+                break
+            try:
+                out = opt.step(obj, theta, batch, epoch=stream.epoch)
+                theta = out.theta_next
+                # when batch is None, the second call is the memo's
+                full_loss = obj.loss(theta, None)
+                batch_loss = obj.loss(theta, batch)
+                if not (math.isfinite(full_loss)
+                        and math.isfinite(batch_loss)):
+                    raise _diverged(full_loss, batch_loss, out.eta_next,
+                                    trace)
+            except NonFiniteEvaluation as exc:
+                exc.step = t
+                raise
+            capped += out.capped
+            trace.append(TraceRecord(t, batch_loss, full_loss, out.eta_next,
+                                     out.inner_loops, gnorm))
+    finally:
+        # ends the stream's worker process, on every way out of the loop
+        batches.close()
     if trace:
         summary = summarize(trace, cfg.loss_threshold)
     else:  # the start met the stop check: a run of no steps

@@ -3,7 +3,11 @@ diagonal quadratic bowls, feature normalization, and epoch-shuffled batching.
 """
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 from typing import Callable
 
@@ -236,6 +240,12 @@ class BatchStream:
     epoch's permutation a run at a time, of about ``PASS_ROWS`` rows and at
     least one batch, and the stream yields what ``on_batches`` returns for
     each run, such as ``LinRegObjective.load_batches``'s handles.
+
+    A stream is iterated once, and its runs are drawn ahead of the caller by
+    ``_drawn_ahead``, in a worker process: the hook runs there, so what it
+    returns must pickle, its side effects stay in the worker, and an
+    exception it raises reaches the caller with its type and message.
+    Closing the iterator, as ``run_experiment`` does, ends the worker.
     """
 
     def __init__(self, n: int, batch_size: int, seed: int = 0, *,
@@ -247,17 +257,117 @@ class BatchStream:
         self.rng = np.random.default_rng(seed)
         self.on_batches = on_batches
         self.epoch = 0
+        self._iterated = False
 
     def __iter__(self):
+        # the worker draws from a copy of rng: a second pass would repeat
+        # the first one's epochs
+        if self._iterated:
+            raise RuntimeError("a BatchStream can be iterated only once")
+        self._iterated = True
+        return self._batches()
+
+    def _batches(self):
+        runs = _drawn_ahead(self._runs())
+        try:
+            for handles, ends_epoch in runs:
+                yield from handles
+                self.epoch += ends_epoch
+        finally:
+            runs.close()
+
+    def _runs(self):
+        """What the hook returns for each run, and whether the run ends its
+        epoch."""
         size = self.batch_size
         run = size * max(1, PASS_ROWS // size)
         while True:
             perm = self.rng.permutation(self.n)
             for first in range(0, self.n, run):
-                yield from self.on_batches(
-                    [perm[start:start + size] for start in
-                     range(first, min(first + run, self.n), size)])
-            self.epoch += 1
+                end = min(first + run, self.n)
+                yield self.on_batches([perm[start:start + size] for start
+                                       in range(first, end, size)]), \
+                    end == self.n
+
+
+def _drawn_ahead(items):
+    """What the generator ``items`` yields, drawn ahead of the caller, as
+    far as the pipe holds, by a worker process forked at the first ``next``.
+
+    Each item comes back as a length-prefixed pickle, and the exception that
+    ends ``items`` is raised here. Closing this generator kills and reaps
+    the worker; one that ends early raises ``OSError``. Where ``os.fork`` is
+    missing or raises ``OSError``, ``items`` runs in this process.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork() if hasattr(os, "fork") else None
+    except OSError:
+        pid = None
+    if pid == 0:
+        _serve(items, r, w)
+    os.close(w)
+    if pid is None:
+        os.close(r)
+        yield from items
+        return
+    if cpus := _other_cpus():
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(pid, cpus)
+    try:
+        with open(r, "rb") as pipe:
+            while len(head := pipe.read(8)) == 8:
+                size = int.from_bytes(head, "little")
+                body = pipe.read(size)
+                if len(body) < size:
+                    break
+                item = pickle.loads(body)
+                if isinstance(item, Exception):
+                    raise item
+                yield item
+    finally:
+        os.kill(pid, signal.SIGKILL)  # a worker that has exited takes it too
+        _, status = os.waitpid(pid, 0)
+    raise OSError(f"the batch stream's worker process {pid} ended early "
+                  f"(exit code {os.waitstatus_to_exitcode(status)})")
+
+
+def _other_cpus() -> set[int]:
+    """The CPUs this thread may run on but the one it runs on now, where
+    Linux's ``/proc`` tells. The worker is moved there: where it is forked,
+    it can share its parent's CPU for good, on a host that does not balance
+    load or that wakes the waiting parent on the worker's CPU."""
+    try:
+        with open("/proc/thread-self/stat", "rb") as f:
+            cpu = int(f.read().rsplit(b")", 1)[1].split()[36])
+        return os.sched_getaffinity(0) - {cpu}
+    except OSError:
+        return set()
+
+
+def _serve(items, r: int, w: int):
+    """The worker: writes each item of ``items`` to the pipe ``w``, then the
+    exception that ends them; it never returns."""
+    try:
+        os.close(r)
+        with open(w, "wb") as pipe:
+            try:
+                for item in items:
+                    _send(pipe, item)
+            except Exception as exc:
+                try:  # one of a local class, say, does not come back
+                    pickle.loads(pickle.dumps(exc))
+                except Exception:
+                    exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+                _send(pipe, exc)
+    finally:
+        os._exit(0)
+
+
+def _send(pipe, item) -> None:
+    body = pickle.dumps(item, pickle.HIGHEST_PROTOCOL)
+    pipe.write(len(body).to_bytes(8, "little") + body)
+    pipe.flush()
 
 
 class ConstantBatchStream:

@@ -282,6 +282,29 @@ def test_baseline_alpha_must_be_positive(optimizer, alpha, capsys):
     assert capsys.readouterr().err == "config error: alpha must be positive\n"
 
 
+# flags that the chosen optimizer does not read, each out of its range
+UNREAD_FLAGS = [
+    (("sgd", "--eta0", "-1"), "eta0 must be positive"),
+    (("bfe", "--alpha", "-5", "--beta", "7"), "beta must be in [0, 1)"),
+    (("bfe-grad", "--beta", "-0.5"), "beta must be in [0, 1)"),
+    (("adabfe", "--beta", "1"), "beta must be in [0, 1)"),
+    (("bfe", "--alpha", "-5"), "alpha must be positive"),
+    (("adam", "--base", "1", "--pre-halve"), "base must be >= 2"),
+    (("nesterov", "--base", "-3"), "base must be >= 2"),
+]
+
+
+@pytest.mark.parametrize("argv, message", UNREAD_FLAGS,
+                         ids=[" ".join(argv) for argv, _ in UNREAD_FLAGS])
+def test_a_flag_the_optimizer_does_not_read_is_checked(argv, message,
+                                                       tmp_path, capsys):
+    out = tmp_path / "trace.csv"
+    assert main(["optimize", "--optimizer", *argv, "--max-steps", "3",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def _main_and_warnings(argv):
     """Exit code of ``main(argv)`` and every warning it raised, in order, as
     (category, message) pairs."""

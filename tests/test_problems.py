@@ -1,4 +1,5 @@
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -424,14 +425,10 @@ def run_cases(draw):
         data = Dataset(x=np.full(n, 3.7), y=data.y)
     elif kind == "two-valued":
         data = Dataset(x=rng.choice([2.0, 5.0], n), y=data.y)
-    runs = []
-
-    def keep(batches):
-        runs.append(batches)
-        return batches
-
-    next(iter(BatchStream(n, batch_size, seed=seed, on_batches=keep)))
-    return data, runs[0]
+    # the stream's loop run in this process: its first run of batches
+    batches, _ = next(BatchStream(n, batch_size, seed=seed,
+                                  on_batches=_same)._runs())
+    return data, batches
 
 
 @settings(max_examples=200, deadline=None)
@@ -452,7 +449,7 @@ def test_batch_pass_runs_moments_only_for_the_partial_batch(
         monkeypatch, n, batch_size, runs_per_epoch, partial):
     obj, _, stream = harness.build_problem(harness.RunConfig(
         n_samples=n, batch_size=batch_size, seed=3))
-    passes, runs = [], []
+    passes, calls = [], []
     moments, load = problems._moments, stream.on_batches
 
     def counted(x, y):
@@ -460,37 +457,55 @@ def test_batch_pass_runs_moments_only_for_the_partial_batch(
         return moments(x, y)
 
     def loaded(batches):
-        runs.append(sum(map(len, batches)))
-        return load(batches)
+        # runs in the stream's worker: its counts come back with the handles
+        calls.append(None)
+        before = len(passes)
+        handles = load(batches)
+        run = (len(calls), sum(map(len, batches)), passes[before:])
+        return [(run, handle) for handle in handles]
 
     monkeypatch.setattr(problems, "_moments", counted)
     stream.on_batches = loaded
     theta = np.array([1.0, 1.0])
+    runs = {}
     batches = iter(stream)
     for _ in range(3 * -(-n // batch_size)):  # three epochs
-        batch = next(batches)
+        run, batch = next(batches)
+        runs[run[0]] = run
         obj.loss(theta, batch)
         obj.grad(theta, batch)
+    batches.close()
     assert stream.epoch == 2
-    assert passes == partial * 3
-    assert len(runs) == 3 * runs_per_epoch and sum(runs) == 3 * n
-    assert max(runs) <= max(problems.PASS_ROWS, batch_size)
+    assert passes == []  # loss and grad on a handle make no pass
+    assert list(runs) == list(range(1, 3 * runs_per_epoch + 1))
+    rows = [rows for _, rows, _ in runs.values()]
+    assert sum(rows) == 3 * n
+    assert max(rows) <= max(problems.PASS_ROWS, batch_size)
+    assert sum((run_passes for _, _, run_passes in runs.values()), []) \
+        == partial * 3
 
 
 @pytest.mark.parametrize("n, batch_size", [(10, 3), (40000, 3000),
                                            (20000, 1), (5, 8)])
 def test_stream_hands_each_batch_over_before_yielding_it(n, batch_size):
-    runs = []
+    calls = []
 
     def hand(batches):
-        runs.append(batches)
-        return [(len(runs), batch) for batch in batches]
+        calls.append(None)
+        rows = sum(map(len, batches))
+        return [(len(calls), rows, batch) for batch in batches]
 
     plain = iter(BatchStream(n, batch_size, seed=2, on_batches=_same))
     it = iter(BatchStream(n, batch_size, seed=2, on_batches=hand))
+    runs, yielded = {}, Counter()
     for _ in range(2 * -(-n // batch_size) + 1):  # into a third epoch
-        run, batch = next(it)  # what the hook returned for the latest run
-        assert run == len(runs)
+        run, rows, batch = next(it)  # what the hook returned for its run
+        assert runs.setdefault(run, rows) == rows
+        yielded[run] += 1
         assert batch.tolist() == next(plain).tolist()
-    sizes = [sum(map(len, run)) for run in runs]
-    assert max(sizes) <= max(problems.PASS_ROWS, batch_size)
+    # the hook saw the runs in order, and each run but the last was yielded
+    # whole, one batch at a time
+    assert list(runs) == list(range(1, len(runs) + 1))
+    assert [yielded[run] for run in runs][:-1] == \
+        [-(-rows // batch_size) for rows in runs.values()][:-1]
+    assert max(runs.values()) <= max(problems.PASS_ROWS, batch_size)
