@@ -140,7 +140,7 @@ def main(argv=None) -> int:
         else:
             _, trace = read_trace(args.trace)
             _print_summary(summarize(trace, args.loss_threshold))
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NonFiniteEvaluation as exc:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .baselines import AdamOptimizer, NesterovOptimizer, SgdOptimizer
+from .baselines import AdamOptimizer, MomentumState, NesterovOptimizer, \
+    SgdOptimizer
 from .bfe_grad import AdaBfeOptimizer, BfeGradConfig, BfeGradOptimizer, \
     ThresholdMode, ZoomOutExit, DEG
 from .bfe_loss import BfeLossConfig, BfeLossOptimizer, CommitPolicy, \
@@ -21,7 +22,8 @@ from .bfe_loss import BfeLossConfig, BfeLossOptimizer, CommitPolicy, \
 from .core import NonFiniteEvaluation, ThresholdPolicy, TraceRecord, \
     rms_grad_norm
 from .problems import BatchStream, ConstantBatchStream, LinRegSpec, \
-    gen_linear_data, linreg_objective, normalize, quadratic_objective
+    QuadraticObjective, gen_linear_data, linreg_objective, normalize, \
+    quadratic_objective
 
 OPTIMIZERS = ("bfe", "bfe-zoomin", "bfe-grad", "adabfe", "sgd", "nesterov",
               "adam")
@@ -89,21 +91,18 @@ class RunConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.max_steps < 1:
             raise ConfigError("max_steps must be >= 1")
-        # checked for every optimizer, though only bfe and bfe-zoomin read it
-        if self.eps_ratio <= 0:
-            raise ConfigError("eps_ratio must be positive")
         if self.lim_zero <= 0:
             raise ConfigError("lim_zero must be positive")
-        # the optimizers' own checks, made for every run: a flag the chosen
-        # optimizer does not read is checked all the same
-        if self.eta0 <= 0:
-            raise ConfigError("eta0 must be positive")
-        if self.base < 2:
-            raise ConfigError("base must be >= 2")
-        if not 0 <= self.beta < 1:
-            raise ConfigError("beta must be in [0, 1)")
-        if self.alpha <= 0:
-            raise ConfigError("alpha must be positive")
+        # the parts that own every other range check it, for every run
+        try:
+            BfeLossConfig(self.eta0, self.base, self.eps_ratio)
+            BfeGradConfig(angle_threshold=self.angle_threshold_deg * DEG)
+            MomentumState(None, self.beta, self.alpha)
+            LinRegSpec(noise_std=self.noise_std, n=self.n_samples,
+                       seed=self.seed)
+            QuadraticObjective(self.curvatures)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 FIELD_TYPES = typing.get_type_hints(RunConfig)

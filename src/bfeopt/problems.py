@@ -35,6 +35,8 @@ class LinRegSpec:
             raise ValueError("n must be >= 1")
         if not 0 <= self.noise_std < math.inf:  # NaN fails too
             raise ValueError("noise_std must be nonnegative and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -294,18 +296,33 @@ def _drawn_ahead(items):
     """What the generator ``items`` yields, drawn ahead of the caller, as
     far as the pipe holds, by a worker process forked at the first ``next``.
 
-    Each item comes back as a length-prefixed pickle, and the exception that
-    ends ``items`` is raised here. Closing this generator kills and reaps
-    the worker; one that ends early raises ``OSError``. Where ``os.fork`` is
-    missing or raises ``OSError``, ``items`` runs in this process.
+    Each item comes back as one pickle, and the exception that ends
+    ``items`` is raised here. Closing this generator kills and reaps the
+    worker; one that ends early, at or within an item, raises ``OSError``.
+    Where ``os.fork`` is missing or raises ``OSError``, ``items`` runs in
+    this process.
     """
     r, w = os.pipe()
     try:
         pid = os.fork() if hasattr(os, "fork") else None
     except OSError:
         pid = None
-    if pid == 0:
-        _serve(items, r, w)
+    if pid == 0:  # the worker, which never returns
+        try:
+            os.close(r)
+            with open(w, "wb") as pipe:
+                try:
+                    for item in items:
+                        pickle.dump(item, pipe, pickle.HIGHEST_PROTOCOL)
+                        pipe.flush()
+                except Exception as exc:
+                    try:  # one of a local class, say, does not come back
+                        pickle.loads(pickle.dumps(exc))
+                    except Exception:
+                        exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+                    pickle.dump(exc, pipe, pickle.HIGHEST_PROTOCOL)
+        finally:
+            os._exit(0)
     os.close(w)
     if pid is None:
         os.close(r)
@@ -316,12 +333,11 @@ def _drawn_ahead(items):
             os.sched_setaffinity(pid, cpus)
     try:
         with open(r, "rb") as pipe:
-            while len(head := pipe.read(8)) == 8:
-                size = int.from_bytes(head, "little")
-                body = pipe.read(size)
-                if len(body) < size:
+            while True:
+                try:
+                    item = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):  # a short read
                     break
-                item = pickle.loads(body)
                 if isinstance(item, Exception):
                     raise item
                 yield item
@@ -343,31 +359,6 @@ def _other_cpus() -> set[int]:
         return os.sched_getaffinity(0) - {cpu}
     except OSError:
         return set()
-
-
-def _serve(items, r: int, w: int):
-    """The worker: writes each item of ``items`` to the pipe ``w``, then the
-    exception that ends them; it never returns."""
-    try:
-        os.close(r)
-        with open(w, "wb") as pipe:
-            try:
-                for item in items:
-                    _send(pipe, item)
-            except Exception as exc:
-                try:  # one of a local class, say, does not come back
-                    pickle.loads(pickle.dumps(exc))
-                except Exception:
-                    exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-                _send(pipe, exc)
-    finally:
-        os._exit(0)
-
-
-def _send(pipe, item) -> None:
-    body = pickle.dumps(item, pickle.HIGHEST_PROTOCOL)
-    pipe.write(len(body).to_bytes(8, "little") + body)
-    pipe.flush()
 
 
 class ConstantBatchStream:

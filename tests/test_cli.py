@@ -1,5 +1,8 @@
 import argparse
+import contextlib
 import dataclasses
+import functools
+import io
 import json
 import os
 import subprocess
@@ -9,10 +12,13 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bfeopt import cli
 from bfeopt.cli import main
-from bfeopt.harness import FIELD_TYPES, OPTIMIZERS, RunConfig, field_type
+from bfeopt.harness import FIELD_TYPES, OPTIMIZERS, PROBLEMS, RunConfig, \
+    field_type
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -291,6 +297,19 @@ UNREAD_FLAGS = [
     (("bfe", "--alpha", "-5"), "alpha must be positive"),
     (("adam", "--base", "1", "--pre-halve"), "base must be >= 2"),
     (("nesterov", "--base", "-3"), "base must be >= 2"),
+    (("sgd", "--angle-threshold-deg", "100"),
+     "angle_threshold must be in (0, pi/2)"),
+    (("bfe", "--angle-threshold-deg", "100"),
+     "angle_threshold must be in (0, pi/2)"),
+    (("bfe", "--problem", "quadratic", "--n-samples", "0"), "n must be >= 1"),
+    (("bfe", "--problem", "quadratic", "--noise-std", "-1"),
+     "noise_std must be nonnegative and finite"),
+    (("bfe", "--curvatures", "-1"), "curvatures must be positive"),
+    # the lattice's caps: 1e300 * 2**60 is beyond the floats
+    (("sgd", "--eta0", "1e300"),
+     f"eta0=1e+300 and base=2 put the rate caps eta0*base**-60 and "
+     f"eta0*base**60 at {1e300 * 2.0 ** -60!r} and inf; they must be "
+     f"positive and finite"),
 ]
 
 
@@ -303,6 +322,79 @@ def test_a_flag_the_optimizer_does_not_read_is_checked(argv, message,
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
+
+
+finite = functools.partial(st.floats, allow_infinity=False)
+# an out-of-range value of each ranged RunConfig field, by its flag
+OUT_OF_RANGE = {
+    "--batch-size": st.integers(max_value=0),
+    "--max-steps": st.integers(max_value=0),
+    "--lim-zero": finite(max_value=0.0),
+    # a rate cap, eta0 * 2**60, beyond the floats
+    "--eta0": finite(max_value=0.0) | finite(min_value=1e291),
+    "--base": st.integers(max_value=1),
+    "--epsilon": finite(max_value=0.0),
+    "--angle-threshold-deg": finite(max_value=0.0) | finite(min_value=90.0),
+    "--beta": finite(max_value=-1e-300) | finite(min_value=1.0),
+    "--alpha": finite(max_value=0.0),
+    "--n-samples": st.integers(max_value=0),
+    "--noise-std": finite(max_value=-1e-300),
+    "--seed": st.integers(max_value=-1),
+    "--curvatures": finite(max_value=0.0),
+}
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(optimizer=st.sampled_from(OPTIMIZERS),
+       problem=st.sampled_from(PROBLEMS),
+       bad=st.sampled_from(sorted(OUT_OF_RANGE)).flatmap(
+           lambda flag: st.tuples(st.just(flag), OUT_OF_RANGE[flag])))
+def test_any_out_of_range_flag_is_a_config_error(optimizer, problem, bad,
+                                                 tmp_path):
+    flag, value = bad
+    out = tmp_path / "trace.csv"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["optimize", "--optimizer", optimizer, "--problem",
+                   problem, "--max-steps", "1", f"{flag}={value!r}",
+                   "--out", str(out)])
+    assert rc == 2
+    assert err.getvalue().startswith("config error: ")
+    assert err.getvalue().count("\n") == 1
+    assert "Traceback" not in err.getvalue()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("problem", ["linreg", "quadratic"])
+def test_a_negative_seed_is_a_config_error(problem, capsys):
+    assert main(["optimize", "--problem", problem, "--seed=-1",
+                 "--max-steps", "3"]) == 2
+    assert capsys.readouterr().err == "config error: seed must be >= 0\n"
+
+
+# 711 PiB of float64 samples: beyond any 64-bit address space, so numpy
+# refuses the allocation before it touches memory
+HUGE_N = "100000000000000000"
+
+
+def test_a_dataset_too_large_to_allocate_is_a_config_error(tmp_path,
+                                                           capsys):
+    out = tmp_path / "trace.csv"
+    assert main(["optimize", "--optimizer", "sgd", "--n-samples", HUGE_N,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: Unable to allocate 711. PiB")
+    assert err.count("\n") == 1
+    assert not out.exists()
+    path = tmp_path / "cfgs.json"
+    path.write_text(json.dumps([{"optimizer": o, "n_samples": int(HUGE_N)}
+                                for o in ("sgd", "bfe")]))
+    assert main(["compare", "--configs", str(path),
+                 "--loss-threshold", "1.0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: Unable to allocate 711. PiB")
+    assert err.count("\n") == 1
 
 
 def _main_and_warnings(argv):

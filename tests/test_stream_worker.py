@@ -3,8 +3,10 @@ it, a hook's exception reaches the caller, and the in-process path a host
 without ``fork`` takes writes the same traces."""
 import hashlib
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +103,57 @@ def test_a_hook_result_that_does_not_pickle_is_an_error():
     _assert_no_child_left()
 
 
+def test_a_large_hook_result_that_does_not_pickle_is_an_error():
+    # the worker has written the bytes, past the pipe's size, when the
+    # lambda fails to pickle
+    batches = iter(BatchStream(
+        10, 4, on_batches=lambda b: [bytes(200_000), lambda: b]))
+    with pytest.raises(Exception, match="pickle"):
+        next(batches)
+    _assert_no_child_left()
+
+
+# 200 KB, more than a Linux pipe holds
+PAYLOAD = bytes(range(256)) * 800
+
+
+def _large(batches):
+    return [PAYLOAD + b.tobytes() for b in batches]
+
+
+def test_a_hook_result_larger_than_the_pipe_arrives_intact(forks,
+                                                           monkeypatch):
+    batches = iter(BatchStream(10, 4, seed=3, on_batches=_large))
+    drawn = [next(batches) for _ in range(6)]
+    batches.close()
+    assert len(forks) == 1
+    _assert_no_child_left()
+    monkeypatch.setattr(os, "fork", _no_fork)
+    in_process = iter(BatchStream(10, 4, seed=3, on_batches=_large))
+    assert drawn == [next(in_process) for _ in range(6)]
+
+
+def test_a_worker_killed_within_a_write_ends_the_stream(forks):
+    calls = []
+
+    def hook(batches):
+        calls.append(None)
+        return batches if len(calls) == 1 else [bytes(1 << 20)]
+
+    batches = iter(BatchStream(10, 4, on_batches=hook))
+    for _ in range(3):  # the first run
+        next(batches)
+    # by now the worker is blocked in the write of the second run, which
+    # the pipe cannot hold, so the pickle ends within the bytes, which the
+    # parent reads as UnpicklingError; had the write not begun, the pipe
+    # would end between runs, with the same error
+    time.sleep(0.5)
+    os.kill(forks[0], signal.SIGKILL)
+    with pytest.raises(OSError, match=r"ended early \(exit code -9\)$"):
+        next(batches)
+    _assert_no_child_left()
+
+
 def test_a_stream_is_iterated_once():
     stream = BatchStream(10, 4, on_batches=list)
     batches = iter(stream)
@@ -164,12 +217,16 @@ def test_without_fork_a_stream_yields_what_the_worker_sends(monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(forked, in_process))
 
 
-# A worker that dies after its first run: the parent reads what it sent,
-# then the end of the pipe.
-WORKER_DIES = """
+# A worker killed in its second run, by a hook that replaces the linreg
+# moment pass. SECOND_RUN is what the hook does on that run.
+_DIES = """
 import os, signal, sys
 sys.path.insert(0, sys.argv[1])
 from bfeopt import cli, problems
+
+class Kill:
+    def __reduce__(self):
+        os.kill(os.getpid(), signal.SIGKILL)
 
 load = problems.LinRegObjective.load_batches
 calls = []
@@ -177,20 +234,36 @@ calls = []
 def dies(self, batches):
     calls.append(None)
     if len(calls) == 2:
-        os.kill(os.getpid(), signal.SIGKILL)
+        SECOND_RUN
     return load(self, batches)
 
 problems.LinRegObjective.load_batches = dies
 sys.exit(cli.main(["optimize", "--optimizer", "sgd", "--max-steps", "100"]))
 """
+# dies after its first run: the parent reads what it sent, then the end of
+# the pipe
+WORKER_DIES = _DIES.replace("SECOND_RUN",
+                            "os.kill(os.getpid(), signal.SIGKILL)")
+# dies within the pickle of its second run, after the large bytes, at an
+# opcode boundary, which the parent reads as EOFError
+WORKER_DIES_MID_ITEM = _DIES.replace("SECOND_RUN",
+                                     "return [bytes(200_000), Kill()]")
 
 
-def test_a_worker_that_ends_early_is_a_clear_error(tmp_path):
-    done = subprocess.run([sys.executable, "-c", WORKER_DIES, str(SRC)],
-                          cwd=tmp_path, capture_output=True, text=True,
-                          timeout=60)
+def _assert_ends_early(script, cwd):
+    """``script`` exits 2 with the error of a worker killed by SIGKILL."""
+    done = subprocess.run([sys.executable, "-c", script, str(SRC)], cwd=cwd,
+                          capture_output=True, text=True, timeout=60)
     assert done.returncode == 2
     assert done.stderr.startswith(
         "config error: the batch stream's worker process ")
     assert done.stderr.endswith(" ended early (exit code -9)\n")
     assert "Traceback" not in done.stderr
+
+
+def test_a_worker_that_ends_early_is_a_clear_error(tmp_path):
+    _assert_ends_early(WORKER_DIES, tmp_path)
+
+
+def test_a_worker_killed_within_an_item_is_the_same_error(tmp_path):
+    _assert_ends_early(WORKER_DIES_MID_ITEM, tmp_path)
