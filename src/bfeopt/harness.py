@@ -7,6 +7,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import typing
 from dataclasses import dataclass
 
@@ -233,10 +234,11 @@ class EvalMemo:
     other batch, such as a mini-batch run's full-dataset loss, pass straight
     through. ``begin`` starts a step: a new batch object clears the memo,
     and the same one (the ``None`` of a batch-independent problem) keeps
-    only the entries at the step's point, where the last step's probes may
-    have taken the stop check's gradient already. A cached gradient is read-only: a caller that writes into
-    it fails instead of changing what later calls get. ``loss_evals`` and
-    ``grad_evals`` count the calls that reached the objective.
+    the entries at the new step's point and the losses the step that just
+    ended took, where the next step's probes may land. A cached gradient
+    is read-only: a caller that writes into it fails instead of changing
+    what later calls get. ``loss_evals`` and ``grad_evals`` count the calls
+    that reached the objective.
     """
 
     def __init__(self, obj):
@@ -244,17 +246,20 @@ class EvalMemo:
         self.batch = None
         self.losses: dict[bytes, float] = {}
         self.grads: dict[bytes, np.ndarray] = {}
+        self._older = 0  # losses taken before the current step
         self.loss_evals = 0
         self.grad_evals = 0
 
     def begin(self, batch, theta: np.ndarray) -> None:
-        if batch is self.batch:
-            key = theta.tobytes()
-            self.losses = {key: self.losses[key]} if key in self.losses else {}
-            self.grads = {key: self.grads[key]} if key in self.grads else {}
+        if batch is not self.batch:
+            self.batch, self.losses, self.grads = batch, {}, {}
         else:
-            self.batch = batch
-            self.losses, self.grads = {}, {}
+            key, last = theta.tobytes(), self.losses
+            self.losses = dict(list(last.items())[self._older:])
+            if key in last:
+                self.losses[key] = last[key]
+            self.grads = {key: self.grads[key]} if key in self.grads else {}
+        self._older = len(self.losses)
 
     def loss(self, theta: np.ndarray, batch=None) -> float:
         if batch is not self.batch:
@@ -283,11 +288,18 @@ class EvalMemo:
 def run_experiment(cfg: RunConfig) -> tuple[list[TraceRecord], RunSummary]:
     """The run loop: every objective call goes through one ``EvalMemo``, so
     the gradient at theta that the stop check takes on the step's batch is
-    the one the optimizer step asks for, at no second evaluation."""
+    the one the optimizer step asks for, at no second evaluation. Each trace
+    row is formatted as its step ends, while the batch worker draws ahead."""
+    path = cfg.output_path  # checked before the run, the file left alone
+    if path and os.path.isdir(path):
+        raise ConfigError(f"output_path {path!r} is a directory")
+    if path and not os.path.isdir(os.path.dirname(path) or os.curdir):
+        raise ConfigError(f"output_path {path!r} is in no existing directory")
     raw, theta, stream = build_problem(cfg)
     obj = EvalMemo(raw)
     opt = build_optimizer(cfg, dim=theta.size)
     trace: list[TraceRecord] = []
+    rows: list[str] | None = [] if path else None
     capped = 0
     batches = iter(stream)
     try:
@@ -314,6 +326,8 @@ def run_experiment(cfg: RunConfig) -> tuple[list[TraceRecord], RunSummary]:
             capped += out.capped
             trace.append(TraceRecord(t, batch_loss, full_loss, out.eta_next,
                                      out.inner_loops, gnorm))
+            if rows is not None:
+                rows.append(_TRACE_ROW(trace[-1]))
     finally:
         # ends the stream's worker process, on every way out of the loop
         batches.close()
@@ -326,8 +340,8 @@ def run_experiment(cfg: RunConfig) -> tuple[list[TraceRecord], RunSummary]:
     summary = dataclasses.replace(summary, grad_evals=obj.grad_evals,
                                   loss_evals=obj.loss_evals,
                                   capped_steps=capped)
-    if cfg.output_path:
-        write_trace(cfg.output_path, trace, cfg)
+    if rows is not None:
+        write_trace(path, rows, cfg)
     return trace, summary
 
 
@@ -417,14 +431,14 @@ def _config_json(cfg: RunConfig) -> str:
     return json.dumps(d, sort_keys=True)
 
 
-def write_trace(path: str, trace: list[TraceRecord], cfg: RunConfig) -> None:
+def write_trace(path: str, rows: typing.Iterable[str], cfg: RunConfig) -> None:
+    """The header lines, then ``rows``, each ``_TRACE_ROW`` of a record."""
     with open(path, "w", newline="\n") as f:
         f.write(f"# bfeopt_version={__version__}\n")
         f.write(f"# seed={cfg.seed}\n")
         f.write(f"# config={_config_json(cfg)}\n")
         f.write(TRACE_HEADER + "\n")
-        # row by row through the file's buffer: the whole text is never held
-        f.writelines(map(_TRACE_ROW, trace))
+        f.writelines(rows)
 
 
 def read_trace(path: str) -> tuple[dict, list[TraceRecord]]:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bfeopt import cli
+from bfeopt import cli, harness
 from bfeopt.cli import main
 from bfeopt.harness import FIELD_TYPES, OPTIMIZERS, PROBLEMS, RunConfig, \
     field_type
@@ -650,3 +650,29 @@ def test_cli_process_exits_with_its_status(tmp_path, argv, code, stderr):
     assert done.stderr.startswith(stderr)
     assert code or done.stderr == ""
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("where, message", [
+    ("missing/trace.csv", "is in no existing directory"),
+    ("", "is a directory")])  # tmp_path itself
+def test_an_out_that_cannot_be_written_exits_2_before_the_run(
+        tmp_path, capsys, monkeypatch, where, message):
+    built = []
+    monkeypatch.setattr(harness, "build_problem", built.append)
+    out = str(tmp_path / where)
+    assert main(["optimize", "--optimizer", "sgd", "--max-steps", "3000",
+                 "--out", out]) == 2
+    assert capsys.readouterr() == ("", f"config error: output_path {out!r} "
+                                       f"{message}\n")
+    assert built == []  # the objective is never built
+    assert not (tmp_path / "missing").exists()
+
+
+def test_a_failed_run_leaves_the_file_at_its_out_as_it_was(tmp_path,
+                                                           capsys):
+    out = tmp_path / "trace.csv"
+    out.write_bytes(b"# an earlier trace\r\n")
+    assert main(["optimize", "--optimizer", "bfe-grad", "--eta0", "1",
+                 "--seed", "42", "--out", str(out)]) == 3
+    assert "at step 9" in capsys.readouterr().err
+    assert out.read_bytes() == b"# an earlier trace\r\n"

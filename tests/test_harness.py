@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bfeopt import harness
+from bfeopt import __version__, harness
 from bfeopt.bfe_grad import BfeGradConfig
 from bfeopt.bfe_loss import BfeLossConfig
 from bfeopt.core import Branch, NonFiniteEvaluation, TraceRecord
@@ -120,7 +120,7 @@ _COUNT = st.integers(0, 10 ** 6)
 def test_trace_rows_are_the_per_row_format_and_read_back(tmp_path_factory,
                                                          trace):
     path = tmp_path_factory.getbasetemp() / "rows.csv"
-    write_trace(str(path), trace, RunConfig())
+    write_trace(str(path), map(harness._TRACE_ROW, trace), RunConfig())
     text = path.read_text()
     assert text.split(harness.TRACE_HEADER + "\n", 1)[1] == \
         _per_row_text(trace)
@@ -349,7 +349,55 @@ def test_run_loop_computes_the_step_gradient_once(optimizer,
         if optimizer in ("bfe", "bfe-zoomin"):
             probe_losses = 2 * inner - repeats
             assert repeats > 0 or optimizer == "bfe-zoomin"
-        assert obj.loss_calls == row_losses * rows + probe_losses
+        # under batch None the memo keeps the last step's points too. Here
+        # every BFE step after the first starts at the half-rate point the
+        # step before committed, at the rate of that step's substeps (bfe's
+        # zoom-in), or twice it (bfe-zoomin's reset, one pass a step): so its
+        # full step, or its committed half step, is the last two-step point
+        held = 0
+        if carried and optimizer in ("bfe", "bfe-zoomin"):
+            held = sum(out.branch is Branch.ZOOM_IN for out in outcomes[1:])
+            assert held > 0
+        assert obj.loss_calls == row_losses * rows + probe_losses - held
         # the summary reports what reached the objective
         assert (summary.grad_evals, summary.loss_evals) == (obj.grad_calls,
                                                             obj.loss_calls)
+
+
+def _trace_file_text(cfg, trace):
+    """A trace file as written from scratch: the three header lines, the
+    column header and one ``_TRACE_ROW`` per record."""
+    config = dataclasses.asdict(cfg)
+    del config["output_path"]
+    return (f"# bfeopt_version={__version__}\n# seed={cfg.seed}\n"
+            f"# config={json.dumps(config, sort_keys=True)}\n"
+            f"{harness.TRACE_HEADER}\n"
+            + "".join(map(harness._TRACE_ROW, trace)))
+
+
+# (a run of no steps, one that the stop check ends, one to max_steps) on
+# each problem
+_LINREG_SMALL = dict(seed=42, n_samples=1000, batch_size=100)
+_QUADRATIC_3 = dict(problem="quadratic", curvatures=(0.1, 1.0, 10.0),
+                    theta0=(1.0, 1.0, 1.0))
+TRACE_RUNS = [
+    (RunConfig(optimizer="sgd", lim_zero=1e9, **_LINREG_SMALL), 0),
+    (RunConfig(optimizer="sgd", alpha=0.01, lim_zero=1.0, max_steps=3000,
+               **_LINREG_SMALL), 198),
+    (RunConfig(optimizer="bfe", max_steps=50, **_LINREG_SMALL), 50),
+    (RunConfig(optimizer="adabfe", lim_zero=1e9, **_QUADRATIC_3), 0),
+    (RunConfig(optimizer="sgd", problem="quadratic", alpha=0.5,
+               lim_zero=1e-3), 10),
+    (RunConfig(optimizer="bfe", max_steps=50, lim_zero=1e-9, **_QUADRATIC_3),
+     50),
+]
+
+
+@pytest.mark.parametrize("cfg, steps", TRACE_RUNS)
+def test_a_trace_file_holds_the_rows_of_the_records_returned(tmp_path, cfg,
+                                                             steps):
+    path = tmp_path / "trace.csv"
+    cfg = dataclasses.replace(cfg, output_path=str(path))
+    trace, _ = run_experiment(cfg)
+    assert len(trace) == steps
+    assert path.read_bytes() == _trace_file_text(cfg, trace).encode()

@@ -44,24 +44,29 @@ def test_memo_returns_the_objectives_own_values(calls):
     raw = Probe()
     counted = CountingObjective(raw)
     memo = EvalMemo(counted)
-    # a model of the memo: its batch, and the (kind, point) pairs it holds
-    scope, held = None, set()
+    # a model of the memo: its batch, the (kind, point) pairs it holds, and
+    # those of them evaluated since the last begin, of which it keeps the
+    # losses
+    scope, held, made = None, set(), set()
     for kind, b, theta in calls:
         batch, key = BATCHES[b], theta.tobytes()
         if kind == "begin":
             memo.begin(batch, theta)
             if batch is scope:
-                held = {(k, p) for k, p in held if p == key}
+                held = {(k, p) for k, p in made if k == "loss"} | {
+                    (k, p) for k, p in held if p == key}
             else:
                 scope, held = batch, set()
+            made = set()
             continue
         evals = counted.loss_calls + counted.grad_calls
         got = getattr(memo, kind)(theta, batch)
         want = getattr(raw, kind)(theta, batch)
         hit = batch is scope and (kind, key) in held
         assert counted.loss_calls + counted.grad_calls == evals + (not hit)
-        if batch is scope:
+        if batch is scope and not hit:
             held.add((kind, key))
+            made.add((kind, key))
         if kind == "loss":
             assert float(got).hex() == float(want).hex()
             continue
@@ -89,6 +94,15 @@ def test_the_committed_points_gradient_carries_under_batch_none():
     assert (counted.grad_calls, counted.loss_calls) == (2, 1)
     memo.grad(start, None)  # no longer held
     assert counted.grad_calls == 3
+    memo.loss(start, None)
+    memo.begin(None, trial)
+    memo.loss(start, None)  # a loss the step that just ended took
+    memo.grad(start, None)  # a gradient it took is not kept
+    assert (counted.grad_calls, counted.loss_calls) == (4, 2)
+    memo.begin(None, trial)  # after a step that took no new loss
+    memo.loss(trial, None)
+    memo.loss(start, None)  # taken two steps back: no longer held
+    assert counted.loss_calls == 3
 
 
 def test_a_new_batch_clears_the_memo_and_other_batches_pass_through():

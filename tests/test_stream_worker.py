@@ -3,6 +3,7 @@ it, a hook's exception reaches the caller, and the in-process path a host
 without ``fork`` takes writes the same traces."""
 import hashlib
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -267,3 +268,41 @@ def test_a_worker_that_ends_early_is_a_clear_error(tmp_path):
 
 def test_a_worker_killed_within_an_item_is_the_same_error(tmp_path):
     _assert_ends_early(WORKER_DIES_MID_ITEM, tmp_path)
+
+
+def _floats(handles):
+    """The handles' floats, bit for bit."""
+    return np.array(handles, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("rows", [120, 128], ids=["shorter-last", "even"])
+def test_a_linreg_run_pickles_as_one_block_of_floats(rows):
+    obj = problems.LinRegObjective(problems.gen_linear_data(
+        problems.LinRegSpec(n=200, seed=4)))
+    perm = np.random.default_rng(4).permutation(200)[:rows]
+    handles = obj.load_batches([perm[i:i + 16] for i in range(0, rows, 16)])
+    wire = pickle.dumps(handles, pickle.HIGHEST_PROTOCOL)
+    back = pickle.loads(wire)
+    assert all(type(h) is problems.BatchMoments for h in back)
+    assert _floats(back) == _floats(handles)
+    # one tuple of floats, not a reduce of each handle
+    assert b"BatchMoments" not in wire
+    flat = tuple(x for h in handles for x in h)
+    assert len(wire) <= len(pickle.dumps(flat, pickle.HIGHEST_PROTOCOL)) + 200
+
+
+def test_a_hook_that_returns_plain_lists_works_through_the_worker(
+        forks, monkeypatch):
+    def first_batches():
+        batches = iter(BatchStream(
+            10, 4, seed=2, on_batches=lambda b: [x.tolist() for x in b]))
+        drawn = [next(batches) for _ in range(7)]
+        batches.close()
+        return drawn
+
+    forked = first_batches()
+    assert len(forks) == 1
+    monkeypatch.setattr(os, "fork", _no_fork)
+    assert forked == first_batches()
+    assert all(type(batch) is list for batch in forked)
+    _assert_no_child_left()

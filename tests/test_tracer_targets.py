@@ -5,10 +5,12 @@ patches in place: a refactor that moves or renames one fails here instead.
 """
 import importlib
 import importlib.util
+import os
 from pathlib import Path
 
 import pytest
 
+from bfeopt import harness
 from bfeopt.cli import main
 from bfeopt.harness import TRACE_HEADER
 
@@ -88,3 +90,27 @@ def test_tracer_and_summary_agree_on_capped_steps(tmp_path, capsys):
               if line.startswith("capped_steps=")]
     assert capped and capped[0] > 0
     assert tracer.layer_metrics()["search.capped"] == capped[0]
+
+
+@pytest.mark.parametrize("out", [True, False], ids=["out", "no-out"])
+def test_a_run_writes_its_trace_through_one_write_trace_call(
+        out, tmp_path, monkeypatch):
+    # the tracer's harness.write_trace_s times this call, and its
+    # harness.trace_bytes reads the size of the file its first argument names
+    calls = []
+    write_trace = harness.write_trace
+
+    def spy(*args):
+        calls.append(args[0])
+        write_trace(*args)
+
+    monkeypatch.setattr(harness, "write_trace", spy)
+    path = str(tmp_path / "trace.csv")
+    argv = ["optimize", "--optimizer", "sgd", *LINREG, "--max-steps", "50"]
+    tracer = _tracer().Tracer()
+    with tracer.installed():
+        rc, _ = tracer.run_op(main, argv + ["--out", path] * out)
+    assert rc == 0
+    assert calls == [path] * out
+    size = os.path.getsize(path) if out else 0
+    assert tracer.layer_metrics()["harness.trace_bytes"] == size
