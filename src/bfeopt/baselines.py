@@ -1,13 +1,13 @@
 """Reference optimizers: fixed-rate SGD, Nesterov momentum, and Adam.
 
-All step functions are stateless over explicit state values and cost one
-gradient evaluation per step. SGD and Adam take the gradient at ``theta``,
-which under the run loop's memo is the stop check's and costs none;
-Nesterov takes it at the look-ahead point.
+Each step function takes its state as plain arrays and the run's
+``BaselineConfig``, and costs one gradient evaluation. SGD and Adam take the
+gradient at ``theta``, which under the run loop's memo is the stop check's
+and costs none; Nesterov takes it at the look-ahead point.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +20,20 @@ BETA2 = 0.999
 EPS_STAB = 1e-8
 
 
+@dataclass(frozen=True)
+class BaselineConfig:
+    """Every baseline's rate ``alpha`` and Nesterov's momentum ``beta``."""
+
+    alpha: float = 0.001
+    beta: float = 0.9
+
+    def __post_init__(self):
+        if not 0.0 <= self.beta < 1.0:
+            raise ValueError("beta must be in [0, 1)")
+        if not self.alpha > 0:  # NaN fails too
+            raise ValueError("alpha must be positive")
+
+
 def _finite_grad(obj: Objective, theta: np.ndarray, batch: Batch
                  ) -> np.ndarray:
     g = obj.grad(theta, batch)
@@ -30,89 +44,62 @@ def _finite_grad(obj: Objective, theta: np.ndarray, batch: Batch
     return g
 
 
-@dataclass(frozen=True)
-class MomentumState:
-    v: np.ndarray
-    beta: float = 0.9
-    alpha: float = 0.001
-
-    def __post_init__(self):
-        if not 0.0 <= self.beta < 1.0:
-            raise ValueError("beta must be in [0, 1)")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+def sgd_step(obj: Objective, theta: np.ndarray, cfg: BaselineConfig,
+             batch: Batch) -> np.ndarray:
+    return theta - cfg.alpha * _finite_grad(obj, theta, batch)
 
 
-@dataclass(frozen=True)
-class AdamState:
-    m: np.ndarray
-    v: np.ndarray
-    alpha: float = 0.001
-    t: int = 0
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-
-
-def sgd_step(obj: Objective, theta: np.ndarray, alpha: float, batch: Batch
-             ) -> np.ndarray:
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    return theta - alpha * _finite_grad(obj, theta, batch)
-
-
-def nesterov_step(obj: Objective, theta: np.ndarray, state: MomentumState,
-                  batch: Batch) -> tuple[np.ndarray, MomentumState]:
+def nesterov_step(obj: Objective, theta: np.ndarray, v: np.ndarray,
+                  cfg: BaselineConfig, batch: Batch
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """Velocity update with the gradient taken at the look-ahead point."""
-    look_ahead = theta - state.alpha * state.beta * state.v
-    g = _finite_grad(obj, look_ahead, batch)
-    v = state.beta * state.v + g
-    theta_next = theta - state.alpha * v
-    return theta_next, replace(state, v=v)
+    look_ahead = theta - cfg.alpha * cfg.beta * v
+    v = cfg.beta * v + _finite_grad(obj, look_ahead, batch)
+    return theta - cfg.alpha * v, v
 
 
-def adam_step(obj: Objective, theta: np.ndarray, state: AdamState,
-              batch: Batch) -> tuple[np.ndarray, AdamState]:
-    """Standard bias-corrected Adam update."""
+def adam_step(obj: Objective, theta: np.ndarray, m: np.ndarray,
+              v: np.ndarray, t: int, cfg: BaselineConfig, batch: Batch
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Standard bias-corrected Adam update; ``t`` is this step's number,
+    from 1."""
     g = _finite_grad(obj, theta, batch)
-    t = state.t + 1
-    m = BETA1 * state.m + (1.0 - BETA1) * g
-    v = BETA2 * state.v + (1.0 - BETA2) * g * g
+    m = BETA1 * m + (1.0 - BETA1) * g
+    v = BETA2 * v + (1.0 - BETA2) * g * g
     if np.count_nonzero(np.isfinite(v)) != v.size:  # g * g overflowed
         dims = np.flatnonzero(~np.isfinite(v))
         raise NonFiniteEvaluation(
             f"non-finite Adam second moment in dims {dims.tolist()}")
     m_hat = m / (1.0 - BETA1 ** t)
     v_hat = v / (1.0 - BETA2 ** t)
-    theta_next = theta - state.alpha * m_hat / (np.sqrt(v_hat) + EPS_STAB)
-    return theta_next, replace(state, m=m, v=v, t=t)
+    return theta - cfg.alpha * m_hat / (np.sqrt(v_hat) + EPS_STAB), m, v
 
 
 class SgdOptimizer:
-    def __init__(self, alpha: float):
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
-        self.alpha = alpha
+    def __init__(self, cfg: BaselineConfig):
+        self.cfg = cfg
 
     def step(self, obj, theta, batch, epoch=0) -> StepOutcome:
-        return StepOutcome(sgd_step(obj, theta, self.alpha, batch),
-                           self.alpha, 1)
+        return StepOutcome(sgd_step(obj, theta, self.cfg, batch),
+                           self.cfg.alpha, 1)
 
 
 class NesterovOptimizer:
-    def __init__(self, dim: int, alpha: float, beta: float = 0.9):
-        self.state = MomentumState(v=np.zeros(dim), beta=beta, alpha=alpha)
+    def __init__(self, cfg: BaselineConfig, dim: int):
+        self.cfg, self.v = cfg, np.zeros(dim)
 
     def step(self, obj, theta, batch, epoch=0) -> StepOutcome:
-        theta, self.state = nesterov_step(obj, theta, self.state, batch)
-        return StepOutcome(theta, self.state.alpha, 1)
+        theta, self.v = nesterov_step(obj, theta, self.v, self.cfg, batch)
+        return StepOutcome(theta, self.cfg.alpha, 1)
 
 
 class AdamOptimizer:
-    def __init__(self, dim: int, alpha: float = 0.001):
-        self.state = AdamState(m=np.zeros(dim), v=np.zeros(dim), alpha=alpha)
+    def __init__(self, cfg: BaselineConfig, dim: int):
+        self.cfg, self.t = cfg, 0
+        self.m, self.v = np.zeros(dim), np.zeros(dim)
 
     def step(self, obj, theta, batch, epoch=0) -> StepOutcome:
-        theta, self.state = adam_step(obj, theta, self.state, batch)
-        return StepOutcome(theta, self.state.alpha, 1)
+        self.t += 1
+        theta, self.m, self.v = adam_step(obj, theta, self.m, self.v, self.t,
+                                          self.cfg, batch)
+        return StepOutcome(theta, self.cfg.alpha, 1)

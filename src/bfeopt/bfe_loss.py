@@ -10,8 +10,9 @@ zoom-out loop entirely.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable
 
@@ -34,26 +35,23 @@ CAP_EXP = 60
 
 @dataclass(frozen=True)
 class Lattice:
-    """The rates ``eta0 * base**k``, |k| <= CAP_EXP, computed once into
-    ``rates``, which ``k`` itself indexes: a negative ``k`` counts back from
-    the end. A lowest rate that rounds to 0 or a highest that overflows
+    """The rates ``eta0 * base**k``, |k| <= CAP_EXP, computed on first use
+    into ``rates``, which ``k`` itself indexes: a negative ``k`` counts back
+    from the end. A lowest rate that rounds to 0 or a highest that overflows
     raises ValueError: a search at rate 0 never moves, and one at an
     infinite rate overflows."""
 
     eta0: float = 0.001
     base: int = 2
-    rates: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.eta0 <= 0:
             raise ValueError("eta0 must be positive")
         if self.base < 2:
             raise ValueError("base must be >= 2")
-        ks = (*range(CAP_EXP + 1), *range(-CAP_EXP, 0))
         try:
             base = float(self.base)
-            rates = [self.eta0 * base ** k for k in ks]
-            lo, hi = rates[-CAP_EXP], rates[CAP_EXP]
+            lo, hi = self.eta0 * base ** -CAP_EXP, self.eta0 * base ** CAP_EXP
         except OverflowError:  # base ** CAP_EXP is beyond the float range
             lo = self.eta0 * 2.0 ** (-CAP_EXP * math.log2(self.base))
             hi = math.inf
@@ -62,7 +60,11 @@ class Lattice:
                 f"eta0={self.eta0!r} and base={self.base!r} put the rate caps "
                 f"eta0*base**-{CAP_EXP} and eta0*base**{CAP_EXP} at {lo!r} "
                 f"and {hi!r}; they must be positive and finite")
-        object.__setattr__(self, "rates", np.array(rates))
+
+    @functools.cached_property
+    def rates(self) -> np.ndarray:
+        ks = (*range(CAP_EXP + 1), *range(-CAP_EXP, 0))
+        return np.array([self.eta0 * float(self.base) ** k for k in ks])
 
 
 class LatticeOptimizer:

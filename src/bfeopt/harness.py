@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .baselines import AdamOptimizer, MomentumState, NesterovOptimizer, \
+from .baselines import AdamOptimizer, BaselineConfig, NesterovOptimizer, \
     SgdOptimizer
 from .bfe_grad import AdaBfeOptimizer, BfeGradConfig, BfeGradOptimizer, \
     ThresholdMode, ZoomOutExit, DEG
@@ -98,7 +98,7 @@ class RunConfig:
         try:
             BfeLossConfig(self.eta0, self.base, self.eps_ratio)
             BfeGradConfig(angle_threshold=self.angle_threshold_deg * DEG)
-            MomentumState(None, self.beta, self.alpha)
+            BaselineConfig(self.alpha, self.beta)
             LinRegSpec(noise_std=self.noise_std, n=self.n_samples,
                        seed=self.seed)
             QuadraticObjective(self.curvatures)
@@ -217,11 +217,12 @@ def build_optimizer(cfg: RunConfig, dim: int):
         if cfg.optimizer == "adabfe":
             return AdaBfeOptimizer(gcfg, dim)
         return BfeGradOptimizer(gcfg)
+    baseline = BaselineConfig(cfg.alpha, cfg.beta)
     if cfg.optimizer == "sgd":
-        return SgdOptimizer(alpha=cfg.alpha)
+        return SgdOptimizer(baseline)
     if cfg.optimizer == "nesterov":
-        return NesterovOptimizer(dim, alpha=cfg.alpha, beta=cfg.beta)
-    return AdamOptimizer(dim, alpha=cfg.alpha)
+        return NesterovOptimizer(baseline, dim)
+    return AdamOptimizer(baseline, dim)
 
 
 class EvalMemo:

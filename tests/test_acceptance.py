@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from bfeopt.baselines import MomentumState, nesterov_step, sgd_step
+from bfeopt.baselines import BaselineConfig, nesterov_step, sgd_step
 from bfeopt.bfe_grad import AdaBfeOptimizer, BfeGradConfig, BfeGradOptimizer, \
     grad_probe
 from bfeopt.bfe_loss import BfeLossConfig, BfeLossOptimizer, CommitPolicy, \
@@ -258,11 +258,11 @@ def test_criterion_11_evaluation_budget(counting):
     grad_probe(obj, np.array([1.0]), 0.01, None)
     probe_ok = (obj.grad_calls, obj.loss_calls) == (2, 0)
     obj.reset()
-    sgd_step(obj, np.array([1.0]), 0.1, None)
+    sgd_step(obj, np.array([1.0]), BaselineConfig(alpha=0.1), None)
     sgd_ok = obj.grad_calls == 1
     obj.reset()
-    nesterov_step(obj, np.array([1.0]),
-                  MomentumState(v=np.zeros(1), alpha=0.1), None)
+    nesterov_step(obj, np.array([1.0]), np.zeros(1),
+                  BaselineConfig(alpha=0.1), None)
     nest_ok = obj.grad_calls == 1
     ok = all((loss_ok, pair_in_ok, pair_given_ok, pair_out_ok, probe_ok,
               sgd_ok, nest_ok))

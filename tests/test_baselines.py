@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from bfeopt.baselines import (
     AdamOptimizer,
-    AdamState,
-    MomentumState,
+    BaselineConfig,
     NesterovOptimizer,
     SgdOptimizer,
     _finite_grad,
@@ -17,47 +16,57 @@ from bfeopt.baselines import (
     sgd_step,
 )
 from bfeopt.core import NonFiniteEvaluation
+from bfeopt.harness import RunConfig, build_optimizer
 from bfeopt.problems import quadratic_objective
+
+
+RATE_01 = BaselineConfig(alpha=0.1)
 
 
 def test_sgd_basic():
     obj = quadratic_objective([1.0])
-    theta = sgd_step(obj, np.array([1.0]), 0.1, None)
+    theta = sgd_step(obj, np.array([1.0]), RATE_01, None)
     assert theta[0] == pytest.approx(0.9, rel=1e-15)
 
 
-def test_sgd_zero_rate_is_identity():
-    obj = quadratic_objective([1.0])
-    theta = sgd_step(obj, np.array([1.0]), 0.0, None)
-    assert theta[0] == 1.0
+@pytest.mark.parametrize("alpha", [0.0, -0.1, float("nan")])
+def test_a_rate_that_is_not_positive_is_rejected(alpha):
+    with pytest.raises(ValueError, match="^alpha must be positive$"):
+        BaselineConfig(alpha=alpha)
+
+
+@pytest.mark.parametrize("beta", [-0.1, 1.0, float("nan")])
+def test_a_momentum_outside_0_to_1_is_rejected(beta):
+    with pytest.raises(ValueError, match=r"^beta must be in \[0, 1\)$"):
+        BaselineConfig(beta=beta)
 
 
 def test_sgd_fixed_point():
     obj = quadratic_objective([1.0])
-    theta = sgd_step(obj, np.array([0.0]), 0.1, None)
+    theta = sgd_step(obj, np.array([0.0]), RATE_01, None)
     assert theta[0] == 0.0
 
 
 def test_nesterov_hand_recursion():
     obj = quadratic_objective([1.0])
-    state = MomentumState(v=np.zeros(1), beta=0.9, alpha=0.1)
-    theta, state = nesterov_step(obj, np.array([1.0]), state, None)
-    assert state.v[0] == pytest.approx(1.0, rel=1e-15)
+    cfg = BaselineConfig(alpha=0.1, beta=0.9)
+    theta, v = nesterov_step(obj, np.array([1.0]), np.zeros(1), cfg, None)
+    assert v[0] == pytest.approx(1.0, rel=1e-15)
     assert theta[0] == pytest.approx(0.9, rel=1e-15)
-    theta, state = nesterov_step(obj, theta, state, None)
-    assert state.v[0] == pytest.approx(1.71, rel=1e-14)
+    theta, v = nesterov_step(obj, theta, v, cfg, None)
+    assert v[0] == pytest.approx(1.71, rel=1e-14)
     assert theta[0] == pytest.approx(0.729, rel=1e-14)
 
 
 def test_nesterov_zero_beta_equals_sgd_bitwise():
     obj = quadratic_objective([2.5])
-    alpha = 0.07
-    state = MomentumState(v=np.zeros(1), beta=0.0, alpha=alpha)
+    cfg = BaselineConfig(alpha=0.07, beta=0.0)
+    v = np.zeros(1)
     tn = np.array([1.3])
     ts = np.array([1.3])
     for _ in range(50):
-        tn, state = nesterov_step(obj, tn, state, None)
-        ts = sgd_step(obj, ts, alpha, None)
+        tn, v = nesterov_step(obj, tn, v, cfg, None)
+        ts = sgd_step(obj, ts, cfg, None)
         assert tn[0] == ts[0]  # exact, not approximate
 
 
@@ -69,10 +78,10 @@ def test_nesterov_zero_gradient_keeps_params():
         def grad(self, theta, batch=None):
             return np.zeros_like(theta)
 
-    state = MomentumState(v=np.zeros(1), beta=0.9, alpha=0.1)
+    cfg, v = BaselineConfig(alpha=0.1, beta=0.9), np.zeros(1)
     theta = np.array([2.0])
     for _ in range(5):
-        theta, state = nesterov_step(Flat(), theta, state, None)
+        theta, v = nesterov_step(Flat(), theta, v, cfg, None)
     assert theta[0] == 2.0
 
 
@@ -84,10 +93,10 @@ def test_adam_first_step_magnitude():
         def grad(self, theta, batch=None):
             return np.ones_like(theta)
 
-    state = AdamState(m=np.zeros(1), v=np.zeros(1), alpha=0.001)
-    theta, state = adam_step(UnitGrad(), np.array([0.0]), state, None)
+    theta, m, v = adam_step(UnitGrad(), np.array([0.0]), np.zeros(1),
+                            np.zeros(1), 1, BaselineConfig(alpha=0.001), None)
     assert theta[0] == pytest.approx(-0.001, rel=1e-7)
-    assert state.t == 1
+    assert m[0] == pytest.approx(0.1) and v[0] == pytest.approx(0.001)
 
 
 def test_adam_zero_gradient_fixed_point():
@@ -98,8 +107,8 @@ def test_adam_zero_gradient_fixed_point():
         def grad(self, theta, batch=None):
             return np.zeros_like(theta)
 
-    state = AdamState(m=np.zeros(1), v=np.zeros(1), alpha=0.001)
-    theta, state = adam_step(Flat(), np.array([1.0]), state, None)
+    theta, _, _ = adam_step(Flat(), np.array([1.0]), np.zeros(1),
+                            np.zeros(1), 1, BaselineConfig(alpha=0.001), None)
     assert theta[0] == 1.0
 
 
@@ -112,11 +121,11 @@ def test_adam_constant_gradient_step_approaches_alpha():
             return np.full_like(theta, 3.0)
 
     alpha = 0.01
-    state = AdamState(m=np.zeros(1), v=np.zeros(1), alpha=alpha)
+    opt = AdamOptimizer(BaselineConfig(alpha=alpha), 1)
     theta = np.array([0.0])
     for _ in range(1000):
         prev = theta[0]
-        theta, state = adam_step(ConstGrad(), theta, state, None)
+        theta = opt.step(ConstGrad(), theta, None).theta_next
     assert abs(prev - theta[0]) == pytest.approx(alpha, rel=1e-3)
 
 
@@ -124,25 +133,24 @@ def test_adam_step_magnitude_sanity_bound():
     obj = quadratic_objective([4.0])
     rng = np.random.default_rng(11)
     alpha = 0.05
-    state = AdamState(m=np.zeros(1), v=np.zeros(1), alpha=alpha)
+    opt = AdamOptimizer(BaselineConfig(alpha=alpha), 1)
     theta = np.array([rng.normal(0, 5)])
     for _ in range(300):
         prev = theta.copy()
-        theta, state = adam_step(obj, theta, state, None)
+        theta = opt.step(obj, theta, None).theta_next
         assert np.all(np.abs(theta - prev) <= alpha * 10)
 
 
 def test_baselines_one_gradient_per_step(counting):
     obj = counting(quadratic_objective([1.0]))
-    sgd_step(obj, np.array([1.0]), 0.1, None)
+    sgd_step(obj, np.array([1.0]), RATE_01, None)
     assert obj.grad_calls == 1
     obj.reset()
-    nesterov_step(obj, np.array([1.0]),
-                  MomentumState(v=np.zeros(1), alpha=0.1), None)
+    nesterov_step(obj, np.array([1.0]), np.zeros(1), RATE_01, None)
     assert obj.grad_calls == 1
     obj.reset()
-    adam_step(obj, np.array([1.0]),
-              AdamState(m=np.zeros(1), v=np.zeros(1)), None)
+    adam_step(obj, np.array([1.0]), np.zeros(1), np.zeros(1), 1,
+              BaselineConfig(), None)
     assert obj.grad_calls == 1
 
 
@@ -164,17 +172,17 @@ def test_non_finite_gradient_is_rejected():
     for value in (np.nan, np.inf, -np.inf):
         obj = NonFiniteGradient(value)
         with pytest.raises(NonFiniteEvaluation):
-            sgd_step(obj, theta, 0.1, None)
+            sgd_step(obj, theta, RATE_01, None)
         with pytest.raises(NonFiniteEvaluation):
-            nesterov_step(obj, theta, MomentumState(v=np.zeros(1)), None)
+            nesterov_step(obj, theta, np.zeros(1), BaselineConfig(), None)
         with pytest.raises(NonFiniteEvaluation):
-            adam_step(obj, theta, AdamState(m=np.zeros(1), v=np.zeros(1)),
-                      None)
+            adam_step(obj, theta, np.zeros(1), np.zeros(1), 1,
+                      BaselineConfig(), None)
 
 
-@pytest.mark.parametrize("opt", [SgdOptimizer(alpha=0.1),
-                                 NesterovOptimizer(1, alpha=0.1),
-                                 AdamOptimizer(1, alpha=0.1)])
+@pytest.mark.parametrize("opt", [SgdOptimizer(RATE_01),
+                                 NesterovOptimizer(RATE_01, 1),
+                                 AdamOptimizer(RATE_01, 1)])
 def test_baseline_step_outcome(opt):
     obj = quadratic_objective([1.0])
     out = opt.step(obj, np.array([1.0]), None)
@@ -208,3 +216,14 @@ def test_finite_check_is_isfinite_all_without_warnings(values):
         else:
             with pytest.raises(NonFiniteEvaluation):
                 _finite_grad(FixedGradient(g), g, None)
+
+
+@pytest.mark.parametrize("optimizer, kind", [("sgd", SgdOptimizer),
+                                             ("nesterov", NesterovOptimizer),
+                                             ("adam", AdamOptimizer)])
+def test_a_run_hands_its_alpha_and_beta_to_the_baseline(optimizer, kind):
+    opt = build_optimizer(RunConfig(optimizer=optimizer, problem="quadratic",
+                                    curvatures=(1.0, 2.0), alpha=0.25,
+                                    beta=0.5), 2)
+    assert type(opt) is kind
+    assert opt.cfg == BaselineConfig(alpha=0.25, beta=0.5)

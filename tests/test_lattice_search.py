@@ -7,6 +7,7 @@ branch, moving an int lattice index and computing each rate as
 ``adabfe_step``'s per-dimension rates are checked to stay on the lattice,
 and so is every rate a whole run of the four BFE optimizers commits.
 """
+import hashlib
 import math
 import re
 
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bfeopt import harness
 from bfeopt.bfe_grad import (
     RELATIVE_RATIO,
     BfeGradConfig,
@@ -360,6 +362,39 @@ def test_config_rejects_a_lattice_beyond_the_floats(config, eta0, base):
 def test_lattice_just_inside_the_floats_is_accepted(eta0, base):
     rates = Lattice(eta0, base).rates
     assert 0.0 < rates[-CAP_EXP] and rates[CAP_EXP] < math.inf
+
+
+def test_a_run_config_checks_the_lattice_without_its_rate_table(monkeypatch):
+    built = []
+
+    def recorded(config):
+        def build(*args, **kwargs):
+            built.append(config(*args, **kwargs))
+            return built[-1]
+        return build
+
+    for config in (BfeLossConfig, BfeGradConfig):
+        monkeypatch.setattr(harness, config.__name__, recorded(config))
+    RunConfig()
+    assert [type(c) for c in built] == [BfeLossConfig, BfeGradConfig]
+    assert all("rates" not in vars(c) for c in built)
+    assert built[0].rates is built[0].rates  # computed once, then kept
+
+
+# sha256 of the float64 bytes of the table at eta0 = 1e-3, as computed
+# before the table was built on first use
+RATE_TABLES = {
+    2: "8dc06f4adf2daecf5293be6e74e23ecb27a6ca9597a4a44a9eb40022ead52d1f",
+    3: "9a11b9a5f76af3b7dff1f36539a5a9ebd5f228d0e77d74b1ac30125f85aed8ee",
+}
+
+
+@pytest.mark.parametrize("config", [Lattice, BfeLossConfig, BfeGradConfig])
+@pytest.mark.parametrize("base", sorted(RATE_TABLES))
+def test_the_rate_table_is_bitwise_unchanged(config, base):
+    rates = config(eta0=1e-3, base=base).rates
+    assert rates.dtype == np.float64 and rates.shape == (2 * CAP_EXP + 1,)
+    assert hashlib.sha256(rates.tobytes()).hexdigest() == RATE_TABLES[base]
 
 
 @pytest.mark.parametrize("base", [2, 3])
