@@ -94,6 +94,10 @@ class RunConfig:
             raise ConfigError("max_steps must be >= 1")
         if self.lim_zero <= 0:
             raise ConfigError("lim_zero must be positive")
+        if self.n_samples < 1:
+            raise ConfigError("n_samples must be >= 1")
+        if not 0 < self.angle_threshold_deg < 90:
+            raise ConfigError("angle_threshold_deg must be in (0, 90)")
         # the parts that own every other range check it, for every run
         try:
             BfeLossConfig(self.eta0, self.base, self.eps_ratio)

@@ -313,13 +313,14 @@ def _drawn_ahead(items):
     Each item comes back as one pickle, and the exception that ends
     ``items`` is raised here. Closing this generator kills and reaps the
     worker; one that ends early, at or within an item, raises ``OSError``.
-    Where ``os.fork`` is missing or raises ``OSError``, ``items`` runs in
-    this process.
+    Where ``os.fork`` is missing or raises ``OSError``, or this process may
+    run on one CPU only, where a worker would only take turns with it,
+    ``items`` runs in this process.
     """
     r, w = os.pipe()
     cpus = _other_cpus()
     try:
-        pid = os.fork() if hasattr(os, "fork") else None
+        pid = os.fork() if hasattr(os, "fork") and cpus != set() else None
     except OSError:
         pid = None
     if pid == 0:  # the worker, which never returns
@@ -363,17 +364,18 @@ def _drawn_ahead(items):
                   f"(exit code {os.waitstatus_to_exitcode(status)})")
 
 
-def _other_cpus() -> set[int]:
-    """The CPUs this thread may run on but the one it runs on now, where
-    Linux's ``/proc`` tells. The worker is moved there: where it is forked,
-    it can share its parent's CPU for good, on a host that does not balance
-    load or that wakes the waiting parent on the worker's CPU."""
+def _other_cpus() -> set[int] | None:
+    """The CPUs this thread may run on but the one it runs on now, or None
+    where Linux's ``/proc`` does not tell. The worker is moved there: where
+    it is forked, it can share its parent's CPU for good, on a host that
+    does not balance load or that wakes the waiting parent on the worker's
+    CPU."""
     try:
         with open("/proc/thread-self/stat", "rb") as f:
             cpu = int(f.read().rsplit(b")", 1)[1].split()[36])
         return os.sched_getaffinity(0) - {cpu}
     except OSError:
-        return set()
+        return None
 
 
 class ConstantBatchStream:

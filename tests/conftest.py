@@ -1,6 +1,12 @@
+import contextlib
+import gc
+import glob
+import os
+import signal
+
 import pytest
 
-from bfeopt import harness
+from bfeopt import harness, problems
 
 
 class CountingObjective:
@@ -43,3 +49,40 @@ def counted_objectives(monkeypatch):
 
     monkeypatch.setattr(harness, "build_problem", counted)
     return objs
+
+
+@pytest.fixture
+def stream_forks(monkeypatch):
+    """A batch stream forks its worker even where this process may run on
+    one CPU only, for the tests that need the worker."""
+    other_cpus = problems._other_cpus
+    monkeypatch.setattr(problems, "_other_cpus",
+                        lambda: other_cpus() or os.sched_getaffinity(0))
+
+
+def _children() -> list[int]:
+    """This process's child pids, running or exited and unreaped, as Linux's
+    ``/proc`` lists them; none where it does not."""
+    pids = []
+    for path in glob.glob("/proc/self/task/*/children"):
+        with contextlib.suppress(OSError), open(path) as f:
+            pids += map(int, f.read().split())
+    return pids
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """A test that leaves a child process fails alone: the child is killed
+    and reaped, so the tests after it start with none."""
+    yield
+    left = _children()
+    if not left:
+        return
+    # a stream dropped in a reference cycle ends its own worker here, where
+    # a later collection would find the worker reaped
+    gc.collect()
+    for pid in _children():
+        with contextlib.suppress(OSError):
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    pytest.fail(f"the test left child processes {left}")

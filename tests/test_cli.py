@@ -298,10 +298,11 @@ UNREAD_FLAGS = [
     (("adam", "--base", "1", "--pre-halve"), "base must be >= 2"),
     (("nesterov", "--base", "-3"), "base must be >= 2"),
     (("sgd", "--angle-threshold-deg", "100"),
-     "angle_threshold must be in (0, pi/2)"),
+     "angle_threshold_deg must be in (0, 90)"),
     (("bfe", "--angle-threshold-deg", "100"),
-     "angle_threshold must be in (0, pi/2)"),
-    (("bfe", "--problem", "quadratic", "--n-samples", "0"), "n must be >= 1"),
+     "angle_threshold_deg must be in (0, 90)"),
+    (("bfe", "--problem", "quadratic", "--n-samples", "0"),
+     "n_samples must be >= 1"),
     (("bfe", "--problem", "quadratic", "--noise-std", "-1"),
      "noise_std must be nonnegative and finite"),
     (("bfe", "--curvatures", "-1"), "curvatures must be positive"),

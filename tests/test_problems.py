@@ -446,7 +446,7 @@ def test_batch_pass_gives_each_batch_the_bits_of_its_own_pass(case):
     (100, 32, 1, [4]), (96, 32, 1, []), (10, 20, 1, []), (7, 1, 1, []),
     (40000, 1000, 3, []), (40000, 3000, 3, [1000]), (20000, 1, 2, [])])
 def test_batch_pass_runs_moments_only_for_the_partial_batch(
-        monkeypatch, n, batch_size, runs_per_epoch, partial):
+        monkeypatch, stream_forks, n, batch_size, runs_per_epoch, partial):
     obj, _, stream = harness.build_problem(harness.RunConfig(
         n_samples=n, batch_size=batch_size, seed=3))
     passes, calls = [], []

@@ -31,8 +31,9 @@ def _assert_no_child_left():
 
 
 @pytest.fixture
-def forks(monkeypatch):
-    """The pids ``os.fork`` returns in this process, in order."""
+def forks(monkeypatch, stream_forks):
+    """The pids ``os.fork`` returns in this process, in order; a stream
+    forks its worker even on one CPU."""
     pids = []
     fork = os.fork
 
@@ -84,7 +85,7 @@ def test_a_hook_error_reaches_the_caller_with_its_type_and_message(forks):
     _assert_no_child_left()
 
 
-def test_a_hook_error_that_does_not_pickle_names_its_type():
+def test_a_hook_error_that_does_not_pickle_names_its_type(forks):
     class LocalError(Exception):
         pass
 
@@ -97,14 +98,14 @@ def test_a_hook_error_that_does_not_pickle_names_its_type():
     _assert_no_child_left()
 
 
-def test_a_hook_result_that_does_not_pickle_is_an_error():
+def test_a_hook_result_that_does_not_pickle_is_an_error(forks):
     batches = iter(BatchStream(10, 4, on_batches=lambda b: [lambda: b]))
     with pytest.raises(Exception, match="pickle"):
         next(batches)
     _assert_no_child_left()
 
 
-def test_a_large_hook_result_that_does_not_pickle_is_an_error():
+def test_a_large_hook_result_that_does_not_pickle_is_an_error(forks):
     # the worker has written the bytes, past the pipe's size, when the
     # lambda fails to pickle
     batches = iter(BatchStream(
@@ -180,8 +181,10 @@ def test_the_worker_runs_on_the_cpus_its_parent_does_not(monkeypatch):
     monkeypatch.setattr(problems, "_other_cpus", lambda: worker_cpus)
     batches = iter(BatchStream(
         10, 4, on_batches=lambda b: [os.sched_getaffinity(0)] * len(b)))
-    assert next(batches) == worker_cpus
-    batches.close()
+    try:
+        assert next(batches) == worker_cpus
+    finally:
+        batches.close()
     assert os.sched_getaffinity(0) == allowed
 
 
@@ -201,7 +204,29 @@ def test_without_fork_the_stream_runs_in_process(monkeypatch, flags,
     _assert_no_child_left()
 
 
-def test_without_fork_a_stream_yields_what_the_worker_sends(monkeypatch):
+@pytest.mark.parametrize("flags", [("bfe", *LINREG), ("sgd", *LINREG)],
+                         ids=" ".join)
+def test_on_one_cpu_the_stream_runs_in_process(forks, monkeypatch, flags,
+                                               tmp_path):
+    monkeypatch.setattr(problems, "_other_cpus", set)
+    out = tmp_path / "trace.csv"
+    assert main(["optimize", "--optimizer", *flags, "--out", str(out)]) == 0
+    rows = out.read_text().split(TRACE_HEADER + "\n", 1)[1]
+    assert hashlib.sha256(rows.encode()).hexdigest() == GOLDEN[flags]
+    assert forks == []
+
+
+def test_where_proc_does_not_tell_the_stream_still_forks(forks, monkeypatch):
+    monkeypatch.setattr(problems, "_other_cpus", lambda: None)
+    batches = iter(BatchStream(10, 4, on_batches=list))
+    next(batches)
+    batches.close()
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+def test_without_fork_a_stream_yields_what_the_worker_sends(forks,
+                                                             monkeypatch):
     def first_epochs(stream):
         batches = iter(stream)
         drawn = [next(batches) for _ in range(9)]
@@ -230,6 +255,7 @@ class Kill:
         os.kill(os.getpid(), signal.SIGKILL)
 
 load = problems.LinRegObjective.load_batches
+problems._other_cpus = lambda: os.sched_getaffinity(0)  # fork on one CPU too
 calls = []
 
 def dies(self, batches):
