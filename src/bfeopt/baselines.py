@@ -20,6 +20,16 @@ BETA2 = 0.999
 EPS_STAB = 1e-8
 
 
+def _finite_grad(obj: Objective, theta: np.ndarray, batch: Batch
+                 ) -> np.ndarray:
+    g = obj.grad(theta, batch)
+    # exact and warning-free, at a third of the cost of np.isfinite(g).all()
+    # for a small gradient
+    if np.count_nonzero(np.isfinite(g)) != g.size:
+        raise NonFiniteEvaluation("non-finite gradient")
+    return g
+
+
 @dataclass(frozen=True)
 class BaselineConfig:
     """Every baseline's rate ``alpha`` and Nesterov's momentum ``beta``."""
@@ -32,16 +42,6 @@ class BaselineConfig:
             raise ValueError("beta must be in [0, 1)")
         if not self.alpha > 0:  # NaN fails too
             raise ValueError("alpha must be positive")
-
-
-def _finite_grad(obj: Objective, theta: np.ndarray, batch: Batch
-                 ) -> np.ndarray:
-    g = obj.grad(theta, batch)
-    # exact and warning-free, at a third of the cost of np.isfinite(g).all()
-    # for a small gradient
-    if np.count_nonzero(np.isfinite(g)) != g.size:
-        raise NonFiniteEvaluation("non-finite gradient")
-    return g
 
 
 def sgd_step(obj: Objective, theta: np.ndarray, cfg: BaselineConfig,
