@@ -16,7 +16,6 @@ from bfeopt.baselines import (
     sgd_step,
 )
 from bfeopt.core import NonFiniteEvaluation
-from bfeopt.harness import RunConfig, build_optimizer
 from bfeopt.problems import quadratic_objective
 
 
@@ -33,12 +32,6 @@ def test_sgd_basic():
 def test_a_rate_that_is_not_positive_is_rejected(alpha):
     with pytest.raises(ValueError, match="^alpha must be positive$"):
         BaselineConfig(alpha=alpha)
-
-
-@pytest.mark.parametrize("beta", [-0.1, 1.0, float("nan")])
-def test_a_momentum_outside_0_to_1_is_rejected(beta):
-    with pytest.raises(ValueError, match=r"^beta must be in \[0, 1\)$"):
-        BaselineConfig(beta=beta)
 
 
 def test_sgd_fixed_point():
@@ -217,13 +210,3 @@ def test_finite_check_is_isfinite_all_without_warnings(values):
             with pytest.raises(NonFiniteEvaluation):
                 _finite_grad(FixedGradient(g), g, None)
 
-
-@pytest.mark.parametrize("optimizer, kind", [("sgd", SgdOptimizer),
-                                             ("nesterov", NesterovOptimizer),
-                                             ("adam", AdamOptimizer)])
-def test_a_run_hands_its_alpha_and_beta_to_the_baseline(optimizer, kind):
-    opt = build_optimizer(RunConfig(optimizer=optimizer, problem="quadratic",
-                                    curvatures=(1.0, 2.0), alpha=0.25,
-                                    beta=0.5), 2)
-    assert type(opt) is kind
-    assert opt.cfg == BaselineConfig(alpha=0.25, beta=0.5)
