@@ -151,26 +151,29 @@ def adabfe_step(obj: Objective, theta: np.ndarray, k: np.ndarray,
                          f"shape {k.shape}")
     if zoom_in is None:
         zoom_in = np.ones(dim, dtype=bool)
-    zoom_in = np.array(zoom_in, dtype=bool)
+    zoom_in = np.asarray(zoom_in, dtype=bool)  # read, never written
     if zoom_in.shape != theta.shape:
         raise ValueError(f"per-dimension branches must have theta's shape "
                          f"{theta.shape}, not {zoom_in.shape}")
     # an index beyond the caps would read the rate table wrapped round
-    bad = np.flatnonzero(np.abs(k) > CAP_EXP)
-    if bad.size:
+    if np.maximum.reduce(np.abs(k)) > CAP_EXP:
+        bad = np.flatnonzero(np.abs(k) > CAP_EXP)
         raise ValueError(f"per-dimension lattice indices must be within "
                          f"+-{CAP_EXP}, not {k[bad].tolist()} in dims "
                          f"{bad.tolist()}")
 
     rates = cfg.rates
     # each pass moves a zoom-in index down by one and a zoom-out index up; a
-    # move reaches its branch's cap on pass ``room``
+    # move reaches its branch's cap on pass ``room``, so no pass before
+    # ``first_cap`` needs the cap test
     step = np.where(zoom_in, -1, 1)
     room = CAP_EXP - step * k
+    first_cap = int(np.minimum.reduce(room))
     hits = np.zeros(dim, dtype=bool)
     if cfg.pre_halve:
         # a zoom-in index starts one below, and so probes the cap on pass
         # ``room``; a halving from the lowest rate is held there, as a hit
+        # (its room is 0, so the cap test runs from the first pass)
         hits = zoom_in & (k == -CAP_EXP)
         k = np.maximum(k - zoom_in, -CAP_EXP)
     g = np.asarray(obj.grad(theta, batch), dtype=float)  # fixed base gradient
@@ -186,19 +189,23 @@ def adabfe_step(obj: Objective, theta: np.ndarray, k: np.ndarray,
         inner += 1
         probe = grad_probe(obj, theta, rates[k], batch, g)
         eps = probe.eps_per_dim
-        np.copyto(last_eps, eps, where=active)
+        np.putmask(last_eps, active, eps)
 
         # zoom-in searches on while the angle exceeds its threshold, zoom-out
         # while it does not; any other active dimension has crossed
-        move = np.equal(eps >= thresholds, zoom_in)
-        move &= active
-        hit = move & (room <= inner)
-        hits |= hit
-        active = move ^ hit
-        np.add(k, step, out=k, where=active)
-    capped = bool(np.count_nonzero(hits))
-    if capped:  # a capped dimension kept its last probed index until here
-        np.copyto(k, step * CAP_EXP, where=hits)
+        active &= np.equal(eps >= thresholds, zoom_in)
+        if inner >= first_cap:
+            hit = active & (room <= inner)
+            hits |= hit
+            active ^= hit
+        k += step * active  # a ufunc's where= costs more than the product
+    if inner < first_cap:  # no cap test ran, and no hit was preset
+        capped, zoom_in_next = False, ~zoom_in
+    else:
+        capped = bool(np.count_nonzero(hits))
+        if capped:  # a capped dimension kept its last probed index until here
+            np.copyto(k, step * CAP_EXP, where=hits)
+        zoom_in_next = zoom_in ^ ~hits
     rates_next = rates[k]
 
     branch = (Branch.ZOOM_IN if np.count_nonzero(zoom_in) == dim
@@ -211,7 +218,7 @@ def adabfe_step(obj: Objective, theta: np.ndarray, k: np.ndarray,
                        eps_comp=float(np.maximum.reduce(last_eps)),
                        eps_val=float(np.maximum.reduce(thresholds)),
                        capped=capped, k_next=k, rates_next=rates_next,
-                       zoom_in_next=zoom_in ^ ~hits)
+                       zoom_in_next=zoom_in_next)
 
 
 class BfeGradOptimizer(LatticeOptimizer):

@@ -96,7 +96,8 @@ class RunConfig:
             raise ConfigError("lim_zero must be positive")
         if self.n_samples < 1:
             raise ConfigError("n_samples must be >= 1")
-        if not 0 < self.angle_threshold_deg < 90:
+        # in radians, as the run reads it: 5e-324 degrees round to 0
+        if not 0 < self.angle_threshold_deg * DEG < math.pi / 2:
             raise ConfigError("angle_threshold_deg must be in (0, 90)")
         # the parts that own every other range check it, for every run
         try:
@@ -197,7 +198,8 @@ def build_problem(cfg: RunConfig):
             data = normalize(data)
         obj = linreg_objective(data)
         stream = BatchStream(cfg.n_samples, cfg.batch_size, seed=cfg.seed,
-                             on_batches=obj.load_batches)
+                             on_batches=obj.load_batches,
+                             limit=cfg.max_steps)
         return obj, theta0, stream
     obj = quadratic_objective(cfg.curvatures)
     return obj, theta0, ConstantBatchStream()

@@ -255,23 +255,31 @@ class BatchStream:
     of the most recently yielded batch. The batches are sliced from the
     epoch's permutation a run at a time, of about ``PASS_ROWS`` rows and at
     least one batch, and the stream yields what ``on_batches`` returns for
-    each run, such as ``LinRegObjective.load_batches``'s handles.
+    each run, such as ``LinRegObjective.load_batches``'s handles. A stream
+    with a ``limit`` ends after the run that holds batch number ``limit``,
+    counted from 1, and draws nothing beyond it; one without goes on for
+    good.
 
     A stream is iterated once, and its runs are drawn ahead of the caller by
     ``_drawn_ahead``, in a worker process: the hook runs there, so what it
     returns must pickle, its side effects stay in the worker, and an
     exception it raises reaches the caller with its type and message.
-    Closing the iterator, as ``run_experiment`` does, ends the worker.
+    Closing the iterator, as ``run_experiment`` does, ends the worker; a
+    worker that has sent the stream's last run ends by itself.
     """
 
     def __init__(self, n: int, batch_size: int, seed: int = 0, *,
-                 on_batches: Callable[[list[np.ndarray]], list]):
+                 on_batches: Callable[[list[np.ndarray]], list],
+                 limit: int | None = None):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if limit is not None and limit < 1:
+            raise ValueError("limit must be >= 1")
         self.n = n
         self.batch_size = batch_size
         self.rng = np.random.default_rng(seed)
         self.on_batches = on_batches
+        self.limit = limit
         self.epoch = 0
         self._iterated = False
 
@@ -297,13 +305,17 @@ class BatchStream:
         epoch."""
         size = self.batch_size
         run = size * max(1, PASS_ROWS // size)
+        left = math.inf if self.limit is None else self.limit
         while True:
             perm = self.rng.permutation(self.n)
             for first in range(0, self.n, run):
                 end = min(first + run, self.n)
-                yield self.on_batches([perm[start:start + size] for start
-                                       in range(first, end, size)]), \
-                    end == self.n
+                batches = [perm[start:start + size]
+                           for start in range(first, end, size)]
+                yield self.on_batches(batches), end == self.n
+                left -= len(batches)
+                if left <= 0:
+                    return
 
 
 def _drawn_ahead(items):
@@ -311,8 +323,11 @@ def _drawn_ahead(items):
     far as the pipe holds, by a worker process forked at the first ``next``.
 
     Each item comes back as one pickle, and the exception that ends
-    ``items`` is raised here. Closing this generator kills and reaps the
-    worker; one that ends early, at or within an item, raises ``OSError``.
+    ``items`` is raised here; after the last item the worker sends
+    ``StopIteration`` as its end marker and exits. Closing this generator
+    kills and reaps the worker, unless something else in this process has
+    reaped it; a pipe that ends without the marker, at or within an item,
+    raises ``OSError``.
     Where ``os.fork`` is missing or raises ``OSError``, or this process may
     run on one CPU only, where a worker would only take turns with it,
     ``items`` runs in this process.
@@ -334,12 +349,16 @@ def _drawn_ahead(items):
                     for item in items:
                         pickle.dump(item, pipe, pickle.HIGHEST_PROTOCOL)
                         pipe.flush()
+                    # a generator turns a StopIteration inside it into a
+                    # RuntimeError, so no item's error is taken for the end
+                    end = StopIteration()
                 except Exception as exc:
+                    end = exc
                     try:  # one of a local class, say, does not come back
                         pickle.loads(pickle.dumps(exc))
                     except Exception:
-                        exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-                    pickle.dump(exc, pipe, pickle.HIGHEST_PROTOCOL)
+                        end = RuntimeError(f"{type(exc).__name__}: {exc}")
+                pickle.dump(end, pipe, pickle.HIGHEST_PROTOCOL)
         finally:
             os._exit(0)
     os.close(w)
@@ -354,14 +373,22 @@ def _drawn_ahead(items):
                     item = pickle.load(pipe)
                 except (EOFError, pickle.UnpicklingError):  # a short read
                     break
+                if isinstance(item, StopIteration):
+                    return
                 if isinstance(item, Exception):
                     raise item
                 yield item
     finally:
-        os.kill(pid, signal.SIGKILL)  # a worker that has exited takes it too
-        _, status = os.waitpid(pid, 0)
+        # a worker that has exited takes the kill too; one that something
+        # else in this process reaped, by a waitpid(-1) say, is gone
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+        try:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        except ChildProcessError:
+            code = "unknown"
     raise OSError(f"the batch stream's worker process {pid} ended early "
-                  f"(exit code {os.waitstatus_to_exitcode(status)})")
+                  f"(exit code {code})")
 
 
 def _other_cpus() -> set[int] | None:

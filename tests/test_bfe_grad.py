@@ -433,6 +433,54 @@ def test_adabfe_matches_per_dimension_reference(case):
     assert out.branch is (Branch.ZOOM_IN if all(zoom_in) else Branch.ZOOM_OUT)
 
 
+# (pass of the first possible cap, branch of the dimension that takes it,
+# pre_halve): a zoom-in index at the lowest rate is a preset hit, on pass 1
+FIRST_CAPS = [(p, zoom_in, pre_halve) for p in (1, 2, 3)
+              for zoom_in in (True, False) for pre_halve in (False, True)]
+FIRST_CAPS.append((0, True, True))
+
+
+@pytest.mark.parametrize("later", [False, True],
+                         ids=["alone", "with-a-later-cap"])
+@pytest.mark.parametrize("base", [2, 3])
+@pytest.mark.parametrize("first_cap, zoom_in, pre_halve", FIRST_CAPS)
+def test_adabfe_cap_on_the_first_pass_that_can_reach_one(
+        first_cap, zoom_in, pre_halve, base, later):
+    # with the lowest rate at 1, every probe of a zoom-in dim 0 (theta 1,
+    # curvature 1) exceeds the threshold, and a zero gradient keeps every
+    # probe of a zoom-out dim 0, and of the later dim, below it, so each
+    # runs to its cap; dims 1 and 2 cross on pass 1
+    cfg = BfeGradConfig(eta0=float(base) ** CAP_EXP, base=base,
+                        pre_halve=pre_halve)
+    sign = -1 if zoom_in else 1
+    curvatures = [1.0, 1e-20, 1.0]
+    theta = [1.0, 1.0, 1.0]
+    ks = [sign * (CAP_EXP - first_cap), 0, 0]
+    zoom_ins = [zoom_in, True, False]
+    if not zoom_in:
+        theta[0] = 0.0
+    if later:  # a zoom-out dim that reaches its cap two passes later
+        curvatures.append(1.0)
+        theta.append(0.0)
+        ks.append(CAP_EXP - first_cap - 2)
+        zoom_ins.append(False)
+    obj = quadratic_objective(curvatures)
+    theta = np.array(theta)
+    out = adabfe_step(obj, theta, np.array(ks), cfg, None,
+                      zoom_in=np.array(zoom_ins))
+    theta_next, _, k_next, zoom_in_next, inner, capped, eps_comp, _ = \
+        reference_adabfe_step(obj, theta, ks, cfg.eta0, cfg, zoom_ins)
+    assert out.theta_next.tobytes() == theta_next.tobytes()
+    assert out.k_next.tolist() == k_next.tolist()
+    assert out.zoom_in_next.tolist() == zoom_in_next.tolist()
+    assert out.capped is capped is True
+    assert out.eps_comp.hex() == eps_comp.hex()
+    assert out.inner_loops == inner == (first_cap + 2 if later
+                                        else max(first_cap, 1))
+    assert out.k_next[0] == sign * CAP_EXP
+    assert out.zoom_in_next[0] == zoom_in  # a capped dim keeps its branch
+
+
 @pytest.mark.parametrize("zoom_in", [[False], [True, False]])
 def test_adabfe_rejects_a_branch_count_other_than_dim(zoom_in):
     # a length-1 list would broadcast over all 3 dims without a word

@@ -301,6 +301,9 @@ UNREAD_FLAGS = [
      "angle_threshold_deg must be in (0, 90)"),
     (("bfe", "--angle-threshold-deg", "100"),
      "angle_threshold_deg must be in (0, 90)"),
+    # a positive angle that is 0 in radians
+    (("bfe-grad", "--angle-threshold-deg", "5e-324"),
+     "angle_threshold_deg must be in (0, 90)"),
     (("bfe", "--problem", "quadratic", "--n-samples", "0"),
      "n_samples must be >= 1"),
     (("bfe", "--problem", "quadratic", "--noise-std", "-1"),

@@ -110,6 +110,29 @@ def test_angle_single_abs_is_bitwise_the_two_abs_form(pairs):
         assert got_w == want_w
 
 
+_F32 = np.array([0.1, -2.5, 3.0], dtype=np.float32)
+# inputs that are not two float64 arrays, each converted to float64 first
+CONVERTED = [
+    (1.0, 0.0), (3, -1), (0.1, [0.3, 0.7]), ([1.0, 2.0], [0.5, -0.5]),
+    (np.array([1, 2, -3]), np.array([0, -1, 4])),
+    (_F32, _F32[::-1].copy()), (_F32, np.array([0.3, 0.2, 0.1])),
+    (np.array([0.1, 0.2]), [0.5, 0.25]),
+    (np.array(0.1), np.array(0.3)), (np.float64(0.1), np.float64(0.3)),
+    (np.array([0.1, 0.2], dtype=">f8"), np.array([0.5, 0.25])),
+]
+
+
+@pytest.mark.parametrize("g, g_star", CONVERTED,
+                         ids=lambda x: type(x).__name__ + str(np.shape(x)))
+def test_angular_deviation_converts_anything_but_float64_arrays(g, g_star):
+    want = angular_deviation(np.array(g, dtype=float),
+                             np.array(g_star, dtype=float))
+    got = angular_deviation(g, g_star)
+    assert type(got) is type(want)
+    assert np.asarray(got).dtype == np.float64
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_threshold_mean_scaled():
     assert eval_criterion_threshold(0.0, 0.03125, 0.001,
                                     ThresholdPolicy.MEAN_SCALED) == \

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import json
+import math
 
 import numpy as np
 import pytest
@@ -201,6 +202,21 @@ def test_invalid_names_rejected():
         RunConfig(max_steps=0)
     with pytest.raises(ConfigError):
         RunConfig(commit_policy="nope")
+
+
+@pytest.mark.parametrize("deg", [5e-324, 1e-322, math.nextafter(90.0, 91.0)])
+def test_an_angle_that_is_out_of_range_in_radians_names_the_degrees(deg):
+    # 5e-324 and 1e-322 degrees are positive, but 0 in radians; the next
+    # float above 90 degrees is above pi/2 radians too
+    with pytest.raises(ConfigError,
+                       match=r"^angle_threshold_deg must be in \(0, 90\)$"):
+        RunConfig(angle_threshold_deg=deg)
+
+
+def test_the_largest_angle_below_90_degrees_is_in_range():
+    deg = math.nextafter(90.0, 0.0)
+    assert deg == 89.99999999999999
+    RunConfig(angle_threshold_deg=deg)
 
 
 def test_field_values_checked_against_annotations():

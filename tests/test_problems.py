@@ -447,8 +447,9 @@ def test_batch_pass_gives_each_batch_the_bits_of_its_own_pass(case):
     (40000, 1000, 3, []), (40000, 3000, 3, [1000]), (20000, 1, 2, [])])
 def test_batch_pass_runs_moments_only_for_the_partial_batch(
         monkeypatch, stream_forks, n, batch_size, runs_per_epoch, partial):
+    steps = 3 * -(-n // batch_size)  # three epochs
     obj, _, stream = harness.build_problem(harness.RunConfig(
-        n_samples=n, batch_size=batch_size, seed=3))
+        n_samples=n, batch_size=batch_size, seed=3, max_steps=steps))
     passes, calls = [], []
     moments, load = problems._moments, stream.on_batches
 
@@ -469,7 +470,7 @@ def test_batch_pass_runs_moments_only_for_the_partial_batch(
     theta = np.array([1.0, 1.0])
     runs = {}
     batches = iter(stream)
-    for _ in range(3 * -(-n // batch_size)):  # three epochs
+    for _ in range(steps):
         run, batch = next(batches)
         runs[run[0]] = run
         obj.loss(theta, batch)

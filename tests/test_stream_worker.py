@@ -156,6 +156,83 @@ def test_a_worker_killed_within_a_write_ends_the_stream(forks):
     _assert_no_child_left()
 
 
+def test_closing_a_stream_whose_worker_was_reaped_elsewhere(forks):
+    # as a waitpid(-1) or a SIGCHLD handler elsewhere in the process would
+    batches = iter(BatchStream(10, 4, on_batches=list))
+    next(batches)
+    os.kill(forks[0], signal.SIGKILL)
+    os.waitpid(forks[0], 0)
+    batches.close()
+    _assert_no_child_left()
+
+
+def test_a_worker_reaped_elsewhere_that_ended_early_is_an_error(forks):
+    batches = iter(BatchStream(10, 4, on_batches=list))
+    next(batches)
+    os.kill(forks[0], signal.SIGKILL)
+    os.waitpid(forks[0], 0)
+    # the runs already in the pipe arrive; then it ends without the marker
+    with pytest.raises(OSError, match=r"ended early \(exit code unknown\)$"):
+        for _ in range(1 << 20):
+            next(batches)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("limit, sizes, epochs", [
+    (1, [4, 4, 2], 1), (3, [4, 4, 2], 1), (4, [4, 4, 2] * 2, 2),
+    (7, [4, 4, 2] * 3, 3)])
+def test_a_stream_with_a_limit_ends_after_the_run_that_holds_it(
+        forks, monkeypatch, limit, sizes, epochs):
+    # 10 rows in batches of 4: an epoch is one run of 3 batches
+    def drawn():
+        stream = BatchStream(10, 4, seed=6, on_batches=list, limit=limit)
+        return list(stream), stream.epoch
+
+    forked, epoch = drawn()
+    assert [len(batch) for batch in forked] == sizes and epoch == epochs
+    assert len(forks) == 1
+    _assert_no_child_left()
+    monkeypatch.setattr(os, "fork", _no_fork)
+    in_process, epoch = drawn()
+    assert len(in_process) == len(forked) and epoch == epochs
+    assert all(np.array_equal(a, b) for a, b in zip(forked, in_process))
+
+
+def test_a_worker_that_sent_the_last_run_exits_by_itself(forks):
+    batches = iter(BatchStream(10, 4, on_batches=list, limit=5))
+    for _ in range(6):  # the two runs the limit leaves
+        next(batches)
+    # no kill has been sent: the worker ended with exit code 0
+    _, status = os.waitpid(forks[0], 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    with pytest.raises(StopIteration):  # the end marker
+        next(batches)
+    _assert_no_child_left()
+
+
+def test_a_stream_limit_must_be_positive():
+    with pytest.raises(ValueError, match="limit must be >= 1"):
+        BatchStream(10, 4, on_batches=list, limit=0)
+
+
+def test_a_run_draws_the_runs_of_its_steps_only(forks, monkeypatch,
+                                                tmp_path):
+    # 10,000 rows in batches of 512: a run of 20 batches is an epoch, and
+    # 30 steps read 2 of them; the worker notes each run it draws in a file
+    log = tmp_path / "runs"
+    load = problems.LinRegObjective.load_batches
+
+    def noted(self, batches):
+        with open(log, "a") as f:
+            f.write("run\n")
+        return load(self, batches)
+
+    monkeypatch.setattr(problems.LinRegObjective, "load_batches", noted)
+    run_experiment(RunConfig(optimizer="sgd", max_steps=30))
+    assert len(forks) == 1
+    assert log.read_text() == "run\n" * 2
+
+
 def test_a_stream_is_iterated_once():
     stream = BatchStream(10, 4, on_batches=list)
     batches = iter(stream)

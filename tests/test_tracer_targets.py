@@ -76,12 +76,12 @@ def test_each_search_pass_makes_one_probe(optimizer, problem, tmp_path):
             metrics["probe.calls"]
 
 
-def test_tracer_and_summary_agree_on_capped_steps(tmp_path, capsys):
+def _capped_steps_agree(optimizer, tmp_path, capsys):
     # from eta0 = 1e-30 every zoom-out search ends at the cap
     tracer = _tracer().Tracer()
     with tracer.installed():
         rc, _ = tracer.run_op(main, [
-            "optimize", "--optimizer", "bfe-grad", *QUADRATIC,
+            "optimize", "--optimizer", optimizer, *QUADRATIC,
             "--eta0", "1e-30", "--max-steps", "50",
             "--out", str(tmp_path / "trace.csv")])
     assert rc == 0
@@ -90,6 +90,15 @@ def test_tracer_and_summary_agree_on_capped_steps(tmp_path, capsys):
               if line.startswith("capped_steps=")]
     assert capped and capped[0] > 0
     assert tracer.layer_metrics()["search.capped"] == capped[0]
+
+
+def test_tracer_and_summary_agree_on_capped_steps(tmp_path, capsys):
+    _capped_steps_agree("bfe-grad", tmp_path, capsys)
+
+
+def test_tracer_and_summary_agree_on_capped_adabfe_steps(tmp_path, capsys):
+    # each capped step's search tests its caps from its first pass on
+    _capped_steps_agree("adabfe", tmp_path, capsys)
 
 
 @pytest.mark.parametrize("out", [True, False], ids=["out", "no-out"])
