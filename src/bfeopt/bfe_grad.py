@@ -199,13 +199,9 @@ def adabfe_step(obj: Objective, theta: np.ndarray, k: np.ndarray,
             hits |= hit
             active ^= hit
         k += step * active  # a ufunc's where= costs more than the product
-    if inner < first_cap:  # no cap test ran, and no hit was preset
-        capped, zoom_in_next = False, ~zoom_in
-    else:
-        capped = bool(np.count_nonzero(hits))
-        if capped:  # a capped dimension kept its last probed index until here
-            np.copyto(k, step * CAP_EXP, where=hits)
-        zoom_in_next = zoom_in ^ ~hits
+    capped = bool(np.count_nonzero(hits))
+    if capped:  # a capped dimension kept its last probed index until here
+        np.copyto(k, step * CAP_EXP, where=hits)
     rates_next = rates[k]
 
     branch = (Branch.ZOOM_IN if np.count_nonzero(zoom_in) == dim
@@ -218,7 +214,7 @@ def adabfe_step(obj: Objective, theta: np.ndarray, k: np.ndarray,
                        eps_comp=float(np.maximum.reduce(last_eps)),
                        eps_val=float(np.maximum.reduce(thresholds)),
                        capped=capped, k_next=k, rates_next=rates_next,
-                       zoom_in_next=zoom_in_next)
+                       zoom_in_next=zoom_in ^ ~hits)
 
 
 class BfeGradOptimizer(LatticeOptimizer):

@@ -61,21 +61,15 @@ class LossPair(NamedTuple):
     trial_two_step: np.ndarray
 
 
-_FLOAT64 = np.dtype(np.float64)
-
-
 def angular_deviation(g, g_star):
     """Angle in [0, pi/2] between tangent lines of slopes ``g`` and ``g_star``.
 
     Computed as arctan(|(g_star - g) / (1 + g_star * g)|); a zero denominator
     means perpendicular slopes and returns pi/2 exactly. Accepts scalars or
     arrays (elementwise). Only a call with a zero denominator enters errstate.
-    Two float64 arrays are used as they are; anything else is converted.
     """
-    if not (type(g) is type(g_star) is np.ndarray
-            and g.dtype is g_star.dtype is _FLOAT64):
-        g = np.asarray(g, dtype=float)
-        g_star = np.asarray(g_star, dtype=float)
+    g = np.asarray(g, dtype=float)
+    g_star = np.asarray(g_star, dtype=float)
     num = g_star - g  # first, so overflow warnings follow the formula's order
     den = 1.0 + g_star * g
     if np.count_nonzero(den) == den.size:

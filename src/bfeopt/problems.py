@@ -324,10 +324,12 @@ def _drawn_ahead(items):
 
     Each item comes back as one pickle, and the exception that ends
     ``items`` is raised here; after the last item the worker sends
-    ``StopIteration`` as its end marker and exits. Closing this generator
-    kills and reaps the worker, unless something else in this process has
-    reaped it; a pipe that ends without the marker, at or within an item,
-    raises ``OSError``.
+    ``StopIteration`` as its end marker and exits, and is reaped here with
+    no signal. Closing this generator before the marker kills and reaps the
+    worker, unless something else in this process has reaped it; the kill
+    goes through a pidfd where Linux has one, since the pid of a worker
+    reaped elsewhere may by then be another process's. A pipe that ends
+    without the marker, at or within an item, raises ``OSError``.
     Where ``os.fork`` is missing or raises ``OSError``, or this process may
     run on one CPU only, where a worker would only take turns with it,
     ``items`` runs in this process.
@@ -367,6 +369,11 @@ def _drawn_ahead(items):
         yield from items
         return
     try:
+        pidfd = os.pidfd_open(pid)
+    except (AttributeError, OSError):  # no pidfds on this system
+        pidfd = None
+    ended = False
+    try:
         with open(r, "rb") as pipe:
             while True:
                 try:
@@ -374,15 +381,22 @@ def _drawn_ahead(items):
                 except (EOFError, pickle.UnpicklingError):  # a short read
                     break
                 if isinstance(item, StopIteration):
+                    ended = True
                     return
                 if isinstance(item, Exception):
                     raise item
                 yield item
     finally:
-        # a worker that has exited takes the kill too; one that something
-        # else in this process reaped, by a waitpid(-1) say, is gone
-        with contextlib.suppress(ProcessLookupError):
-            os.kill(pid, signal.SIGKILL)
+        if not ended:
+            # a worker that has exited takes the kill too; one that something
+            # else in this process reaped, by a waitpid(-1) say, is gone
+            with contextlib.suppress(ProcessLookupError):
+                if pidfd is None:
+                    os.kill(pid, signal.SIGKILL)
+                else:
+                    signal.pidfd_send_signal(pidfd, signal.SIGKILL)
+        if pidfd is not None:
+            os.close(pidfd)
         try:
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         except ChildProcessError:

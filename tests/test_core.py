@@ -111,7 +111,7 @@ def test_angle_single_abs_is_bitwise_the_two_abs_form(pairs):
 
 
 _F32 = np.array([0.1, -2.5, 3.0], dtype=np.float32)
-# inputs that are not two float64 arrays, each converted to float64 first
+# scalars, lists and arrays of other dtypes, each converted to float64
 CONVERTED = [
     (1.0, 0.0), (3, -1), (0.1, [0.3, 0.7]), ([1.0, 2.0], [0.5, -0.5]),
     (np.array([1, 2, -3]), np.array([0, -1, 4])),
@@ -124,7 +124,7 @@ CONVERTED = [
 
 @pytest.mark.parametrize("g, g_star", CONVERTED,
                          ids=lambda x: type(x).__name__ + str(np.shape(x)))
-def test_angular_deviation_converts_anything_but_float64_arrays(g, g_star):
+def test_angular_deviation_converts_its_inputs_to_float64(g, g_star):
     want = angular_deviation(np.array(g, dtype=float),
                              np.array(g_star, dtype=float))
     got = angular_deviation(g, g_star)

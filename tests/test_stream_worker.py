@@ -210,6 +210,41 @@ def test_a_worker_that_sent_the_last_run_exits_by_itself(forks):
     _assert_no_child_left()
 
 
+def _signals_sent(monkeypatch):
+    """The signals a stream sends from now on, by pid or through a pidfd;
+    none is delivered."""
+    sent = []
+    monkeypatch.setattr(os, "kill", lambda *args: sent.append(args))
+    monkeypatch.setattr(signal, "pidfd_send_signal",
+                        lambda *args: sent.append(args), raising=False)
+    return sent
+
+
+def test_a_stream_read_to_its_end_sends_no_signal(forks, monkeypatch):
+    # the worker exits after its end marker; a kill sent by pid once
+    # something else had reaped it could reach another process
+    sent = _signals_sent(monkeypatch)
+    assert len(list(BatchStream(10, 4, on_batches=list, limit=5))) == 6
+    assert sent == []
+    _assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "pidfd_open"), reason="no pidfds")
+def test_closing_a_stream_after_its_worker_ended_sends_no_kill_by_pid(
+        forks, monkeypatch):
+    # as a run does after its last step: the marker is left unread, and the
+    # worker has exited and been reaped elsewhere, so its pid is free
+    batches = iter(BatchStream(10, 4, on_batches=list, limit=5))
+    for _ in range(6):
+        next(batches)
+    os.waitpid(forks[0], 0)
+    killed_by_pid = []
+    monkeypatch.setattr(os, "kill", lambda *args: killed_by_pid.append(args))
+    batches.close()
+    assert killed_by_pid == []
+    _assert_no_child_left()
+
+
 def test_a_stream_limit_must_be_positive():
     with pytest.raises(ValueError, match="limit must be >= 1"):
         BatchStream(10, 4, on_batches=list, limit=0)
