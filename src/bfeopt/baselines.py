@@ -42,6 +42,8 @@ class BaselineConfig:
             raise ValueError("beta must be in [0, 1)")
         if not self.alpha > 0:  # NaN fails too
             raise ValueError("alpha must be positive")
+        if self.alpha == np.inf:
+            raise ValueError("alpha must be finite")
 
 
 def sgd_step(obj: Objective, theta: np.ndarray, cfg: BaselineConfig,

@@ -133,6 +133,8 @@ class BfeLossConfig(Lattice):
         super().__post_init__()
         if self.eps_ratio <= 0:
             raise ValueError("eps_ratio must be positive")
+        if not self.eps_ratio < math.inf:  # NaN fails too
+            raise ValueError("eps_ratio must be finite")
 
 
 def _loss_pair(obj: Objective, theta: np.ndarray, eta: float, half: float,

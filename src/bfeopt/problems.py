@@ -36,6 +36,8 @@ class LinRegSpec:
             raise ValueError("n must be >= 1")
         if not 0 <= self.noise_std < math.inf:  # NaN fails too
             raise ValueError("noise_std must be nonnegative and finite")
+        if not all(abs(v) < math.inf for v in (self.w0, self.b0)):
+            raise ValueError("w0 and b0 must be finite")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -104,39 +106,33 @@ class LinRegObjective:
         self._x = np.asarray(data.x, dtype=float)
         self._y = np.asarray(data.y, dtype=float)
         self._full = _moments(self._x, self._y)
-        self._work: tuple[np.ndarray, ...] | None = None
+        self._work = (np.empty((0, 0)),) * 4  # load_batches' (k, size) arrays
 
-    def load_batches(self, batches: list[np.ndarray]) -> MomentsRun:
-        """The handles of a run of index batches of one size, of which the
-        last may be shorter. The batches of the first one's size go through
-        one 2-D pass; a shorter last one goes through ``_moments``. Each
-        handle holds bitwise the floats of a ``_moments`` call on its batch
-        alone. Raises ``ValueError`` for an empty run, a batch that is not
-        an integer array (a boolean mask would be read as rows 0 and 1), an
-        empty batch and a run of batches of other lengths."""
-        if not batches or any(np.asarray(b).dtype.kind not in "iu"
-                              for b in batches):
-            raise ValueError("a run must be a nonempty list of integer "
-                             "index arrays")
-        size, last = len(batches[0]), len(batches[-1])
-        k = len(batches) - (last != size)
-        if not 0 < last <= size or set(map(len, batches[:k])) != {size}:
-            raise ValueError("a run must be batches of one nonempty size, "
-                             "of which the last may be shorter")
+    def load_batches(self, rows: np.ndarray, size: int) -> MomentsRun:
+        """The handles of the index array ``rows`` cut into consecutive
+        batches of ``size`` rows, of which the last may be shorter (a
+        ``rows`` shorter than ``size`` is one batch): each holds bitwise the
+        floats of a ``_moments`` call on its batch alone. Raises
+        ``ValueError`` unless ``rows`` is a nonempty 1-D integer array (a
+        boolean mask would be read as rows 0 and 1) and ``size`` >= 1."""
+        rows = np.asarray(rows)
+        if (rows.ndim != 1 or not rows.size or rows.dtype.kind not in "iu"
+                or size < 1):
+            raise ValueError("rows must be nonempty 1-D ints and size >= 1")
+        size = min(size, len(rows))  # numpy has no (0, 2**63) shape
+        k = len(rows) // size
         # the pass runs in arrays kept from one call to the next: freeing
         # arrays of this size hands their pages back, to be faulted in again
-        if (self._work is None or self._work[0].shape[1] != size
-                or len(self._work[0]) < k):
-            self._work = (np.empty((k, size), dtype=np.intp),
-                          *(np.empty((k, size)) for _ in range(4)))
-        idx, x, y, dx, r = (w[:k] for w in self._work)
-        np.concatenate(batches[:k], out=idx.reshape(-1))
-        np.take(self._x, idx, out=x)
-        np.take(self._y, idx, out=y)
+        if self._work[0].shape[1] != size or len(self._work[0]) < k:
+            self._work = tuple(np.empty((k, size)) for _ in range(4))
+        x, y, dx, r = (w[:k] for w in self._work)
+        full = rows[:k * size].reshape(k, size)
+        np.take(self._x, full, out=x)
+        np.take(self._y, full, out=y)
         handles = _row_moments(x, y, dx, r)
-        if k < len(batches):
-            handles.append(_moments(self._x[batches[-1]],
-                                    self._y[batches[-1]]))
+        tail = rows[k * size:]
+        if tail.size:
+            handles.append(_moments(self._x[tail], self._y[tail]))
         return handles
 
     def _moments_of(self, batch: Batch) -> BatchMoments:
@@ -234,6 +230,8 @@ class QuadraticObjective:
         h = np.asarray(curvatures, dtype=float)
         if np.any(h <= 0):
             raise ValueError("curvatures must be positive")
+        if not h.size or not np.all(np.isfinite(h)):
+            raise ValueError("curvatures must be one or more finite numbers")
         self.h = h
 
     def loss(self, theta: np.ndarray, batch: Batch = None) -> float:
@@ -252,13 +250,13 @@ class BatchStream:
     """Seeded epoch-shuffled mini-batch index stream, without replacement.
 
     The final partial batch of an epoch is kept. ``epoch`` reflects the epoch
-    of the most recently yielded batch. The batches are sliced from the
-    epoch's permutation a run at a time, of about ``PASS_ROWS`` rows and at
-    least one batch, and the stream yields what ``on_batches`` returns for
-    each run, such as ``LinRegObjective.load_batches``'s handles. A stream
-    with a ``limit`` ends after the run that holds batch number ``limit``,
-    counted from 1, and draws nothing beyond it; one without goes on for
-    good.
+    of the most recently yielded batch. The stream cuts each epoch's
+    permutation into runs of about ``PASS_ROWS`` rows and at least one
+    batch, and yields what ``on_batches(rows, batch_size)`` returns for each
+    run's block ``rows``, one item per batch, such as
+    ``LinRegObjective.load_batches``' handles. With a ``limit`` it ends
+    after the run that holds batch number ``limit``, counted from 1, and
+    draws nothing beyond it; without one it goes on.
 
     A stream is iterated once, and its runs are drawn ahead of the caller by
     ``_drawn_ahead``, in a worker process: the hook runs there, so what it
@@ -269,12 +267,10 @@ class BatchStream:
     """
 
     def __init__(self, n: int, batch_size: int, seed: int = 0, *,
-                 on_batches: Callable[[list[np.ndarray]], list],
+                 on_batches: Callable[[np.ndarray, int], list],
                  limit: int | None = None):
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if limit is not None and limit < 1:
-            raise ValueError("limit must be >= 1")
+        if n < 1 or batch_size < 1 or limit is not None and limit < 1:
+            raise ValueError("n, batch_size and limit must be >= 1")
         self.n = n
         self.batch_size = batch_size
         self.rng = np.random.default_rng(seed)
@@ -310,10 +306,8 @@ class BatchStream:
             perm = self.rng.permutation(self.n)
             for first in range(0, self.n, run):
                 end = min(first + run, self.n)
-                batches = [perm[start:start + size]
-                           for start in range(first, end, size)]
-                yield self.on_batches(batches), end == self.n
-                left -= len(batches)
+                yield self.on_batches(perm[first:end], size), end == self.n
+                left -= -(-(end - first) // size)
                 if left <= 0:
                     return
 

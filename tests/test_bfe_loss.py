@@ -286,7 +286,7 @@ def _outcome_bits(out):
 
 
 _LINREG = linreg_objective(gen_linear_data(LinRegSpec(n=40, seed=3)))
-_LINREG_BATCH = _LINREG.load_batches([np.arange(8, 24)])[0]
+_LINREG_BATCH = _LINREG.load_batches(np.arange(8, 24), 16)[0]
 
 
 @settings(max_examples=150, deadline=None)

@@ -8,10 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bfeopt import harness, problems
+from bfeopt.baselines import BaselineConfig
+from bfeopt.bfe_loss import BfeLossConfig
 from bfeopt.problems import (
     BatchStream,
     Dataset,
     LinRegSpec,
+    QuadraticObjective,
     gen_linear_data,
     linreg_objective,
     normalize,
@@ -38,6 +41,38 @@ def test_spec_rejects_a_noise_level_that_is_not_finite_and_nonnegative(
         noise_std):
     with pytest.raises(ValueError, match="noise_std"):
         LinRegSpec(noise_std=noise_std)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+_REJECTED = [
+    (QuadraticObjective, {"curvatures": []}, "curvatures must be one or more"),
+    (QuadraticObjective, {"curvatures": [_NAN]}, "finite numbers"),
+    (QuadraticObjective, {"curvatures": [1.0, _INF]}, "finite numbers"),
+    # a case that failed before keeps its message
+    (QuadraticObjective, {"curvatures": [_NAN, 0.0]},
+     "^curvatures must be positive$"),
+    (BfeLossConfig, {"eps_ratio": _NAN}, "^eps_ratio must be finite$"),
+    (BfeLossConfig, {"eps_ratio": _INF}, "^eps_ratio must be finite$"),
+    (BaselineConfig, {"alpha": _INF}, "^alpha must be finite$"),
+    (LinRegSpec, {"w0": _NAN}, "^w0 and b0 must be finite$"),
+    (LinRegSpec, {"w0": -_INF}, "^w0 and b0 must be finite$"),
+    (LinRegSpec, {"b0": _INF}, "^w0 and b0 must be finite$"),
+    (LinRegSpec, {"b0": _NAN}, "^w0 and b0 must be finite$"),
+]
+
+
+@pytest.mark.parametrize(
+    "part, kwargs, message", _REJECTED,
+    ids=[f"{part.__name__}({', '.join(f'{k}={v}' for k, v in kw.items())})"
+         for part, kw, _ in _REJECTED])
+def test_a_library_part_rejects_what_a_run_config_rejects(part, kwargs,
+                                                          message):
+    # a RunConfig rejects these values as not finite or as no curvature
+    # before it builds the part
+    with pytest.raises(ValueError, match=message):
+        part(**kwargs)
 
 
 def test_generation_is_deterministic():
@@ -73,7 +108,7 @@ def test_loss_hand_value():
     obj = linreg_objective(Dataset(x=np.array([1.0, 2.0]),
                                    y=np.array([3.0, 5.0])))
     # residuals at w=1, b=0 are -2 and -3, mean square 6.5
-    for batch in (None, obj.load_batches([np.array([0, 1])])[0]):
+    for batch in (None, obj.load_batches(np.array([0, 1]), 2)[0]):
         assert obj.loss(np.array([1.0, 0.0]), batch) == pytest.approx(
             6.5, rel=1e-15)
 
@@ -81,7 +116,7 @@ def test_loss_hand_value():
 def test_grad_hand_value():
     obj = linreg_objective(Dataset(x=np.array([1.0]), y=np.array([14.0])))
     theta = np.array([6.0, 9.0])
-    for batch in (None, obj.load_batches([np.array([0])])[0]):
+    for batch in (None, obj.load_batches(np.array([0]), 1)[0]):
         assert obj.loss(theta, batch) == pytest.approx(1.0, rel=1e-15)
         np.testing.assert_allclose(obj.grad(theta, batch), [2.0, 2.0],
                                    rtol=1e-15)
@@ -94,7 +129,7 @@ def test_closed_form_matches_direct_oracle():
         y = 5.0 * x + 9.0 + rng.normal(0, 1, n)
         obj = linreg_objective(Dataset(x=x, y=y))
         rows = rng.integers(0, n, size=max(1, n // 2))
-        handle = obj.load_batches([rows])[0]
+        handle = obj.load_batches(rows, len(rows))[0]
         for _ in range(10):
             w, b = rng.normal(0, 5, 2)
             for batch, xs, ys in ((None, x, y), (handle, x[rows], y[rows])):
@@ -113,10 +148,10 @@ def test_loss_and_grad_agree_in_either_call_order():
     theta = np.array([2.0, 1.0])
     batch = np.arange(0, 100, 3)
     first = linreg_objective(data)
-    a = first.load_batches([batch])[0]
+    a = first.load_batches(batch, len(batch))[0]
     loss, grad = first.loss(theta, a), first.grad(theta, a)
     second = linreg_objective(data)
-    b = second.load_batches([batch])[0]
+    b = second.load_batches(batch, len(batch))[0]
     assert second.grad(theta, b).tolist() == grad.tolist()
     assert second.loss(theta, b) == loss
     want_loss, want_grad = oracle(2.0, 1.0, x[batch], data.y[batch])
@@ -181,7 +216,7 @@ def test_closed_form_matches_oracle_on_random_data(case):
     theta = np.array([w, b])
     xs, ys = x[batch], y[batch]
     want_loss, want_grad = oracle(w, b, xs, ys)
-    handle = obj.load_batches([batch])[0]
+    handle = obj.load_batches(batch, len(batch))[0]
     loss = obj.loss(theta, handle)
     assert loss >= 0.0
     # The closed form may cancel terms of size Vyy + m**2 + w**2 * Vxx. Both
@@ -205,7 +240,7 @@ def test_a_run_keeps_each_batch_apart():
     obj = linreg_objective(data)
     theta = np.array([3.0, 4.0])
     a, b = np.arange(0, 100), np.arange(100, 200)
-    handles = obj.load_batches([a, b])
+    handles = obj.load_batches(np.arange(200), 100)
     loss_a, loss_b = (obj.loss(theta, h) for h in handles)
     assert loss_a != loss_b
     for rows, got in ((a, loss_a), (b, loss_b)):
@@ -218,7 +253,7 @@ def test_full_dataset_moments_survive_mini_batch_calls():
     obj = linreg_objective(data)
     theta = np.array([3.0, 4.0])
     full = obj.loss(theta, None)
-    a, b = obj.load_batches([np.arange(20), np.arange(20, 30)])
+    a, b = obj.load_batches(np.arange(30), 20)
     obj.grad(theta, a)
     obj.loss(theta, b)
     assert obj.loss(theta, None) == full
@@ -239,7 +274,7 @@ def test_batch_moments_computed_once_per_batch(monkeypatch):
     theta = np.array([1.0, 1.0])
     # the 50-row batch goes through the 2-D pass, the shorter last one
     # through ``_moments``
-    handles = obj.load_batches([np.arange(50), np.arange(50, 90)])
+    handles = obj.load_batches(np.arange(90), 50)
     for _ in range(3):
         for batch in handles:
             obj.loss(theta, batch)
@@ -251,9 +286,10 @@ def test_batch_moments_computed_once_per_batch(monkeypatch):
 def test_empty_batch_rejected():
     obj = linreg_objective(gen_linear_data(LinRegSpec(n=10, seed=14)))
     empty = np.array([], dtype=int)
-    for run in ([empty], [np.arange(3), empty], [empty, empty]):
-        with pytest.raises(ValueError, match="nonempty"):
-            obj.load_batches(run)
+    for rows, size in ((empty, 1), (empty, 4), (np.arange(3), 0),
+                       (np.arange(3), -1)):
+        with pytest.raises(ValueError, match="nonempty .* size >= 1"):
+            obj.load_batches(rows, size)
 
 
 def test_a_run_that_is_not_integer_index_arrays_is_rejected():
@@ -262,11 +298,11 @@ def test_a_run_that_is_not_integer_index_arrays_is_rejected():
     obj = linreg_objective(gen_linear_data(LinRegSpec(n=6, seed=0)))
     mask = np.array([True, False, True, False, False, True])
     rows = np.arange(6)
-    for run in ([], [mask], [rows, mask[:3]], [rows.astype(float)],
-                [np.array([0.0, 2.0, 5.0])]):
-        with pytest.raises(ValueError, match="integer index arrays"):
-            obj.load_batches(run)
-    want = obj.load_batches([np.flatnonzero(mask)])[0]
+    for run in ([], mask, rows.astype(float), np.array([0.0, 2.0, 5.0]),
+                rows.reshape(2, 3), np.int64(3)):
+        with pytest.raises(ValueError, match="1-D ints"):
+            obj.load_batches(run, 3)
+    want = obj.load_batches(np.flatnonzero(mask), 3)[0]
     assert obj.loss(np.array([1.0, 2.0]), want) == pytest.approx(1033.65,
                                                                  abs=0.005)
 
@@ -276,24 +312,12 @@ def test_a_run_that_is_not_integer_index_arrays_is_rejected():
 def test_integer_index_arrays_of_any_width_are_rows(dtype):
     data = gen_linear_data(LinRegSpec(n=20, seed=4))
     obj = linreg_objective(data)
-    run = [np.array(rows, dtype=dtype) for rows in ([3, 0, 7], [19, 5, 11],
-                                                   [2, 2])]
-    for batch, got in zip(run, obj.load_batches(run)):
+    rows = np.array([3, 0, 7, 19, 5, 11, 2, 2], dtype=dtype)
+    handles = obj.load_batches(rows, 3)
+    assert len(handles) == 3
+    for batch, got in zip(batches_of(rows, 3), handles):
         want = problems._moments(data.x[batch], data.y[batch])
         assert np.array(got).tobytes() == np.array(want).tobytes()
-
-
-def test_a_run_of_unequal_batches_is_rejected():
-    # read as one (4, 3) block, the 4-row batch would get a loss of 959.5
-    # instead of 1118.3, and the 2-row batch 991.2 instead of 689.5
-    obj = linreg_objective(gen_linear_data(LinRegSpec(n=20, seed=1)))
-    run = np.split(np.arange(12), np.cumsum([3, 4, 2]))
-    with pytest.raises(ValueError, match="one nonempty size"):
-        obj.load_batches(run)
-    # a shorter last batch is the one length a run may differ in
-    last = obj.load_batches([run[0], run[3], run[2]])[-1]
-    assert obj.loss(np.array([1.0, 2.0]), last) == pytest.approx(689.5,
-                                                                 abs=0.05)
 
 
 @pytest.mark.parametrize("batch", [
@@ -365,13 +389,14 @@ def test_normalize_constant_features_rejected():
                 normalize(data)
 
 
-def _same(batches):
-    """A stream hook that hands the index batches over as they are."""
-    return batches
+def batches_of(rows, size):
+    """A stream hook that cuts a run's block of rows into its index batches,
+    each a view of the block."""
+    return [rows[start:start + size] for start in range(0, len(rows), size)]
 
 
 def test_batch_stream_covers_epoch_without_replacement():
-    stream = BatchStream(n=100, batch_size=32, seed=0, on_batches=_same)
+    stream = BatchStream(n=100, batch_size=32, seed=0, on_batches=batches_of)
     it = iter(stream)
     seen = np.concatenate([next(it) for _ in range(4)])
     assert len(seen) == 100
@@ -381,22 +406,23 @@ def test_batch_stream_covers_epoch_without_replacement():
 
 
 def test_batch_stream_keeps_partial_final_batch():
-    it = iter(BatchStream(n=10, batch_size=4, seed=0, on_batches=_same))
+    it = iter(BatchStream(n=10, batch_size=4, seed=0, on_batches=batches_of))
     sizes = [len(next(it)) for _ in range(3)]
     assert sizes == [4, 4, 2]
 
 
 def test_batch_stream_deterministic():
-    a = iter(BatchStream(n=50, batch_size=16, seed=4, on_batches=_same))
-    b = iter(BatchStream(n=50, batch_size=16, seed=4, on_batches=_same))
+    a = iter(BatchStream(n=50, batch_size=16, seed=4, on_batches=batches_of))
+    b = iter(BatchStream(n=50, batch_size=16, seed=4, on_batches=batches_of))
     for _ in range(10):
         np.testing.assert_array_equal(next(a), next(b))
 
 
 @st.composite
 def run_cases(draw):
-    """The first run of batches a stream hands over, over a seeded dataset.
-    The batch size is 1, n, above n, one that leaves a partial batch, or
+    """The block of rows of the first run a stream hands over, over a seeded
+    dataset, and the batch size: 1, n, above n (the rows are then one
+    shorter batch), one that leaves a partial batch, or
     any; ``clustered`` x is far from zero for its spread (the flat reference
     line, beta = 0), and ``constant`` and ``two-valued`` x give batches with
     Vxx = 0."""
@@ -425,17 +451,18 @@ def run_cases(draw):
         data = Dataset(x=np.full(n, 3.7), y=data.y)
     elif kind == "two-valued":
         data = Dataset(x=rng.choice([2.0, 5.0], n), y=data.y)
-    # the stream's loop run in this process: its first run of batches
-    batches, _ = next(BatchStream(n, batch_size, seed=seed,
-                                  on_batches=_same)._runs())
-    return data, batches
+    # the stream's loop run in this process: its first run's block of rows
+    (rows, _), _ = next(BatchStream(n, batch_size, seed=seed,
+                                    on_batches=lambda *run: run)._runs())
+    return data, rows, batch_size
 
 
 @settings(max_examples=200, deadline=None)
 @given(run_cases())
 def test_batch_pass_gives_each_batch_the_bits_of_its_own_pass(case):
-    data, batches = case
-    handles = linreg_objective(data).load_batches(batches)
+    data, rows, batch_size = case
+    handles = linreg_objective(data).load_batches(rows, batch_size)
+    batches = batches_of(rows, batch_size)
     assert len(handles) == len(batches)
     for batch, got in zip(batches, handles):
         want = problems._moments(data.x[batch], data.y[batch])
@@ -444,7 +471,8 @@ def test_batch_pass_gives_each_batch_the_bits_of_its_own_pass(case):
 
 @pytest.mark.parametrize("n, batch_size, runs_per_epoch, partial", [
     (100, 32, 1, [4]), (96, 32, 1, []), (10, 20, 1, []), (7, 1, 1, []),
-    (40000, 1000, 3, []), (40000, 3000, 3, [1000]), (20000, 1, 2, [])])
+    (40000, 1000, 3, []), (40000, 3000, 3, [1000]), (20000, 1, 2, []),
+    (10, 2 ** 63, 1, [])])
 def test_batch_pass_runs_moments_only_for_the_partial_batch(
         monkeypatch, stream_forks, n, batch_size, runs_per_epoch, partial):
     steps = 3 * -(-n // batch_size)  # three epochs
@@ -457,12 +485,12 @@ def test_batch_pass_runs_moments_only_for_the_partial_batch(
         passes.append(len(x))
         return moments(x, y)
 
-    def loaded(batches):
+    def loaded(rows, size):
         # runs in the stream's worker: its counts come back with the handles
         calls.append(None)
         before = len(passes)
-        handles = load(batches)
-        run = (len(calls), sum(map(len, batches)), passes[before:])
+        handles = load(rows, size)
+        run = (len(calls), len(rows), passes[before:])
         return [(run, handle) for handle in handles]
 
     monkeypatch.setattr(problems, "_moments", counted)
@@ -491,12 +519,12 @@ def test_batch_pass_runs_moments_only_for_the_partial_batch(
 def test_stream_hands_each_batch_over_before_yielding_it(n, batch_size):
     calls = []
 
-    def hand(batches):
+    def hand(rows, size):
         calls.append(None)
-        rows = sum(map(len, batches))
-        return [(len(calls), rows, batch) for batch in batches]
+        return [(len(calls), len(rows), batch)
+                for batch in batches_of(rows, size)]
 
-    plain = iter(BatchStream(n, batch_size, seed=2, on_batches=_same))
+    plain = iter(BatchStream(n, batch_size, seed=2, on_batches=batches_of))
     it = iter(BatchStream(n, batch_size, seed=2, on_batches=hand))
     runs, yielded = {}, Counter()
     for _ in range(2 * -(-n // batch_size) + 1):  # into a third epoch

@@ -1,7 +1,9 @@
 """The batch stream's worker process: each way out of a run ends and reaps
 it, a hook's exception reaches the caller, and the in-process path a host
 without ``fork`` takes writes the same traces."""
+import contextlib
 import hashlib
+import itertools
 import os
 import pickle
 import signal
@@ -12,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bfeopt import problems
 from bfeopt.cli import main
@@ -19,6 +23,7 @@ from bfeopt.core import NonFiniteEvaluation
 from bfeopt.harness import TRACE_HEADER, RunConfig, run_experiment
 from bfeopt.problems import BatchStream
 
+from test_problems import batches_of
 from test_traces import GOLDEN, LINREG
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -66,11 +71,11 @@ def test_a_run_that_fails_leaves_no_child(forks):
 def _failing_hook(exc):
     calls = []
 
-    def hook(batches):
+    def hook(rows, size):
         calls.append(None)
         if len(calls) == 2:  # in the second epoch
             raise exc
-        return batches
+        return batches_of(rows, size)
     return hook
 
 
@@ -99,7 +104,7 @@ def test_a_hook_error_that_does_not_pickle_names_its_type(forks):
 
 
 def test_a_hook_result_that_does_not_pickle_is_an_error(forks):
-    batches = iter(BatchStream(10, 4, on_batches=lambda b: [lambda: b]))
+    batches = iter(BatchStream(10, 4, on_batches=lambda *run: [lambda: run]))
     with pytest.raises(Exception, match="pickle"):
         next(batches)
     _assert_no_child_left()
@@ -109,7 +114,7 @@ def test_a_large_hook_result_that_does_not_pickle_is_an_error(forks):
     # the worker has written the bytes, past the pipe's size, when the
     # lambda fails to pickle
     batches = iter(BatchStream(
-        10, 4, on_batches=lambda b: [bytes(200_000), lambda: b]))
+        10, 4, on_batches=lambda *run: [bytes(200_000), lambda: run]))
     with pytest.raises(Exception, match="pickle"):
         next(batches)
     _assert_no_child_left()
@@ -119,8 +124,8 @@ def test_a_large_hook_result_that_does_not_pickle_is_an_error(forks):
 PAYLOAD = bytes(range(256)) * 800
 
 
-def _large(batches):
-    return [PAYLOAD + b.tobytes() for b in batches]
+def _large(rows, size):
+    return [PAYLOAD + b.tobytes() for b in batches_of(rows, size)]
 
 
 def test_a_hook_result_larger_than_the_pipe_arrives_intact(forks,
@@ -138,9 +143,9 @@ def test_a_hook_result_larger_than_the_pipe_arrives_intact(forks,
 def test_a_worker_killed_within_a_write_ends_the_stream(forks):
     calls = []
 
-    def hook(batches):
+    def hook(rows, size):
         calls.append(None)
-        return batches if len(calls) == 1 else [bytes(1 << 20)]
+        return batches_of(rows, size) if len(calls) == 1 else [bytes(1 << 20)]
 
     batches = iter(BatchStream(10, 4, on_batches=hook))
     for _ in range(3):  # the first run
@@ -158,7 +163,7 @@ def test_a_worker_killed_within_a_write_ends_the_stream(forks):
 
 def test_closing_a_stream_whose_worker_was_reaped_elsewhere(forks):
     # as a waitpid(-1) or a SIGCHLD handler elsewhere in the process would
-    batches = iter(BatchStream(10, 4, on_batches=list))
+    batches = iter(BatchStream(10, 4, on_batches=batches_of))
     next(batches)
     os.kill(forks[0], signal.SIGKILL)
     os.waitpid(forks[0], 0)
@@ -167,7 +172,7 @@ def test_closing_a_stream_whose_worker_was_reaped_elsewhere(forks):
 
 
 def test_a_worker_reaped_elsewhere_that_ended_early_is_an_error(forks):
-    batches = iter(BatchStream(10, 4, on_batches=list))
+    batches = iter(BatchStream(10, 4, on_batches=batches_of))
     next(batches)
     os.kill(forks[0], signal.SIGKILL)
     os.waitpid(forks[0], 0)
@@ -185,7 +190,7 @@ def test_a_stream_with_a_limit_ends_after_the_run_that_holds_it(
         forks, monkeypatch, limit, sizes, epochs):
     # 10 rows in batches of 4: an epoch is one run of 3 batches
     def drawn():
-        stream = BatchStream(10, 4, seed=6, on_batches=list, limit=limit)
+        stream = BatchStream(10, 4, seed=6, on_batches=batches_of, limit=limit)
         return list(stream), stream.epoch
 
     forked, epoch = drawn()
@@ -199,7 +204,7 @@ def test_a_stream_with_a_limit_ends_after_the_run_that_holds_it(
 
 
 def test_a_worker_that_sent_the_last_run_exits_by_itself(forks):
-    batches = iter(BatchStream(10, 4, on_batches=list, limit=5))
+    batches = iter(BatchStream(10, 4, on_batches=batches_of, limit=5))
     for _ in range(6):  # the two runs the limit leaves
         next(batches)
     # no kill has been sent: the worker ended with exit code 0
@@ -224,7 +229,7 @@ def test_a_stream_read_to_its_end_sends_no_signal(forks, monkeypatch):
     # the worker exits after its end marker; a kill sent by pid once
     # something else had reaped it could reach another process
     sent = _signals_sent(monkeypatch)
-    assert len(list(BatchStream(10, 4, on_batches=list, limit=5))) == 6
+    assert len(list(BatchStream(10, 4, on_batches=batches_of, limit=5))) == 6
     assert sent == []
     _assert_no_child_left()
 
@@ -234,7 +239,7 @@ def test_closing_a_stream_after_its_worker_ended_sends_no_kill_by_pid(
         forks, monkeypatch):
     # as a run does after its last step: the marker is left unread, and the
     # worker has exited and been reaped elsewhere, so its pid is free
-    batches = iter(BatchStream(10, 4, on_batches=list, limit=5))
+    batches = iter(BatchStream(10, 4, on_batches=batches_of, limit=5))
     for _ in range(6):
         next(batches)
     os.waitpid(forks[0], 0)
@@ -247,7 +252,13 @@ def test_closing_a_stream_after_its_worker_ended_sends_no_kill_by_pid(
 
 def test_a_stream_limit_must_be_positive():
     with pytest.raises(ValueError, match="limit must be >= 1"):
-        BatchStream(10, 4, on_batches=list, limit=0)
+        BatchStream(10, 4, on_batches=batches_of, limit=0)
+
+
+def test_a_stream_of_no_rows_is_rejected():
+    # its epochs would be empty: it would never yield and never end
+    with pytest.raises(ValueError, match="n, batch_size and limit must be"):
+        BatchStream(0, 4, on_batches=batches_of)
 
 
 def test_a_run_draws_the_runs_of_its_steps_only(forks, monkeypatch,
@@ -257,10 +268,10 @@ def test_a_run_draws_the_runs_of_its_steps_only(forks, monkeypatch,
     log = tmp_path / "runs"
     load = problems.LinRegObjective.load_batches
 
-    def noted(self, batches):
+    def noted(self, rows, size):
         with open(log, "a") as f:
             f.write("run\n")
-        return load(self, batches)
+        return load(self, rows, size)
 
     monkeypatch.setattr(problems.LinRegObjective, "load_batches", noted)
     run_experiment(RunConfig(optimizer="sgd", max_steps=30))
@@ -269,7 +280,7 @@ def test_a_run_draws_the_runs_of_its_steps_only(forks, monkeypatch,
 
 
 def test_a_stream_is_iterated_once():
-    stream = BatchStream(10, 4, on_batches=list)
+    stream = BatchStream(10, 4, on_batches=batches_of)
     batches = iter(stream)
     with pytest.raises(RuntimeError, match="iterated only once"):
         iter(stream)
@@ -279,7 +290,7 @@ def test_a_stream_is_iterated_once():
 
 
 def test_a_stream_closed_before_its_first_batch_forks_nothing(forks):
-    iter(BatchStream(10, 4, on_batches=list)).close()
+    iter(BatchStream(10, 4, on_batches=batches_of)).close()
     assert forks == []
 
 
@@ -292,7 +303,7 @@ def test_the_worker_runs_on_the_cpus_its_parent_does_not(monkeypatch):
     worker_cpus = {min(allowed)}
     monkeypatch.setattr(problems, "_other_cpus", lambda: worker_cpus)
     batches = iter(BatchStream(
-        10, 4, on_batches=lambda b: [os.sched_getaffinity(0)] * len(b)))
+        10, 4, on_batches=lambda rows, size: [os.sched_getaffinity(0)]))
     try:
         assert next(batches) == worker_cpus
     finally:
@@ -330,7 +341,7 @@ def test_on_one_cpu_the_stream_runs_in_process(forks, monkeypatch, flags,
 
 def test_where_proc_does_not_tell_the_stream_still_forks(forks, monkeypatch):
     monkeypatch.setattr(problems, "_other_cpus", lambda: None)
-    batches = iter(BatchStream(10, 4, on_batches=list))
+    batches = iter(BatchStream(10, 4, on_batches=batches_of))
     next(batches)
     batches.close()
     assert len(forks) == 1
@@ -346,7 +357,7 @@ def test_without_fork_a_stream_yields_what_the_worker_sends(forks,
         return drawn, stream.epoch
 
     def stream():
-        return BatchStream(20, 6, seed=5, on_batches=list)
+        return BatchStream(20, 6, seed=5, on_batches=batches_of)
 
     forked, epoch = first_epochs(stream())
     monkeypatch.setattr(os, "fork", _no_fork)
@@ -370,11 +381,11 @@ load = problems.LinRegObjective.load_batches
 problems._other_cpus = lambda: os.sched_getaffinity(0)  # fork on one CPU too
 calls = []
 
-def dies(self, batches):
+def dies(self, rows, size):
     calls.append(None)
     if len(calls) == 2:
         SECOND_RUN
-    return load(self, batches)
+    return load(self, rows, size)
 
 problems.LinRegObjective.load_batches = dies
 sys.exit(cli.main(["optimize", "--optimizer", "sgd", "--max-steps", "100"]))
@@ -418,7 +429,7 @@ def test_a_linreg_run_pickles_as_one_block_of_floats(rows):
     obj = problems.LinRegObjective(problems.gen_linear_data(
         problems.LinRegSpec(n=200, seed=4)))
     perm = np.random.default_rng(4).permutation(200)[:rows]
-    handles = obj.load_batches([perm[i:i + 16] for i in range(0, rows, 16)])
+    handles = obj.load_batches(perm, 16)
     wire = pickle.dumps(handles, pickle.HIGHEST_PROTOCOL)
     back = pickle.loads(wire)
     assert all(type(h) is problems.BatchMoments for h in back)
@@ -433,7 +444,8 @@ def test_a_hook_that_returns_plain_lists_works_through_the_worker(
         forks, monkeypatch):
     def first_batches():
         batches = iter(BatchStream(
-            10, 4, seed=2, on_batches=lambda b: [x.tolist() for x in b]))
+            10, 4, seed=2,
+            on_batches=lambda *run: [x.tolist() for x in batches_of(*run)]))
         drawn = [next(batches) for _ in range(7)]
         batches.close()
         return drawn
@@ -444,3 +456,52 @@ def test_a_hook_that_returns_plain_lists_works_through_the_worker(
     assert forked == first_batches()
     assert all(type(batch) is list for batch in forked)
     _assert_no_child_left()
+
+
+def _stream_reference(data, size, limit, pass_rows, seed):
+    """The ``_moments`` of what a limited stream over ``data`` yields, built
+    batch by batch: each epoch's ``default_rng(seed)`` permutation cut into
+    consecutive ``size``-row batches, handed over ``pass_rows // size`` (at
+    least one) at a time, up to the run that holds batch ``limit``; with the
+    epochs those runs complete."""
+    rng = np.random.default_rng(seed)
+    per_run = max(1, pass_rows // size)
+    want, epochs = [], 0
+    while True:
+        perm = rng.permutation(len(data.x))
+        batches = [perm[i:i + size] for i in range(0, len(perm), size)]
+        for first in range(0, len(batches), per_run):
+            want += [problems._moments(data.x[batch], data.y[batch])
+                     for batch in batches[first:first + per_run]]
+            if len(want) >= limit:
+                return want, epochs + (first + per_run >= len(batches))
+        epochs += 1
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(1, 300), size=st.integers(1, 70),
+       limit=st.integers(1, 40),
+       pass_rows=st.sampled_from([problems.PASS_ROWS, 1, 100]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_a_linreg_stream_yields_the_moments_of_each_epochs_batches(
+        forks, n, size, limit, pass_rows, seed):
+    # through the worker, then in process; PASS_ROWS set low makes runs of
+    # part of an epoch, so a limit can end the stream within one
+    data = problems.gen_linear_data(problems.LinRegSpec(n=n, seed=seed))
+    want, epochs = _stream_reference(data, size, limit, pass_rows, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(problems, "PASS_ROWS", pass_rows)
+        for fork in (os.fork, _no_fork):
+            patch.setattr(os, "fork", fork)
+            forked = len(forks)
+            stream = BatchStream(
+                n, size, seed=seed, limit=limit,
+                on_batches=problems.LinRegObjective(data).load_batches)
+            # one past the end: a stream that goes on fails, not hangs
+            with contextlib.closing(iter(stream)) as batches:
+                got = list(itertools.islice(batches, len(want) + 1))
+            assert _floats(got) == _floats(want)
+            assert stream.epoch == epochs
+            assert len(forks) == forked + (fork is not _no_fork)
+            _assert_no_child_left()
