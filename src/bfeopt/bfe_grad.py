@@ -19,7 +19,6 @@ import numpy as np
 from .core import (
     THRESHOLD_FLOOR,
     Batch,
-    Branch,
     NonFiniteEvaluation,
     Objective,
     StepOutcome,
@@ -62,10 +61,6 @@ class GradProbe(NamedTuple):
     theta_trial: np.ndarray
     g_star: np.ndarray
     eps_per_dim: np.ndarray
-
-    @property
-    def eps_max(self) -> float:
-        return float(self.eps_per_dim.max())
 
 
 def grad_probe(obj: Objective, theta: np.ndarray, rates, batch: Batch,
@@ -124,9 +119,9 @@ def bfe_grad_step(obj: Objective, theta: np.ndarray, k: int,
     # a search ends across its threshold, so the branch switches; a capped
     # search switches too, unlike an AdaBFE dimension's
     return StepOutcome(theta_next, cfg.rates.item(k), inner,
-                       Branch.ZOOM_IN if zoom_in else Branch.ZOOM_OUT,
-                       probe.eps_max, float(thresholds.max()), capped,
-                       k_next=k, zoom_in_next=not zoom_in)
+                       "zoom_in" if zoom_in else "zoom_out",
+                       float(probe.eps_per_dim.max()), float(thresholds.max()),
+                       capped, k_next=k, zoom_in_next=not zoom_in)
 
 
 def adabfe_step(obj: Objective, theta: np.ndarray, k: np.ndarray,
@@ -204,8 +199,7 @@ def adabfe_step(obj: Objective, theta: np.ndarray, k: np.ndarray,
         np.copyto(k, step * CAP_EXP, where=hits)
     rates_next = rates[k]
 
-    branch = (Branch.ZOOM_IN if np.count_nonzero(zoom_in) == dim
-              else Branch.ZOOM_OUT)
+    branch = "zoom_in" if np.count_nonzero(zoom_in) == dim else "zoom_out"
     # a dimension that crossed its threshold switches branch; a capped one
     # keeps it
     return StepOutcome(theta_next=probe.theta_trial,

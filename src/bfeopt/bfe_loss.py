@@ -20,7 +20,6 @@ import numpy as np
 
 from .core import (
     Batch,
-    Branch,
     LossPair,
     NonFiniteEvaluation,
     Objective,
@@ -206,7 +205,7 @@ def bfe_step(obj: Objective, theta: np.ndarray, k: int,
         k = max(k - 1, -CAP_EXP)
     # losses that disagree at the last probe -> zoom-in next
     return StepOutcome(theta_next, cfg.rates.item(k), inner,
-                       Branch.ZOOM_IN if zoom_in else Branch.ZOOM_OUT,
+                       "zoom_in" if zoom_in else "zoom_out",
                        eps_comp, eps_val, capped, k_next=k,
                        zoom_in_next=eps_comp >= eps_val)
 

@@ -101,14 +101,14 @@ def rms_grad_norm(g: np.ndarray) -> float:
     """Dimension-independent gradient magnitude: ||g||_2 / sqrt(dim).
 
     ``g`` is a 1-D float array. The norm is ``sqrt(g.dot(g))``, as
-    ``np.linalg.norm`` computes it, with the same float.
+    ``np.linalg.norm`` computes it, with the same float, unless that dot
+    falls below the normal floats: then it is ``math.hypot``'s, which scales
+    ``g`` by max|g| first, so a gradient whose squares underflow is not 0.
     """
-    return math.sqrt(g.dot(g)) / math.sqrt(g.size)
-
-
-class Branch(str, Enum):
-    ZOOM_IN = "zoom_in"
-    ZOOM_OUT = "zoom_out"
+    sq = g.dot(g)
+    if sq < 2.0 ** -1022 and g.any():
+        return math.hypot(*g.tolist()) / math.sqrt(g.size)
+    return math.sqrt(sq) / math.sqrt(g.size)
 
 
 @dataclass
@@ -122,7 +122,7 @@ class StepOutcome:
     theta_next: np.ndarray
     eta_next: float
     inner_loops: int
-    branch: Branch | None = None
+    branch: str | None = None  # "zoom_in" or "zoom_out" (BFE)
     eps_comp: float = math.nan
     eps_val: float = math.nan
     capped: bool = False

@@ -5,10 +5,12 @@ summary statistics (threshold-crossing step, inner-loop histogram).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
 import typing
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,12 +174,14 @@ PROBLEM_FIELDS = ("problem", "seed", "w0", "b0", "noise_std", "n_samples",
 
 
 def start_point(cfg: RunConfig) -> tuple[float, ...]:
-    """``cfg.theta0``, or the problem's default start when it is None."""
-    if cfg.theta0 is not None:
-        return cfg.theta0
-    if cfg.problem == "linreg":
-        return (0.0, 0.0)
-    return (1.0,) * len(cfg.curvatures)
+    """``cfg.theta0``, or the problem's default start when it is None; a
+    ``theta0`` that does not hold the problem's dimension is a ConfigError."""
+    dim = 2 if cfg.problem == "linreg" else len(cfg.curvatures)
+    if cfg.theta0 is None:
+        return (0.0 if cfg.problem == "linreg" else 1.0,) * dim
+    if len(cfg.theta0) != dim:
+        raise ConfigError(f"theta0 must hold {dim} values for {cfg.problem}")
+    return cfg.theta0
 
 
 def build_problem(cfg: RunConfig):
@@ -186,10 +190,7 @@ def build_problem(cfg: RunConfig):
     theta0 is float64 whatever numbers the config holds, like every later
     point, so the run loop's memo keys all points by bytes of one dtype.
     """
-    dim = 2 if cfg.problem == "linreg" else len(cfg.curvatures)
     theta0 = np.array(start_point(cfg), dtype=float)
-    if len(theta0) != dim:
-        raise ConfigError(f"theta0 must hold {dim} values for {cfg.problem}")
     if cfg.problem == "linreg":
         data = gen_linear_data(LinRegSpec(w0=cfg.w0, b0=cfg.b0,
                                           noise_std=cfg.noise_std,
@@ -297,11 +298,8 @@ def run_experiment(cfg: RunConfig) -> tuple[list[TraceRecord], RunSummary]:
     the gradient at theta that the stop check takes on the step's batch is
     the one the optimizer step asks for, at no second evaluation. Each trace
     row is formatted as its step ends, while the batch worker draws ahead."""
-    path = cfg.output_path  # checked before the run, the file left alone
-    if path and os.path.isdir(path):
-        raise ConfigError(f"output_path {path!r} is a directory")
-    if path and not os.path.isdir(os.path.dirname(path) or os.curdir):
-        raise ConfigError(f"output_path {path!r} is in no existing directory")
+    path = cfg.output_path
+    _check_output_path(path)
     raw, theta, stream = build_problem(cfg)
     obj = EvalMemo(raw)
     opt = build_optimizer(cfg, dim=theta.size)
@@ -352,6 +350,15 @@ def run_experiment(cfg: RunConfig) -> tuple[list[TraceRecord], RunSummary]:
     return trace, summary
 
 
+def _check_output_path(path: str | None) -> None:
+    """Raises ConfigError unless ``path`` is unset or names a file in an
+    existing directory; it leaves the file alone."""
+    if path and os.path.isdir(path):
+        raise ConfigError(f"output_path {path!r} is a directory")
+    if path and not os.path.isdir(os.path.dirname(path) or os.curdir):
+        raise ConfigError(f"output_path {path!r} is in no existing directory")
+
+
 def _diverged(full_loss: float, batch_loss: float, eta: float,
               trace: list[TraceRecord]) -> NonFiniteEvaluation:
     """The failure of a step whose committed point has a non-finite loss,
@@ -373,18 +380,13 @@ def summarize(trace: list[TraceRecord],
     if not trace:
         raise ValueError("empty trace")
     steps = None
-    if loss_threshold is not None:
-        for rec in trace:
-            if rec.full_loss <= loss_threshold:
-                steps = rec.step
-                break
+    if loss_threshold is not None:  # the first step at or below it
+        steps = next((rec.step for rec in trace
+                      if rec.full_loss <= loss_threshold), None)
     counts = [rec.inner_loops for rec in trace]
-    hist: dict[int, int] = {}
-    for c in counts:
-        hist[c] = hist.get(c, 0) + 1
     return RunSummary(steps_to_threshold=steps,
                       mean_inner_loops=float(np.mean(counts)),
-                      inner_loop_histogram=hist,
+                      inner_loop_histogram=dict(Counter(counts)),
                       final_loss=trace[-1].full_loss)
 
 
@@ -401,6 +403,13 @@ def compare_runs(cfgs: list[RunConfig],
         if any(v != values[0] for v in values):
             raise ConfigError(f"compared runs must share the problem, but "
                               f"their {name} values are {values!r}")
+    # every trace path is checked before the first run writes one
+    paths = [cfg.output_path for cfg in cfgs if cfg.output_path]
+    for path in paths:
+        _check_output_path(path)
+    if len(set(map(os.path.realpath, paths))) < len(paths):
+        raise ConfigError(f"compared runs must write different output_path "
+                          f"files, not {paths!r}")
     rows = []
     for cfg in cfgs:
         cfg = dataclasses.replace(cfg, loss_threshold=loss_threshold)
@@ -414,12 +423,11 @@ def compare_runs(cfgs: list[RunConfig],
         lines.append(f"{row['optimizer']},{steps if steps is not None else 'none'},"
                      f"{row['final_loss']:.17g}")
     lines.append("pair,speedup_ratio")
-    for i, a in enumerate(rows):
-        for b in rows[i + 1:]:
-            sa, sb = a["steps_to_threshold"], b["steps_to_threshold"]
-            # a run that met the threshold at its start, in 0 steps, gives none
-            ratio = "none" if sa is None or not sb else f"{sa / sb:.17g}"
-            lines.append(f"{a['optimizer']}/{b['optimizer']},{ratio}")
+    for a, b in itertools.combinations(rows, 2):
+        sa, sb = a["steps_to_threshold"], b["steps_to_threshold"]
+        # a run that met the threshold at its start, in 0 steps, gives none
+        ratio = "none" if sa is None or not sb else f"{sa / sb:.17g}"
+        lines.append(f"{a['optimizer']}/{b['optimizer']},{ratio}")
     return rows, "\n".join(lines) + "\n"
 
 

@@ -16,7 +16,6 @@ from bfeopt.bfe_loss import (
     loss_pair_zoom_out,
 )
 from bfeopt.core import (
-    Branch,
     NonFiniteEvaluation,
 )
 from bfeopt.problems import (
@@ -183,7 +182,7 @@ def _step(theta, eta, zoom_in=True, **cfg_kw):
 
 def test_zoom_in_branch_trace():
     out = _step(1.0, 0.1)
-    assert out.branch is Branch.ZOOM_IN
+    assert out.branch == "zoom_in"
     assert out.inner_loops == 3
     assert out.eta_next == pytest.approx(0.0125, rel=1e-12)
     assert out.k_next == -3
@@ -201,7 +200,7 @@ def test_zoom_in_branch_full_step_commit():
 
 def test_zoom_out_branch_trace():
     out = _step(1.0, 0.00625, zoom_in=False)
-    assert out.branch is Branch.ZOOM_OUT
+    assert out.branch == "zoom_out"
     assert out.inner_loops == 3
     assert out.eta_next == pytest.approx(0.025, rel=1e-12)
     assert out.k_next == 2

@@ -672,6 +672,43 @@ def test_an_out_that_cannot_be_written_exits_2_before_the_run(
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("second, message", [
+    ("missing/b.csv", "output_path {!r} is in no existing directory"),
+    ("a.csv", "compared runs must write different output_path files"),
+    ("./a.csv", "compared runs must write different output_path files")],
+    ids=["no-directory", "named-twice", "named-twice-spelled-apart"])
+def test_compare_checks_every_out_before_its_first_run(
+        tmp_path, capsys, monkeypatch, second, message):
+    def run_experiment(cfg):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(harness, "run_experiment", run_experiment)
+    second = os.path.join(tmp_path, second)
+    configs = tmp_path / "cfgs.json"
+    configs.write_text(json.dumps([
+        {"optimizer": "sgd", "max_steps": 6000,
+         "out": str(tmp_path / "a.csv")},
+        {"optimizer": "bfe", "out": second}]))
+    assert main(["compare", "--configs", str(configs),
+                 "--loss-threshold", "1.05"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: " + message.format(second))
+    assert os.listdir(tmp_path) == ["cfgs.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--optimizer", "bfe-zoomin", "--curvatures", "1e-300",
+     "--lim-zero", "1e-320"],
+    ["--optimizer", "sgd", "--theta0", "1e-170", "--alpha", "0.5",
+     "--lim-zero", "1e-300"]])
+def test_a_gradient_whose_squares_underflow_is_not_taken_for_converged(
+        argv, capsys):
+    assert main(["optimize", "--problem", "quadratic", *argv,
+                 "--max-steps", "5"]) == 0
+    assert "inner_loop_histogram=1:5\n" in capsys.readouterr().out
+
+
 def test_a_failed_run_leaves_the_file_at_its_out_as_it_was(tmp_path,
                                                            capsys):
     out = tmp_path / "trace.csv"

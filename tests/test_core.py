@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from bfeopt.core import (
@@ -188,7 +188,22 @@ def test_grad_check_flags_non_finite():
 @given(st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=200))
 def test_rms_grad_norm_is_the_linalg_norm_float(values):
     g = np.array(values)
+    # where the squares underflow, np.linalg.norm reads too low, or 0
+    assume(not g.any() or g.dot(g) >= 2.0 ** -1022)
     assert rms_grad_norm(g) == float(np.linalg.norm(g) / math.sqrt(g.size))
+
+
+@given(st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=200)
+       .filter(any))
+@example([1e-160])
+@example([1e-162])
+@example([1e-170, -3e-200, 0.0])
+@example([5e-324, 1e-323])
+def test_rms_grad_norm_of_a_nonzero_gradient_is_its_hypot(values):
+    # squares below the normal floats would make a live gradient read 0
+    want = math.hypot(*values) / math.sqrt(len(values))
+    got = rms_grad_norm(np.array(values))
+    assert math.isclose(got, want, rel_tol=1e-12)
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -5,10 +5,16 @@ run to its reference step count. The objective is counted below the run
 loop's memo, as the benchmark counts it, so a change that makes the run
 evaluate a point it evaluated before on the same batch fails here.
 """
+import dataclasses
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from bfeopt.harness import RunConfig, run_experiment
+from bfeopt import cli
+from bfeopt.harness import RunConfig, RunSummary, run_experiment
 
 LINREG = dict(problem="linreg", n_samples=10000, batch_size=512, seed=42,
               loss_threshold=1.05)
@@ -41,3 +47,29 @@ def test_evaluations_to_threshold(name, counted_objectives):
     obj, = counted_objectives
     assert (obj.grad_calls, obj.loss_calls) == (grads, losses)
     assert (summary.grad_evals, summary.loss_evals) == (grads, losses)
+
+
+PERFBENCH_WORKLOADS = (Path(__file__).resolve().parent.parent / "perfbench"
+                       / "workloads.py")
+
+
+@pytest.mark.parametrize("name", list(WORKLOADS))
+def test_each_config_is_the_one_the_benchmark_runs(name, monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH_WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclass looks its own module up there as it is made
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    workload = workloads.make(name, workloads.DEFAULT_SEED)
+    parsed = []
+
+    def run(cfg):
+        parsed.append(cfg)
+        return [], RunSummary(None, 0.0, {}, 0.0)
+
+    monkeypatch.setattr(cli, "run_experiment", run)
+    assert cli.main(["optimize", *workload.flags]) == 0
+    cfg, = parsed
+    assert dataclasses.replace(cfg, max_steps=workload.reference_steps) \
+        == WORKLOADS[name][0]

@@ -39,7 +39,6 @@ from bfeopt.bfe_loss import (
 )
 from bfeopt.core import (
     THRESHOLD_FLOOR,
-    Branch,
     NonFiniteEvaluation,
     ThresholdPolicy,
     eval_criterion_threshold,
@@ -76,7 +75,7 @@ def reference_bfe_step(obj, theta, k, cfg, batch, zoom_in=True, epoch=0):
         else:
             k_next = max(k, -CAP_EXP)
             theta_next = pair.trial_half
-        branch = Branch.ZOOM_IN
+        branch = "zoom_in"
     else:
         while True:
             inner += 1
@@ -97,7 +96,7 @@ def reference_bfe_step(obj, theta, k, cfg, batch, zoom_in=True, epoch=0):
             k -= 1
         k_next = k
         theta_next = pair.trial_half
-        branch = Branch.ZOOM_OUT
+        branch = "zoom_out"
     return (theta_next, cfg.eta0 * base ** k_next, k_next, inner, branch,
             eps_comp, eps_val, capped)
 
@@ -134,7 +133,7 @@ def reference_bfe_grad_step(obj, theta, k, cfg, batch, zoom_in=True):
         if not capped:
             k += 1
         theta_next = probe.theta_trial
-        branch = Branch.ZOOM_IN
+        branch = "zoom_in"
     else:
         while True:
             inner += 1
@@ -154,10 +153,10 @@ def reference_bfe_grad_step(obj, theta, k, cfg, batch, zoom_in=True):
         else:
             k -= 1
             theta_next = probe.theta_trial
-        branch = Branch.ZOOM_OUT
+        branch = "zoom_out"
     return (theta_next, cfg.eta0 * base ** k, k, inner, branch,
-            probe.eps_max, float(reference_thresholds(probe.g, cfg).max()),
-            capped)
+            float(probe.eps_per_dim.max()),
+            float(reference_thresholds(probe.g, cfg).max()), capped)
 
 
 class SignFlip:
