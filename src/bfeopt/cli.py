@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import typing
@@ -100,7 +101,9 @@ def _print_summary(summary) -> None:
     print(f"final_loss={summary.final_loss:.17g}")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process."""
     parser = argparse.ArgumentParser(prog="bfeopt")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -116,8 +119,11 @@ def main(argv=None) -> int:
     p_sum = sub.add_parser("summary", help="summarize an existing trace")
     p_sum.add_argument("--trace", required=True)
     p_sum.add_argument("--loss-threshold", type=float, required=True)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         if args.command == "optimize":
@@ -132,10 +138,7 @@ def main(argv=None) -> int:
                 raise ConfigError("--configs must hold a JSON list, not "
                                   + JSON_TYPES.get(type(entries), "a number"))
             cfgs = [_config_from_json(d) for d in entries]
-            _, table = compare_runs(cfgs, args.loss_threshold)
-            if args.out:
-                with open(args.out, "w") as f:
-                    f.write(table)
+            _, table = compare_runs(cfgs, args.loss_threshold, args.out)
             print(table, end="")
         else:
             _, trace = read_trace(args.trace)

@@ -390,9 +390,10 @@ def summarize(trace: list[TraceRecord],
                       final_loss=trace[-1].full_loss)
 
 
-def compare_runs(cfgs: list[RunConfig],
-                 loss_threshold: float) -> tuple[list[dict], str]:
-    """Run each config and tabulate threshold crossings and speedup ratios."""
+def compare_runs(cfgs: list[RunConfig], loss_threshold: float,
+                 out: str | None = None) -> tuple[list[dict], str]:
+    """Run each config and tabulate threshold crossings and speedup ratios;
+    the table is also written to ``out``, if given."""
     if len(cfgs) < 2:
         raise ConfigError("compare needs at least 2 configs")
     # a default start point equals the same point given explicitly
@@ -403,13 +404,13 @@ def compare_runs(cfgs: list[RunConfig],
         if any(v != values[0] for v in values):
             raise ConfigError(f"compared runs must share the problem, but "
                               f"their {name} values are {values!r}")
-    # every trace path is checked before the first run writes one
-    paths = [cfg.output_path for cfg in cfgs if cfg.output_path]
+    # every trace path, and the table's, is checked before the first run
+    paths = [path for path in (*(c.output_path for c in cfgs), out) if path]
     for path in paths:
         _check_output_path(path)
     if len(set(map(os.path.realpath, paths))) < len(paths):
         raise ConfigError(f"compared runs must write different output_path "
-                          f"files, not {paths!r}")
+                          f"files, and the table another, not {paths!r}")
     rows = []
     for cfg in cfgs:
         cfg = dataclasses.replace(cfg, loss_threshold=loss_threshold)
@@ -428,7 +429,11 @@ def compare_runs(cfgs: list[RunConfig],
         # a run that met the threshold at its start, in 0 steps, gives none
         ratio = "none" if sa is None or not sb else f"{sa / sb:.17g}"
         lines.append(f"{a['optimizer']}/{b['optimizer']},{ratio}")
-    return rows, "\n".join(lines) + "\n"
+    table = "\n".join(lines) + "\n"
+    if out:
+        with open(out, "w") as f:
+            f.write(table)
+    return rows, table
 
 
 TRACE_HEADER = "step,batch_loss,full_loss,eta,inner_loops,grad_norm"

@@ -8,7 +8,6 @@ import itertools
 import math
 import os
 import pickle
-import signal
 from dataclasses import dataclass
 from typing import Callable
 
@@ -257,10 +256,10 @@ class BatchStream:
 
     A stream is iterated once, and its runs are drawn ahead of the caller by
     ``_drawn_ahead``, in a worker process: the hook runs there, so what it
-    returns must pickle, its side effects stay in the worker, and an
-    exception it raises reaches the caller with its type and message.
-    Closing the iterator, as ``run_experiment`` does, ends the worker; a
-    worker that has sent the stream's last run ends by itself.
+    returns must pickle, its side effects stay in the worker, it finds none
+    of the caller's open descriptors but 0-2, and an exception it raises
+    reaches the caller with its type and message. Closing the iterator, as
+    ``run_experiment`` does, ends the worker once its hook call returns.
     """
 
     def __init__(self, n: int, batch_size: int, seed: int = 0, *,
@@ -315,12 +314,12 @@ def _drawn_ahead(items):
 
     Each item comes back as one pickle, and the exception that ends
     ``items`` is raised here; after the last item the worker sends
-    ``StopIteration`` as its end marker and exits, and is reaped here with
-    no signal. Closing this generator before the marker kills and reaps the
-    worker, unless something else in this process has reaped it; the kill
-    goes through a pidfd where Linux has one, since the pid of a worker
-    reaped elsewhere may by then be another process's. A pipe that ends
-    without the marker, at or within an item, raises ``OSError``.
+    ``StopIteration`` as its end marker and exits. The worker keeps none of
+    this process's descriptors but 0-2 and its own write end. So closing
+    this generator, which closes the read end, ends the worker at its next
+    write, which fails: it is only reaped here, with no signal, once the
+    ``items`` step it is in returns. A pipe that ends without the marker,
+    at or within an item, raises ``OSError``.
     Where ``os.fork`` is missing or raises ``OSError``, or this process may
     run on one CPU only, where a worker would only take turns with it,
     ``items`` runs in this process.
@@ -333,7 +332,11 @@ def _drawn_ahead(items):
         pid = None
     if pid == 0:  # the worker, which never returns
         try:
-            os.close(r)
+            # a read end of another live stream's pipe, held here, would
+            # keep that stream's close waiting on this worker
+            os.closerange(3, w)
+            limit = os.sysconf("SC_OPEN_MAX")  # -1 where there is none
+            os.closerange(w + 1, limit if limit > 0 else 1 << 16)
             if cpus:  # before it draws: a hook may ask where it runs
                 with contextlib.suppress(OSError):
                     os.sched_setaffinity(0, cpus)
@@ -360,11 +363,6 @@ def _drawn_ahead(items):
         yield from items
         return
     try:
-        pidfd = os.pidfd_open(pid)
-    except (AttributeError, OSError):  # no pidfds on this system
-        pidfd = None
-    ended = False
-    try:
         with open(r, "rb") as pipe:
             while True:
                 try:
@@ -372,22 +370,13 @@ def _drawn_ahead(items):
                 except (EOFError, pickle.UnpicklingError):  # a short read
                     break
                 if isinstance(item, StopIteration):
-                    ended = True
                     return
                 if isinstance(item, Exception):
                     raise item
                 yield item
     finally:
-        if not ended:
-            # a worker that has exited takes the kill too; one that something
-            # else in this process reaped, by a waitpid(-1) say, is gone
-            with contextlib.suppress(ProcessLookupError):
-                if pidfd is None:
-                    os.kill(pid, signal.SIGKILL)
-                else:
-                    signal.pidfd_send_signal(pidfd, signal.SIGKILL)
-        if pidfd is not None:
-            os.close(pidfd)
+        # the worker has exited or exits at its next write to the closed
+        # pipe; one that something else reaped, by a waitpid(-1) say, is gone
         try:
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         except ChildProcessError:

@@ -70,6 +70,35 @@ def _children() -> list[int]:
     return pids
 
 
+def _open_fds() -> dict[str, str] | None:
+    """This process's open descriptors and what each names, as Linux's
+    ``/proc`` lists them; None where it does not."""
+    fds = {}
+    try:
+        for fd in os.listdir("/proc/self/fd"):
+            with contextlib.suppress(OSError):  # the listing's own descriptor
+                fds[fd] = os.readlink(f"/proc/self/fd/{fd}")
+    except OSError:
+        return None
+    return fds
+
+
+@pytest.fixture(autouse=True)
+def no_fd_left():
+    """A test that leaves a descriptor open fails, as a leaked pipe end
+    would keep a stream's worker writing; ``ResourceWarning`` sees only file
+    objects."""
+    before = _open_fds()
+    yield
+    if before is None:
+        return
+    gc.collect()
+    left = {fd: name for fd, name in _open_fds().items()
+            if before.get(fd) != name}
+    if left:
+        pytest.fail(f"the test left descriptors open: {left}")
+
+
 @pytest.fixture(autouse=True)
 def no_child_left():
     """A test that leaves a child process fails alone: the child is killed

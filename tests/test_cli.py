@@ -571,7 +571,7 @@ def test_flag_and_json_spellings_give_equal_configs(tmp_path, monkeypatch):
         seen.append(cfg)
         raise SystemExit
 
-    def capture_all(cfgs, loss_threshold):
+    def capture_all(cfgs, loss_threshold, out):
         seen.extend(cfgs)
         return [], ""
 
@@ -694,6 +694,31 @@ def test_compare_checks_every_out_before_its_first_run(
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("config error: " + message.format(second))
+    assert os.listdir(tmp_path) == ["cfgs.json"]
+
+
+@pytest.mark.parametrize("table, message", [
+    ("missing/t.csv", "output_path {!r} is in no existing directory"),
+    ("", "output_path {!r} is a directory"),
+    ("./a.csv", "compared runs must write different output_path files")],
+    ids=["no-directory", "a-directory", "a-run's-out"])
+def test_compare_checks_its_table_path_before_its_first_run(
+        tmp_path, capsys, monkeypatch, table, message):
+    def run_experiment(cfg):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(harness, "run_experiment", run_experiment)
+    table = os.path.join(tmp_path, table)
+    configs = tmp_path / "cfgs.json"
+    configs.write_text(json.dumps([
+        {"optimizer": "sgd", "problem": "quadratic", "max_steps": 2000,
+         "out": str(tmp_path / "a.csv")},
+        {"optimizer": "bfe", "problem": "quadratic"}]))
+    assert main(["compare", "--configs", str(configs),
+                 "--loss-threshold", "1e-3", "--out", table]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: " + message.format(table))
     assert os.listdir(tmp_path) == ["cfgs.json"]
 
 

@@ -181,6 +181,11 @@ def test_compare_mismatched_problems_rejected():
             compare_runs([a, b], loss_threshold=1.0)
 
 
+def test_compare_needs_two_configs():
+    with pytest.raises(ConfigError, match="^compare needs at least 2 configs$"):
+        compare_runs([RunConfig(max_steps=5)], loss_threshold=1.0)
+
+
 def test_compare_takes_a_default_start_as_the_same_point_given():
     base = RunConfig(problem="quadratic", curvatures=(1.0, 2.0), alpha=0.1,
                      max_steps=5)

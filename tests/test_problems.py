@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bfeopt import harness, problems
 from bfeopt.baselines import BaselineConfig
+from bfeopt.bfe_grad import BfeGradConfig
 from bfeopt.bfe_loss import BfeLossConfig
 from bfeopt.problems import (
     BatchStream,
@@ -60,6 +61,13 @@ _REJECTED = [
     (LinRegSpec, {"w0": -_INF}, "^w0 and b0 must be finite$"),
     (LinRegSpec, {"b0": _INF}, "^w0 and b0 must be finite$"),
     (LinRegSpec, {"b0": _NAN}, "^w0 and b0 must be finite$"),
+    (LinRegSpec, {"n": 0}, "^n must be >= 1$"),
+    (problems.LinRegObjective, {"data": Dataset(x=[], y=[])},
+     "^empty dataset$"),
+    (Dataset, {"x": [0.0, 1.0], "y": [0.0]},
+     "^x and y must have the same length$"),
+    (BfeGradConfig, {"angle_threshold": 0.0},
+     r"^angle_threshold must be in \(0, pi/2\)$"),
 ]
 
 
@@ -69,8 +77,8 @@ _REJECTED = [
          for part, kw, _ in _REJECTED])
 def test_a_library_part_rejects_what_a_run_config_rejects(part, kwargs,
                                                           message):
-    # a RunConfig rejects these values as not finite or as no curvature
-    # before it builds the part
+    # a RunConfig rejects these values in its own field's name before it
+    # builds the part, or never makes them
     with pytest.raises(ValueError, match=message):
         part(**kwargs)
 

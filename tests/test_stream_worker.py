@@ -234,7 +234,6 @@ def test_a_stream_read_to_its_end_sends_no_signal(forks, monkeypatch):
     _assert_no_child_left()
 
 
-@pytest.mark.skipif(not hasattr(os, "pidfd_open"), reason="no pidfds")
 def test_closing_a_stream_after_its_worker_ended_sends_no_kill_by_pid(
         forks, monkeypatch):
     # as a run does after its last step: the marker is left unread, and the
@@ -247,6 +246,65 @@ def test_closing_a_stream_after_its_worker_ended_sends_no_kill_by_pid(
     monkeypatch.setattr(os, "kill", lambda *args: killed_by_pid.append(args))
     batches.close()
     assert killed_by_pid == []
+    _assert_no_child_left()
+
+
+def test_closing_a_stream_whose_worker_waits_on_a_full_pipe_sends_no_signal(
+        forks, monkeypatch):
+    # each run is larger than the pipe: the worker is in a write when the
+    # read end closes, and that write fails
+    sent = _signals_sent(monkeypatch)
+    batches = iter(BatchStream(10, 4, on_batches=_large))
+    next(batches)
+    batches.close()
+    assert sent == []
+    _assert_no_child_left()
+
+
+# Two live streams, each with a worker blocked on a full pipe, closed first
+# to last. The second worker was forked while the first stream was live; had
+# it kept the first pipe's read end, the first close would wait for good.
+_TWO_STREAMS = """
+import os, sys
+sys.path.insert(0, sys.argv[1])
+from bfeopt import problems
+
+problems._other_cpus = lambda: os.sched_getaffinity(0)  # fork on one CPU too
+
+def large(rows, size):
+    return [bytes(200_000)] * -(-len(rows) // size)
+
+first, second = (iter(problems.BatchStream(10, 4, on_batches=large))
+                 for _ in range(2))
+next(first)
+next(second)
+first.close()
+second.close()
+"""
+
+
+def test_two_live_streams_close_in_turn(tmp_path):
+    done = subprocess.run([sys.executable, "-c", _TWO_STREAMS, str(SRC)],
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="no /proc to list a process's descriptors")
+def test_a_hook_finds_none_of_its_callers_descriptors_open(forks):
+    r, w = os.pipe()
+    try:
+        batches = iter(BatchStream(10, 4, on_batches=lambda *run: [
+            [str(fd) in os.listdir("/proc/self/fd") for fd in (r, w)]]))
+        try:
+            assert next(batches) == [False, False]
+        finally:
+            batches.close()
+    finally:
+        os.close(r)
+        os.close(w)
+    assert len(forks) == 1
     _assert_no_child_left()
 
 
@@ -346,6 +404,14 @@ def test_where_proc_does_not_tell_the_stream_still_forks(forks, monkeypatch):
     batches.close()
     assert len(forks) == 1
     _assert_no_child_left()
+
+
+def test_where_proc_cannot_be_read_no_cpus_are_named(monkeypatch):
+    def no_proc(path, *args, **kwargs):
+        raise FileNotFoundError(2, "No such file or directory", path)
+
+    monkeypatch.setattr(problems, "open", no_proc, raising=False)
+    assert problems._other_cpus() is None
 
 
 def test_without_fork_a_stream_yields_what_the_worker_sends(forks,
