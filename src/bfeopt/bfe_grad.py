@@ -55,9 +55,8 @@ class BfeGradConfig(Lattice):
 
 
 class GradProbe(NamedTuple):
-    """Gradients before/after a joint trial step and the per-dim angles."""
+    """The joint trial point, the gradient there and the per-dim angles."""
 
-    g: np.ndarray
     theta_trial: np.ndarray
     g_star: np.ndarray
     eps_per_dim: np.ndarray
@@ -83,7 +82,7 @@ def grad_probe(obj: Objective, theta: np.ndarray, rates, batch: Batch,
         raise NonFiniteEvaluation(
             f"non-finite gradient at joint trial point in dims "
             f"{dims.tolist()} at rates {rates[dims].tolist()}")
-    return GradProbe(g, theta_trial, g_star, angular_deviation(g, g_star))
+    return GradProbe(theta_trial, g_star, angular_deviation(g, g_star))
 
 
 def _thresholds(g: np.ndarray, cfg: BfeGradConfig) -> np.ndarray:
@@ -115,7 +114,7 @@ def bfe_grad_step(obj: Objective, theta: np.ndarray, k: int,
             and cfg.zoom_out_exit is ZoomOutExit.QUARTER_FRESH_STEP):
         # a fresh step at half the probed rate; the lowest rate holds
         k = max(k - 1, -CAP_EXP)
-        theta_next = theta - cfg.rates.item(k) * probe.g
+        theta_next = theta - cfg.rates.item(k) * g
     # a search ends across its threshold, so the branch switches; a capped
     # search switches too, unlike an AdaBFE dimension's
     return StepOutcome(theta_next, cfg.rates.item(k), inner,

@@ -155,8 +155,7 @@ def _loss_pair(obj: Objective, theta: np.ndarray, eta: float, half: float,
     if not (math.isfinite(loss_full) and math.isfinite(loss_two_step)):
         raise NonFiniteEvaluation(
             f"non-finite trial loss at eta={eta!r}", eta=eta)
-    return LossPair(loss_full, loss_two_step, trial_half, trial_full,
-                    trial_two_step)
+    return LossPair(loss_full, loss_two_step, trial_half, trial_full)
 
 
 def loss_pair_zoom_in(obj: Objective, theta: np.ndarray, eta: float,

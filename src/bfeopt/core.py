@@ -52,13 +52,12 @@ THRESHOLD_FLOOR = 1e-12
 
 class LossPair(NamedTuple):
     """The two forward-explored losses of one probe, named by the trial point
-    each was taken at, with the three trial points."""
+    each was taken at, with the two one-step trial points."""
 
     loss_full: float
     loss_two_step: float
     trial_half: np.ndarray
     trial_full: np.ndarray
-    trial_two_step: np.ndarray
 
 
 def angular_deviation(g, g_star):

@@ -350,13 +350,13 @@ def run_experiment(cfg: RunConfig) -> tuple[list[TraceRecord], RunSummary]:
     return trace, summary
 
 
-def _check_output_path(path: str | None) -> None:
-    """Raises ConfigError unless ``path`` is unset or names a file in an
-    existing directory; it leaves the file alone."""
+def _check_output_path(path: str | None, name: str = "output_path") -> None:
+    """Raises ConfigError, naming ``path`` by ``name``, unless it is unset or
+    names a file in an existing directory; it leaves the file alone."""
     if path and os.path.isdir(path):
-        raise ConfigError(f"output_path {path!r} is a directory")
+        raise ConfigError(f"{name} {path!r} is a directory")
     if path and not os.path.isdir(os.path.dirname(path) or os.curdir):
-        raise ConfigError(f"output_path {path!r} is in no existing directory")
+        raise ConfigError(f"{name} {path!r} is in no existing directory")
 
 
 def _diverged(full_loss: float, batch_loss: float, eta: float,
@@ -405,9 +405,10 @@ def compare_runs(cfgs: list[RunConfig], loss_threshold: float,
             raise ConfigError(f"compared runs must share the problem, but "
                               f"their {name} values are {values!r}")
     # every trace path, and the table's, is checked before the first run
+    for cfg in cfgs:
+        _check_output_path(cfg.output_path)
+    _check_output_path(out, "out")
     paths = [path for path in (*(c.output_path for c in cfgs), out) if path]
-    for path in paths:
-        _check_output_path(path)
     if len(set(map(os.path.realpath, paths))) < len(paths):
         raise ConfigError(f"compared runs must write different output_path "
                           f"files, and the table another, not {paths!r}")

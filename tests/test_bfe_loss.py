@@ -109,7 +109,7 @@ def test_zoom_in_pair_unit_rate():
     pair = loss_pair_zoom_in(obj, np.array([1.0]), 1.0, None)
     assert pair.loss_full == 0.0
     assert pair.trial_half[0] == 0.5
-    assert pair.trial_two_step[0] == 0.25
+    assert pair.loss_two_step == obj.loss(np.array([0.25]), None)
     assert pair.loss_two_step == pytest.approx(0.03125, rel=1e-12)
 
 

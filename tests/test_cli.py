@@ -698,8 +698,8 @@ def test_compare_checks_every_out_before_its_first_run(
 
 
 @pytest.mark.parametrize("table, message", [
-    ("missing/t.csv", "output_path {!r} is in no existing directory"),
-    ("", "output_path {!r} is a directory"),
+    ("missing/t.csv", "out {!r} is in no existing directory"),
+    ("", "out {!r} is a directory"),
     ("./a.csv", "compared runs must write different output_path files")],
     ids=["no-directory", "a-directory", "a-run's-out"])
 def test_compare_checks_its_table_path_before_its_first_run(

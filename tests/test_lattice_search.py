@@ -108,9 +108,8 @@ def reference_thresholds(g, cfg):
     return np.full(np.shape(g), cfg.angle_threshold)
 
 
-def reference_exceeds(probe, cfg):
-    return bool(np.any(probe.eps_per_dim >= reference_thresholds(probe.g,
-                                                                 cfg)))
+def reference_exceeds(probe, g, cfg):
+    return bool(np.any(probe.eps_per_dim >= reference_thresholds(g, cfg)))
 
 
 def reference_bfe_grad_step(obj, theta, k, cfg, batch, zoom_in=True):
@@ -124,7 +123,7 @@ def reference_bfe_grad_step(obj, theta, k, cfg, batch, zoom_in=True):
             inner += 1
             probe = grad_probe(obj, theta, cfg.eta0 * base ** k, batch, g)
             k -= 1
-            if not reference_exceeds(probe, cfg):
+            if not reference_exceeds(probe, g, cfg):
                 break
             if k <= -CAP_EXP:
                 k = -CAP_EXP
@@ -139,7 +138,7 @@ def reference_bfe_grad_step(obj, theta, k, cfg, batch, zoom_in=True):
             inner += 1
             probe = grad_probe(obj, theta, cfg.eta0 * base ** k, batch, g)
             k += 1
-            if reference_exceeds(probe, cfg):
+            if reference_exceeds(probe, g, cfg):
                 break
             if k >= CAP_EXP:
                 k = CAP_EXP
@@ -149,14 +148,14 @@ def reference_bfe_grad_step(obj, theta, k, cfg, batch, zoom_in=True):
             theta_next = probe.theta_trial
         elif cfg.zoom_out_exit is ZoomOutExit.QUARTER_FRESH_STEP:
             k = max(k - 2, -CAP_EXP)
-            theta_next = theta - cfg.eta0 * base ** k * probe.g
+            theta_next = theta - cfg.eta0 * base ** k * g
         else:
             k -= 1
             theta_next = probe.theta_trial
         branch = "zoom_out"
     return (theta_next, cfg.eta0 * base ** k, k, inner, branch,
             float(probe.eps_per_dim.max()),
-            float(reference_thresholds(probe.g, cfg).max()), capped)
+            float(reference_thresholds(g, cfg).max()), capped)
 
 
 class SignFlip:
