@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Any, Callable
 
@@ -38,12 +38,18 @@ class Lattice:
     into ``rates``, which ``k`` itself indexes: a negative ``k`` counts back
     from the end. A lowest rate that rounds to 0 or a highest that overflows
     raises ValueError: a search at rate 0 never moves, and one at an
-    infinite rate overflows."""
+    infinite rate overflows. A field whose default is an Enum member
+    stores that enum's member for a value or a member of it, and raises
+    ValueError for anything else."""
 
     eta0: float = 0.001
     base: int = 2
 
     def __post_init__(self):
+        for f in fields(self):
+            if isinstance(f.default, Enum):
+                object.__setattr__(self, f.name,
+                                   type(f.default)(getattr(self, f.name)))
         if self.eta0 <= 0:
             raise ValueError("eta0 must be positive")
         if self.base < 2:

@@ -84,7 +84,8 @@ def angular_deviation(g, g_star):
 
 def eval_criterion_threshold(loss1: float, loss2: float, eps_ratio: float,
                              policy: ThresholdPolicy, epoch: int = 0) -> float:
-    """Threshold value eps_val for the loss-comparison criterion."""
+    """Threshold value eps_val for the loss-comparison criterion; ``policy``
+    is a ``ThresholdPolicy`` member, as a config stores it, not its value."""
     if policy is ThresholdPolicy.MIN_SCALED:
         val = min(abs(loss1) * eps_ratio, abs(loss2) * eps_ratio)
     elif policy is ThresholdPolicy.CONSTANT:

@@ -104,10 +104,8 @@ class RunConfig:
         # the parts that own every other range check it, for every run
         try:
             BfeLossConfig(self.eta0, self.base, self.eps_ratio)
-            BfeGradConfig(angle_threshold=self.angle_threshold_deg * DEG)
             BaselineConfig(self.alpha, self.beta)
-            LinRegSpec(noise_std=self.noise_std, n=self.n_samples,
-                       seed=self.seed)
+            LinRegSpec(noise_std=self.noise_std, seed=self.seed)
             QuadraticObjective(self.curvatures)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -211,15 +209,15 @@ def build_optimizer(cfg: RunConfig, dim: int):
     if cfg.optimizer in ("bfe", "bfe-zoomin"):
         return BfeLossOptimizer(BfeLossConfig(
             **lattice, eps_ratio=cfg.eps_ratio,
-            eps_val_policy=ThresholdPolicy(cfg.eps_val_policy),
-            commit_policy=CommitPolicy(cfg.commit_policy),
+            eps_val_policy=cfg.eps_val_policy,
+            commit_policy=cfg.commit_policy,
             zoom_in_only=(cfg.optimizer == "bfe-zoomin"),
-            reset_policy=ResetPolicy(cfg.reset_policy)))
+            reset_policy=cfg.reset_policy))
     if cfg.optimizer in ("bfe-grad", "adabfe"):
         gcfg = BfeGradConfig(
             **lattice, angle_threshold=cfg.angle_threshold_deg * DEG,
-            threshold_mode=ThresholdMode(cfg.threshold_mode),
-            zoom_out_exit=ZoomOutExit(cfg.zoom_out_exit),
+            threshold_mode=cfg.threshold_mode,
+            zoom_out_exit=cfg.zoom_out_exit,
             pre_halve=cfg.pre_halve)
         if cfg.optimizer == "adabfe":
             return AdaBfeOptimizer(gcfg, dim)

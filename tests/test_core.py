@@ -193,6 +193,17 @@ def test_rms_grad_norm_is_the_linalg_norm_float(values):
     assert rms_grad_norm(g) == float(np.linalg.norm(g) / math.sqrt(g.size))
 
 
+def test_rms_grad_norm_takes_the_dot_at_the_smallest_normal():
+    # the squares' dot rounds to the smallest normal float exactly, which is
+    # not below the normal floats; hypot, which sums the squares more
+    # exactly, gives another float
+    g = np.array([float.fromhex("0x1.e57c4cbc853eap-513"),
+                  float.fromhex("0x1.c2cc9a5dfd033p-512")])
+    assert g.dot(g) == 2.0 ** -1022
+    assert rms_grad_norm(g) == 2.0 ** -511 / math.sqrt(2)
+    assert rms_grad_norm(g) != math.hypot(*g) / math.sqrt(2)
+
+
 @given(st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=200)
        .filter(any))
 @example([1e-160])

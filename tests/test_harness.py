@@ -231,7 +231,7 @@ def test_field_values_checked_against_annotations():
     for bad in ({"base": 2.0}, {"max_steps": True}, {"eta0": False},
                 {"optimizer": None}, {"curvatures": [1.0]},
                 {"curvatures": (True,)}, {"curvatures": ()},
-                {"theta0": ("1",)}, {"output_path": 3},
+                {"theta0": ("1",)}, {"theta0": ()}, {"output_path": 3},
                 {"eta0": float("nan")}, {"theta0": (1.0, float("-inf"))},
                 {"alpha": 10 ** 400}):
         with pytest.raises(ConfigError, match=f"{next(iter(bad))} must be"):
@@ -239,7 +239,7 @@ def test_field_values_checked_against_annotations():
 
 
 @pytest.mark.parametrize("threshold, steps", [(None, None), (1e-9, None),
-                                              (1e-8, 0)])
+                                              (5e-9, 0), (1e-8, 0)])
 def test_converged_start_is_a_run_of_no_steps(threshold, steps):
     # the start's gradient RMS, about 7.1e-5, is below lim_zero
     cfg = RunConfig(optimizer="bfe", problem="quadratic",
@@ -248,11 +248,20 @@ def test_converged_start_is_a_run_of_no_steps(threshold, steps):
     trace, summary = run_experiment(cfg)
     start_loss = harness.quadratic_objective(cfg.curvatures).loss(
         np.array(cfg.theta0), None)
+    assert start_loss == 5e-9  # so a threshold of 5e-9 is met exactly
     assert trace == []
     assert summary == harness.RunSummary(
         steps_to_threshold=steps, mean_inner_loops=0.0,
         inner_loop_histogram={}, final_loss=start_loss, grad_evals=1,
         loss_evals=1, capped_steps=0)
+
+
+def test_a_one_sample_run_runs():
+    # the smallest dataset: every batch is its one row
+    trace, _ = run_experiment(RunConfig(optimizer="sgd", n_samples=1,
+                                        max_steps=3))
+    assert [rec.step for rec in trace] == [1, 2, 3]
+    assert trace[-1].batch_loss == trace[-1].full_loss
 
 
 # Every init field of the BFE configs, the RunConfig field build_optimizer

@@ -374,9 +374,31 @@ def test_a_run_config_checks_the_lattice_without_its_rate_table(monkeypatch):
     for config in (BfeLossConfig, BfeGradConfig):
         monkeypatch.setattr(harness, config.__name__, recorded(config))
     RunConfig()
-    assert [type(c) for c in built] == [BfeLossConfig, BfeGradConfig]
+    # the angle is checked in degrees; no BfeGradConfig is built for it
+    assert [type(c) for c in built] == [BfeLossConfig]
     assert all("rates" not in vars(c) for c in built)
     assert built[0].rates is built[0].rates  # computed once, then kept
+
+
+@pytest.mark.parametrize("step, config, field, member, k, zoom_in, h", [
+    (bfe_step, BfeLossConfig, "commit_policy", CommitPolicy.FULL_STEP, 0,
+     True, [1.0, 10.0]),
+    (bfe_step, BfeLossConfig, "eps_val_policy", ThresholdPolicy.CONSTANT, 3,
+     True, [1.0, 10.0]),
+    (bfe_grad_step, BfeGradConfig, "threshold_mode", ThresholdMode.RELATIVE,
+     0, False, [0.1]),
+    (bfe_grad_step, BfeGradConfig, "zoom_out_exit",
+     ZoomOutExit.QUARTER_FRESH_STEP, 0, False, [1.0, 10.0]),
+])
+def test_a_policy_value_commits_the_point_its_member_does(
+        step, config, field, member, k, zoom_in, h):
+    obj, theta = quadratic_objective(h), np.ones(len(h))
+    stored = config(**{field: member.value})
+    assert getattr(stored, field) is member
+    points = [step(obj, theta, k, cfg, None, zoom_in).theta_next.tobytes()
+              for cfg in (config(), config(**{field: member}), stored)]
+    # the member moves the point off the default's, and the value with it
+    assert points[0] != points[1] == points[2]
 
 
 # sha256 of the float64 bytes of the table at eta0 = 1e-3, as computed

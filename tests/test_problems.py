@@ -68,6 +68,11 @@ _REJECTED = [
      "^x and y must have the same length$"),
     (BfeGradConfig, {"angle_threshold": 0.0},
      r"^angle_threshold must be in \(0, pi/2\)$"),
+    # a policy that is neither a member nor a value of its enum
+    (BfeLossConfig, {"commit_policy": "bogus"},
+     "^'bogus' is not a valid CommitPolicy$"),
+    (BfeGradConfig, {"threshold_mode": "bogus"},
+     "^'bogus' is not a valid ThresholdMode$"),
 ]
 
 
