@@ -55,10 +55,9 @@ class BfeGradConfig(Lattice):
 
 
 class GradProbe(NamedTuple):
-    """The joint trial point, the gradient there and the per-dim angles."""
+    """The joint trial point and the per-dim angles of the gradient there."""
 
     theta_trial: np.ndarray
-    g_star: np.ndarray
     eps_per_dim: np.ndarray
 
 
@@ -82,7 +81,7 @@ def grad_probe(obj: Objective, theta: np.ndarray, rates, batch: Batch,
         raise NonFiniteEvaluation(
             f"non-finite gradient at joint trial point in dims "
             f"{dims.tolist()} at rates {rates[dims].tolist()}")
-    return GradProbe(theta_trial, g_star, angular_deviation(g, g_star))
+    return GradProbe(theta_trial, angular_deviation(g, g_star))
 
 
 def _thresholds(g: np.ndarray, cfg: BfeGradConfig) -> np.ndarray:

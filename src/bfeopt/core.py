@@ -85,15 +85,18 @@ def angular_deviation(g, g_star):
 def eval_criterion_threshold(loss1: float, loss2: float, eps_ratio: float,
                              policy: ThresholdPolicy, epoch: int = 0) -> float:
     """Threshold value eps_val for the loss-comparison criterion; ``policy``
-    is a ``ThresholdPolicy`` member, as a config stores it, not its value."""
-    if policy is ThresholdPolicy.MIN_SCALED:
+    is a ``ThresholdPolicy`` member, not its value, or ValueError is raised."""
+    if (policy is ThresholdPolicy.MEAN_SCALED
+            or policy is ThresholdPolicy.EPOCH_DECAY):
+        val = 0.5 * (abs(loss1) + abs(loss2)) * eps_ratio
+        if policy is ThresholdPolicy.EPOCH_DECAY:
+            val = val / (1.0 + epoch * DECAY_RATE)
+    elif policy is ThresholdPolicy.MIN_SCALED:
         val = min(abs(loss1) * eps_ratio, abs(loss2) * eps_ratio)
     elif policy is ThresholdPolicy.CONSTANT:
         val = THRESHOLD_CONSTANT
     else:
-        val = 0.5 * (abs(loss1) + abs(loss2)) * eps_ratio
-        if policy is ThresholdPolicy.EPOCH_DECAY:
-            val = val / (1.0 + epoch * DECAY_RATE)
+        raise ValueError(f"unknown threshold policy {policy!r}")
     return max(val, THRESHOLD_FLOOR)
 
 

@@ -183,12 +183,6 @@ def _moments(x: np.ndarray, y: np.ndarray) -> BatchMoments:
                          float(dr @ dr) / n))
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The dot product of each row of ``a`` with the same row of ``b``: a
-    stack of (1, n) @ (n, 1) products, each the BLAS dot of a 1-D ``@``."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
 def _row_moments(x: np.ndarray, y: np.ndarray, dx: np.ndarray,
                  r: np.ndarray) -> MomentsRun:
     """``_moments`` of each row of the (k, n) arrays ``x`` and ``y``, using
@@ -196,16 +190,16 @@ def _row_moments(x: np.ndarray, y: np.ndarray, dx: np.ndarray,
 
     The expressions are ``_moments``'s, in the same order. A sum along the
     rows of a C-contiguous array is the same pairwise sum as a 1-D sum, and
-    ``_row_dots`` the same dot, so each row gets bitwise the floats of a
-    ``_moments`` call on it. The steep-line test masks the divide, so a row
-    with Vxx = 0 divides by nothing.
+    ``np.vecdot`` the same BLAS dot as a 1-D ``@``, so each row gets bitwise
+    the floats of a ``_moments`` call on it. The steep-line test masks the
+    divide, so a row with Vxx = 0 divides by nothing.
     """
     n = x.shape[1]
     xm = np.add.reduce(x, axis=1) / n
     dx = np.subtract(x, xm[:, None], out=dx)
-    vxx = _row_dots(dx, dx) / n
+    vxx = np.vecdot(dx, dx) / n
     beta = np.zeros(len(x))
-    np.divide(_row_dots(dx, y) / n, vxx, out=beta,
+    np.divide(np.vecdot(dx, y) / n, vxx, out=beta,
               where=xm * xm < 16.0 * vxx)
     alpha = np.add.reduce(y, axis=1) / n - beta * xm
     r0 = np.multiply(beta[:, None], x, out=r)
@@ -213,8 +207,8 @@ def _row_moments(x: np.ndarray, y: np.ndarray, dx: np.ndarray,
     r0 -= y
     rm = np.add.reduce(r0, axis=1) / n
     dr = np.subtract(r0, rm[:, None], out=r)
-    columns = (xm, beta, alpha, rm, vxx, _row_dots(dx, dr) / n,
-               _row_dots(dr, dr) / n)
+    columns = (xm, beta, alpha, rm, vxx, np.vecdot(dx, dr) / n,
+               np.vecdot(dr, dr) / n)
     return MomentsRun(map(BatchMoments, zip(*(c.tolist() for c in columns))))
 
 

@@ -75,7 +75,7 @@ def test_probe_unit_rate_quarter_turn():
     probe = grad_probe(obj, np.array([1.0]), 1.0, None)
     assert obj.grad(np.array([1.0]), None)[0] == 1.0
     assert probe.theta_trial[0] == 0.0
-    assert probe.g_star[0] == 0.0
+    assert obj.grad(probe.theta_trial, None)[0] == 0.0
     assert float(probe.eps_per_dim.max()) == pytest.approx(math.pi / 4,
                                                            rel=1e-12)
 

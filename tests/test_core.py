@@ -163,6 +163,13 @@ def test_threshold_floor_near_zero_losses():
                                     ThresholdPolicy.MEAN_SCALED) == 1e-12
 
 
+@pytest.mark.parametrize("policy", ["min_scaled", "bogus"])
+def test_threshold_rejects_a_policy_that_is_not_a_member(policy):
+    # a plain value matches no member, so it must not run the mean rule
+    with pytest.raises(ValueError, match=repr(policy)):
+        eval_criterion_threshold(1.0, 3.0, 0.1, policy)
+
+
 def test_grad_check_quadratic():
     obj = quadratic_objective([1.0])
     assert grad_check(obj, np.array([1.0]), h=1e-5) <= 1e-8
