@@ -75,12 +75,15 @@ def _config_from_json(d: dict) -> RunConfig:
     """A RunConfig from one compare entry, keyed by field or flag name."""
     if not isinstance(d, dict):
         raise ConfigError(f"a config must be a JSON object, not {d!r}")
-    kw = {}
+    kw, keys = {}, {}
     for key, value in d.items():
-        key = key.replace("-", "_")
-        kw[FIELD_OF_ALIAS.get(key, key)] = (tuple(value)
-                                            if isinstance(value, list)
-                                            else value)
+        name = key.replace("-", "_")
+        name = FIELD_OF_ALIAS.get(name, name)
+        if name in keys:
+            raise ConfigError(f"{name} is given twice, as {keys[name]!r} "
+                              f"and {key!r}")
+        keys[name] = key
+        kw[name] = tuple(value) if isinstance(value, list) else value
     try:
         return RunConfig(**kw)
     except TypeError as exc:

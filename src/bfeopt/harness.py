@@ -461,7 +461,8 @@ def write_trace(path: str, rows: typing.Iterable[str], cfg: RunConfig) -> None:
 
 
 def read_trace(path: str) -> tuple[dict, list[TraceRecord]]:
-    """Read a trace file; a malformed row raises ValueError naming its line."""
+    """Read a trace file; a malformed row, or one with a loss that is not
+    finite, raises ValueError naming its line."""
     meta: dict = {}
     trace: list[TraceRecord] = []
     with open(path) as f:
@@ -478,8 +479,13 @@ def read_trace(path: str) -> tuple[dict, list[TraceRecord]]:
                 if len(parts) != len(_TRACE_TYPES):
                     raise ValueError(f"{len(parts)} fields, expected "
                                      f"{len(_TRACE_TYPES)}")
-                trace.append(TraceRecord(*(convert(part) for convert, part
-                                           in zip(_TRACE_TYPES, parts))))
+                record = TraceRecord(*(convert(part) for convert, part
+                                       in zip(_TRACE_TYPES, parts)))
+                # a run fails the step whose loss is not finite
+                if not (math.isfinite(record.batch_loss)
+                        and math.isfinite(record.full_loss)):
+                    raise ValueError("batch_loss or full_loss not finite")
+                trace.append(record)
             except ValueError as exc:
                 raise ValueError(f"{path} line {lineno}: bad trace row "
                                  f"{line!r} ({exc})") from None

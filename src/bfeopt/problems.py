@@ -128,7 +128,7 @@ class LinRegObjective:
         full = rows[:k * size].reshape(k, size)
         np.take(self._x, full, out=x)
         np.take(self._y, full, out=y)
-        handles = _row_moments(x, y, dx, r)
+        handles = _moments(x, y, dx, r)
         tail = rows[k * size:]
         if tail.size:
             handles.append(_moments(self._x[tail], self._y[tail]))
@@ -158,57 +158,42 @@ class LinRegObjective:
         return np.array([2.0 * (xm * m + d * vxx + c), 2.0 * m])
 
 
-def _moments(x: np.ndarray, y: np.ndarray) -> BatchMoments:
-    """Moments of the residuals r0 = beta*x + alpha - y about a reference line.
+def _moments(x: np.ndarray, y: np.ndarray, dx: np.ndarray | None = None,
+             r: np.ndarray | None = None) -> BatchMoments | MomentsRun:
+    """Moments of the residuals r0 = beta*x + alpha - y about a reference line,
+    of the 1-D batch ``x``, ``y`` or of each row of (k, n) arrays, with ``dx``
+    and ``r``, if given, of their shape as work arrays.
 
-    Returns (mean x, beta, alpha, mean r0, Vxx, Cov(x, r0), Var(r0)). With
-    d = w - beta and m = d*mean(x) + (b - alpha) + mean(r0), the loss at
-    (w, b) is m**2 + d**2*Vxx + 2*d*Cov(x, r0) + Var(r0) in exact arithmetic,
-    for any reference line. The batch's least-squares line keeps r0 small,
-    so calls near the optimum round no worse than the direct sum over the
-    batch. When mean(x) is 4 or more standard deviations from zero, that line
-    is steep and r0 itself would lose digits; the flat line through mean(y)
-    is used then.
+    Returns (mean x, beta, alpha, mean r0, Vxx, Cov(x, r0), Var(r0)), as a
+    ``BatchMoments`` or a ``MomentsRun`` of one per row. With d = w - beta and
+    m = d*mean(x) + (b - alpha) + mean(r0), the loss at (w, b) is
+    m**2 + d**2*Vxx + 2*d*Cov(x, r0) + Var(r0) in exact arithmetic, for any
+    reference line. The batch's least-squares line keeps r0 small, so calls
+    near the optimum round no worse than the direct sum over the batch. When
+    mean(x) is 4 or more standard deviations from zero, that line is steep
+    and r0 itself would lose digits; the flat line through mean(y) is used
+    then, and the test masks the divide, so Vxx = 0 divides by nothing. A sum
+    along a row of a C-contiguous array is the same pairwise sum as a 1-D
+    sum, and ``np.vecdot`` of rows the same BLAS dot as of 1-D arrays, so
+    each row gets bitwise the floats of a call on it alone.
     """
-    n = x.size
-    xm = float(x.sum()) / n
-    dx = x - xm
-    vxx = float(dx @ dx) / n
-    beta = float(dx @ y) / n / vxx if xm * xm < 16.0 * vxx else 0.0
-    alpha = float(y.sum()) / n - beta * xm
-    r0 = beta * x + alpha - y
-    rm = float(r0.sum()) / n
-    dr = r0 - rm
-    return BatchMoments((xm, beta, alpha, rm, vxx, float(dx @ dr) / n,
-                         float(dr @ dr) / n))
-
-
-def _row_moments(x: np.ndarray, y: np.ndarray, dx: np.ndarray,
-                 r: np.ndarray) -> MomentsRun:
-    """``_moments`` of each row of the (k, n) arrays ``x`` and ``y``, using
-    ``dx`` and ``r``, of the same shape, as work arrays.
-
-    The expressions are ``_moments``'s, in the same order. A sum along the
-    rows of a C-contiguous array is the same pairwise sum as a 1-D sum, and
-    ``np.vecdot`` the same BLAS dot as a 1-D ``@``, so each row gets bitwise
-    the floats of a ``_moments`` call on it. The steep-line test masks the
-    divide, so a row with Vxx = 0 divides by nothing.
-    """
-    n = x.shape[1]
-    xm = np.add.reduce(x, axis=1) / n
-    dx = np.subtract(x, xm[:, None], out=dx)
+    n = x.shape[-1]
+    xm = np.add.reduce(x, axis=-1) / n
+    dx = np.subtract(x, xm[..., None], out=dx)
     vxx = np.vecdot(dx, dx) / n
-    beta = np.zeros(len(x))
+    beta = np.zeros(xm.shape)
     np.divide(np.vecdot(dx, y) / n, vxx, out=beta,
               where=xm * xm < 16.0 * vxx)
-    alpha = np.add.reduce(y, axis=1) / n - beta * xm
-    r0 = np.multiply(beta[:, None], x, out=r)
-    r0 += alpha[:, None]
+    alpha = np.add.reduce(y, axis=-1) / n - beta * xm
+    r0 = np.multiply(beta[..., None], x, out=r)
+    r0 += alpha[..., None]
     r0 -= y
-    rm = np.add.reduce(r0, axis=1) / n
-    dr = np.subtract(r0, rm[:, None], out=r)
+    rm = np.add.reduce(r0, axis=-1) / n
+    dr = np.subtract(r0, rm[..., None], out=r0)
     columns = (xm, beta, alpha, rm, vxx, np.vecdot(dx, dr) / n,
                np.vecdot(dr, dr) / n)
+    if x.ndim == 1:
+        return BatchMoments(map(float, columns))
     return MomentsRun(map(BatchMoments, zip(*(c.tolist() for c in columns))))
 
 

@@ -130,6 +130,21 @@ def test_compare_unknown_field_exits_2(tmp_path, capsys):
                  "--loss-threshold", "1.0"]) == 2
 
 
+@pytest.mark.parametrize("entry, twice", [
+    ({"max_steps": 5, "max-steps": 50},
+     "max_steps is given twice, as 'max_steps' and 'max-steps'"),
+    ({"epsilon": 0.5, "eps_ratio": 0.002},
+     "eps_ratio is given twice, as 'epsilon' and 'eps_ratio'")])
+def test_compare_field_given_twice_exits_2(tmp_path, capsys, entry, twice):
+    # the last spelling would win silently: 50 steps, or eps_ratio 0.002
+    path = tmp_path / "cfgs.json"
+    path.write_text(json.dumps([{"optimizer": "bfe", "problem": "quadratic",
+                                 **entry}]))
+    assert main(["compare", "--configs", str(path),
+                 "--loss-threshold", "1.0"]) == 2
+    assert capsys.readouterr().err == f"config error: {twice}\n"
+
+
 def test_compare_non_object_entry_exits_2(tmp_path, capsys):
     path = tmp_path / "cfgs.json"
     path.write_text(json.dumps([{"optimizer": "sgd"}, [1, 2]]))
@@ -486,7 +501,10 @@ def _trace_with_row(tmp_path, row):
 
 
 @pytest.mark.parametrize("row", ["2,1.5,1.5,0.001",
-                                 "2,1.5,oops,0.001,1,1.0"])
+                                 "2,1.5,oops,0.001,1,1.0",
+                                 "2,1.5,nan,0.001,1,1.0",
+                                 "2,inf,1.5,0.001,1,1.0",
+                                 "2,1.5,-inf,0.001,1,1.0"])
 def test_summary_bad_row_is_config_error(tmp_path, capsys, row):
     path = _trace_with_row(tmp_path, row)
     assert main(["summary", "--trace", str(path),

@@ -279,21 +279,21 @@ def test_batch_moments_computed_once_per_batch(monkeypatch):
     passes = []
     moments = problems._moments
 
-    def counted(x, y):
-        passes.append(len(x))
-        return moments(x, y)
+    def counted(x, y, *work):
+        passes.append(x.shape)
+        return moments(x, y, *work)
 
     monkeypatch.setattr(problems, "_moments", counted)
     theta = np.array([1.0, 1.0])
-    # the 50-row batch goes through the 2-D pass, the shorter last one
-    # through ``_moments``
+    # the 50-row batch goes through a 2-D pass, the shorter last one
+    # through a 1-D one
     handles = obj.load_batches(np.arange(90), 50)
     for _ in range(3):
         for batch in handles:
             obj.loss(theta, batch)
             obj.grad(theta, batch)
         obj.loss(theta, None)
-    assert passes == [40]
+    assert passes == [(1, 50), (40,)]
 
 
 def test_empty_batch_rejected():
@@ -494,9 +494,9 @@ def test_batch_pass_runs_moments_only_for_the_partial_batch(
     passes, calls = [], []
     moments, load = problems._moments, stream.on_batches
 
-    def counted(x, y):
-        passes.append(len(x))
-        return moments(x, y)
+    def counted(x, y, *work):
+        passes.append(x.shape)
+        return moments(x, y, *work)
 
     def loaded(rows, size):
         # runs in the stream's worker: its counts come back with the handles
@@ -523,8 +523,14 @@ def test_batch_pass_runs_moments_only_for_the_partial_batch(
     rows = [rows for _, rows, _ in runs.values()]
     assert sum(rows) == 3 * n
     assert max(rows) <= max(problems.PASS_ROWS, batch_size)
-    assert sum((run_passes for _, _, run_passes in runs.values()), []) \
-        == partial * 3
+    # one 2-D pass over each run's full batches, and a 1-D one for its
+    # partial batch
+    for _, run_rows, run_passes in runs.values():
+        size = min(batch_size, run_rows)
+        assert [s for s in run_passes if len(s) == 2] == [(run_rows // size,
+                                                           size)]
+    assert [s[0] for _, _, run_passes in runs.values()
+            for s in run_passes if len(s) == 1] == partial * 3
 
 
 @pytest.mark.parametrize("n, batch_size", [(10, 3), (40000, 3000),
