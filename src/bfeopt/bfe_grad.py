@@ -169,7 +169,7 @@ def adabfe_step(obj: Objective, theta: np.ndarray, k: np.ndarray,
         # (its room is 0, so the cap test runs from the first pass)
         hits = zoom_in & (k == -CAP_EXP)
         k = np.maximum(k - zoom_in, -CAP_EXP)
-    g = np.asarray(obj.grad(theta, batch), dtype=float)  # fixed base gradient
+    g = obj.grad(theta, batch)  # fixed base gradient
     thresholds = _thresholds(g, cfg)
     # k holds the index each dimension was last probed at: a finished
     # dimension's trial coordinate, theta - rate * g, keeps its committed

@@ -105,11 +105,13 @@ def rms_grad_norm(g: np.ndarray) -> float:
 
     ``g`` is a 1-D float array. The norm is ``sqrt(g.dot(g))``, as
     ``np.linalg.norm`` computes it, with the same float, unless that dot
-    falls below the normal floats: then it is ``math.hypot``'s, which scales
-    ``g`` by max|g| first, so a gradient whose squares underflow is not 0.
+    falls below the normal floats or overflows: then it is ``math.hypot``'s,
+    which scales ``g`` by max|g| first, so a gradient whose squares underflow
+    is not 0 and one whose squares overflow is not inf. The result is still
+    inf when ||g||_2 itself is beyond the floats; a dot that is NaN stays.
     """
     sq = g.dot(g)
-    if sq < 2.0 ** -1022 and g.any():
+    if (sq < 2.0 ** -1022 or sq == math.inf) and g.any():
         return math.hypot(*g.tolist()) / math.sqrt(g.size)
     return math.sqrt(sq) / math.sqrt(g.size)
 

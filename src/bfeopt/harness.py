@@ -302,7 +302,7 @@ def run_experiment(cfg: RunConfig) -> tuple[list[TraceRecord], RunSummary]:
     obj = EvalMemo(raw)
     opt = build_optimizer(cfg, dim=theta.size)
     trace: list[TraceRecord] = []
-    rows: list[str] | None = [] if path else None
+    rows: list[str] | None = [] if path is not None else None
     capped = 0
     batches = iter(stream)
     try:
@@ -349,8 +349,11 @@ def run_experiment(cfg: RunConfig) -> tuple[list[TraceRecord], RunSummary]:
 
 
 def _check_output_path(path: str | None, name: str = "output_path") -> None:
-    """Raises ConfigError, naming ``path`` by ``name``, unless it is unset or
-    names a file in an existing directory; it leaves the file alone."""
+    """Raises ConfigError, naming ``path`` by ``name``, unless it is None
+    (unset) or names a file in an existing directory; it leaves the file
+    alone."""
+    if path == "":
+        raise ConfigError(f"{name} '' names no file")
     if path and os.path.isdir(path):
         raise ConfigError(f"{name} {path!r} is a directory")
     if path and not os.path.isdir(os.path.dirname(path) or os.curdir):
@@ -390,8 +393,9 @@ def summarize(trace: list[TraceRecord],
 
 def compare_runs(cfgs: list[RunConfig], loss_threshold: float,
                  out: str | None = None) -> tuple[list[dict], str]:
-    """Run each config and tabulate threshold crossings and speedup ratios;
-    the table is also written to ``out``, if given."""
+    """Run each config at ``loss_threshold``, which none may set itself, and
+    tabulate threshold crossings and speedup ratios; the table is also
+    written to ``out``, if given."""
     if len(cfgs) < 2:
         raise ConfigError("compare needs at least 2 configs")
     # a default start point equals the same point given explicitly
@@ -403,7 +407,11 @@ def compare_runs(cfgs: list[RunConfig], loss_threshold: float,
             raise ConfigError(f"compared runs must share the problem, but "
                               f"their {name} values are {values!r}")
     # every trace path, and the table's, is checked before the first run
-    for cfg in cfgs:
+    for i, cfg in enumerate(cfgs):
+        if cfg.loss_threshold is not None:
+            raise ConfigError(f"configs[{i}] sets loss_threshold "
+                              f"{cfg.loss_threshold!r}, but compared runs "
+                              f"share the one threshold compare is given")
         _check_output_path(cfg.output_path)
     _check_output_path(out, "out")
     paths = [path for path in (*(c.output_path for c in cfgs), out) if path]
@@ -429,7 +437,7 @@ def compare_runs(cfgs: list[RunConfig], loss_threshold: float,
         ratio = "none" if sa is None or not sb else f"{sa / sb:.17g}"
         lines.append(f"{a['optimizer']}/{b['optimizer']},{ratio}")
     table = "\n".join(lines) + "\n"
-    if out:
+    if out is not None:
         with open(out, "w") as f:
             f.write(table)
     return rows, table

@@ -209,11 +209,10 @@ class QuadraticObjective:
         self.h = h
 
     def loss(self, theta: np.ndarray, batch: Batch = None) -> float:
-        theta = np.asarray(theta, dtype=float)
         return float(0.5 * np.add.reduce(self.h * theta * theta))
 
     def grad(self, theta: np.ndarray, batch: Batch = None) -> np.ndarray:
-        return self.h * np.asarray(theta, dtype=float)
+        return self.h * theta
 
 
 # the names a run builds its objectives by, which perfbench/tracer.py wraps;
@@ -381,8 +380,7 @@ def _other_cpus() -> set[int] | None:
 class ConstantBatchStream:
     """Yields None forever, for batch-independent objectives."""
 
-    def __init__(self):
-        self.epoch = 0
+    epoch = 0
 
     def __iter__(self):
         while True:

@@ -760,3 +760,40 @@ def test_a_failed_run_leaves_the_file_at_its_out_as_it_was(tmp_path,
                  "--seed", "42", "--out", str(out)]) == 3
     assert "at step 9" in capsys.readouterr().err
     assert out.read_bytes() == b"# an earlier trace\r\n"
+
+
+def test_an_empty_out_exits_2_before_the_run(tmp_path, capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(harness, "build_problem", built.append)
+    monkeypatch.chdir(tmp_path)
+    assert main(["optimize", "--optimizer", "sgd", "--problem", "quadratic",
+                 "--max-steps", "3", "--out", ""]) == 2
+    assert capsys.readouterr() == (
+        "", "config error: output_path '' names no file\n")
+    assert built == []  # the objective is never built
+    assert os.listdir(tmp_path) == []
+
+
+def _refuse_to_run(cfg):
+    raise AssertionError("a run started")
+
+
+@pytest.mark.parametrize("entry, argv, message", [
+    ({"out": ""}, [], "output_path '' names no file"),
+    ({}, ["--out", ""], "out '' names no file"),
+    ({"loss_threshold": 1e-9}, [],
+     "configs[1] sets loss_threshold 1e-09, but compared runs share the one "
+     "threshold compare is given")],
+    ids=["empty-entry-out", "empty-table-out", "entry-threshold"])
+def test_compare_config_error_before_its_first_run(tmp_path, capsys,
+                                                   monkeypatch, entry, argv,
+                                                   message):
+    monkeypatch.setattr(harness, "run_experiment", _refuse_to_run)
+    monkeypatch.chdir(tmp_path)
+    Path("cfgs.json").write_text(json.dumps([
+        {"optimizer": "bfe", "problem": "quadratic"},
+        {"optimizer": "sgd", "problem": "quadratic", "alpha": 0.5, **entry}]))
+    assert main(["compare", "--configs", "cfgs.json",
+                 "--loss-threshold", "0.3", *argv]) == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert os.listdir(tmp_path) == ["cfgs.json"]

@@ -211,6 +211,22 @@ def test_rms_grad_norm_takes_the_dot_at_the_smallest_normal():
     assert rms_grad_norm(g) != math.hypot(*g) / math.sqrt(2)
 
 
+@pytest.mark.parametrize("values", [[1e200], [1e200, -1e200, 3.0],
+                                    [1e300, 1e-300]])
+def test_rms_grad_norm_of_a_gradient_whose_squares_overflow_is_finite(values):
+    # the dot of the squares overflows, and warns, where the norm does not
+    with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
+        got = rms_grad_norm(np.array(values))
+    assert got == math.hypot(*values) / math.sqrt(len(values))
+    assert got < math.inf
+
+
+def test_rms_grad_norm_beyond_the_floats_is_inf():
+    g = np.full(4, 1e308)  # ||g||_2 is 2e308, its RMS 1e308
+    with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
+        assert rms_grad_norm(g) == math.inf
+
+
 @given(st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=200)
        .filter(any))
 @example([1e-160])

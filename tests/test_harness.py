@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bfeopt import __version__, harness
+from bfeopt.baselines import BaselineConfig
 from bfeopt.bfe_grad import BfeGradConfig
 from bfeopt.bfe_loss import BfeLossConfig
 from bfeopt.core import NonFiniteEvaluation, TraceRecord
@@ -289,11 +290,24 @@ def test_every_bfe_config_field_is_set_from_a_run_config_field(config):
     names = [f.name for f in dataclasses.fields(config) if f.init]
     assert sorted(sources) == sorted(names)
     default = build_optimizer(RunConfig(optimizer=optimizer), dim=2).cfg
+    assert default == config()  # the CLI's defaults are the library's
     for name, (run_field, value) in sources.items():
         cfg = build_optimizer(RunConfig(**{"optimizer": optimizer,
                                            run_field: value}), dim=2).cfg
         assert [n for n in names
                 if getattr(cfg, n) != getattr(default, n)] == [name]
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "nesterov", "adam"])
+def test_a_baseline_run_config_defaults_to_the_baseline_config(optimizer):
+    assert build_optimizer(RunConfig(optimizer=optimizer),
+                           dim=2).cfg == BaselineConfig()
+
+
+def test_a_run_config_defaults_to_the_linreg_spec():
+    cfg = RunConfig()
+    assert LinRegSpec(w0=cfg.w0, b0=cfg.b0, noise_std=cfg.noise_std,
+                      n=cfg.n_samples, seed=cfg.seed) == LinRegSpec()
 
 
 def test_normalized_run_uses_normalized_features():

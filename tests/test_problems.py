@@ -333,6 +333,25 @@ def test_integer_index_arrays_of_any_width_are_rows(dtype):
         assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
+@pytest.mark.parametrize("convert", [np.ndarray.tolist,
+                                     lambda a: a.astype(np.int64)],
+                         ids=["lists", "int-arrays"])
+def test_a_dataset_of_lists_or_ints_is_read_as_floats(convert):
+    rng = np.random.default_rng(5)
+    x = rng.integers(0, 10, 50).astype(float)
+    y = 3.0 * x + rng.integers(-4, 5, 50)
+    want = linreg_objective(Dataset(x, y))
+    got = linreg_objective(Dataset(convert(x), convert(y)))
+    rows = rng.permutation(50)  # three batches of 16 and one of 2
+    handles = want.load_batches(rows, 16)
+    assert got.load_batches(rows, 16) == handles
+    for batch in (None, *handles):
+        for theta in (np.array([0.5, -2.0]), np.array([3.0, 1.0])):
+            assert got.loss(theta, batch) == want.loss(theta, batch)
+            assert np.array_equal(got.grad(theta, batch),
+                                  want.grad(theta, batch))
+
+
 @pytest.mark.parametrize("batch", [
     np.arange(7), np.arange(3), np.zeros(7), tuple(np.arange(7.0)),
     list(range(7))])
