@@ -12,18 +12,16 @@ import os
 import typing
 from collections import Counter
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
 from . import __version__
 from .baselines import AdamOptimizer, BaselineConfig, NesterovOptimizer, \
     SgdOptimizer
-from .bfe_grad import AdaBfeOptimizer, BfeGradConfig, BfeGradOptimizer, \
-    ThresholdMode, ZoomOutExit, DEG
-from .bfe_loss import BfeLossConfig, BfeLossOptimizer, CommitPolicy, \
-    ResetPolicy
-from .core import NonFiniteEvaluation, ThresholdPolicy, TraceRecord, \
-    rms_grad_norm
+from .bfe_grad import AdaBfeOptimizer, BfeGradConfig, BfeGradOptimizer, DEG
+from .bfe_loss import BfeLossConfig, BfeLossOptimizer
+from .core import NonFiniteEvaluation, TraceRecord, rms_grad_norm
 from .problems import BatchStream, ConstantBatchStream, LinRegSpec, \
     QuadraticObjective, gen_linear_data, linreg_objective, normalize, \
     quadratic_objective
@@ -31,16 +29,12 @@ from .problems import BatchStream, ConstantBatchStream, LinRegSpec, \
 OPTIMIZERS = ("bfe", "bfe-zoomin", "bfe-grad", "adabfe", "sgd", "nesterov",
               "adam")
 PROBLEMS = ("linreg", "quadratic")
-# allowed values of the RunConfig fields that name a choice
-CHOICES = {
-    "optimizer": OPTIMIZERS,
-    "problem": PROBLEMS,
-    "eps_val_policy": tuple(p.value for p in ThresholdPolicy),
-    "commit_policy": tuple(p.value for p in CommitPolicy),
-    "reset_policy": tuple(p.value for p in ResetPolicy),
-    "threshold_mode": tuple(m.value for m in ThresholdMode),
-    "zoom_out_exit": tuple(e.value for e in ZoomOutExit),
-}
+# allowed values of the RunConfig fields that name a choice, a policy
+# field's from the enum of its part's default
+CHOICES = {"optimizer": OPTIMIZERS, "problem": PROBLEMS} | {
+    f.name: tuple(m.value for m in type(f.default))
+    for part in (BfeLossConfig, BfeGradConfig)
+    for f in dataclasses.fields(part) if isinstance(f.default, Enum)}
 
 
 class ConfigError(ValueError):
@@ -52,29 +46,30 @@ class RunConfig:
     optimizer: str = "bfe"
     problem: str = "linreg"
     batch_size: int = 512
-    seed: int = 0
+    seed: int = LinRegSpec.seed
     max_steps: int = 1000
+    # a field named as a part's field defaults to it, and _part passes it on
     # shared BFE knobs
-    eta0: float = 0.001
-    eps_ratio: float = 0.001
-    eps_val_policy: str = ThresholdPolicy.MEAN_SCALED.value
-    commit_policy: str = CommitPolicy.HALF_STEP.value
-    reset_policy: str = ResetPolicy.DOUBLE_PREV_ETA.value
-    base: int = 2
+    eta0: float = BfeLossConfig.eta0
+    eps_ratio: float = BfeLossConfig.eps_ratio
+    eps_val_policy: str = BfeLossConfig.eps_val_policy.value
+    commit_policy: str = BfeLossConfig.commit_policy.value
+    reset_policy: str = BfeLossConfig.reset_policy.value
+    base: int = BfeLossConfig.base
     lim_zero: float = 0.001
     # gradient-angle knobs
-    angle_threshold_deg: float = 1.0
-    threshold_mode: str = ThresholdMode.ABSOLUTE.value
-    zoom_out_exit: str = ZoomOutExit.HALVE_COMMIT_TRIAL.value
-    pre_halve: bool = False
+    angle_threshold_deg: float = BfeGradConfig.angle_threshold / DEG
+    threshold_mode: str = BfeGradConfig.threshold_mode.value
+    zoom_out_exit: str = BfeGradConfig.zoom_out_exit.value
+    pre_halve: bool = BfeGradConfig.pre_halve
     # baseline knobs
-    beta: float = 0.9
-    alpha: float = 0.001
+    beta: float = BaselineConfig.beta
+    alpha: float = BaselineConfig.alpha
     # problem knobs
-    w0: float = 5.0
-    b0: float = 9.0
-    noise_std: float = 1.0
-    n_samples: int = 10000
+    w0: float = LinRegSpec.w0
+    b0: float = LinRegSpec.b0
+    noise_std: float = LinRegSpec.noise_std
+    n_samples: int = LinRegSpec.n
     normalize: bool = False
     curvatures: tuple[float, ...] = (1.0,)
     theta0: tuple[float, ...] | None = None
@@ -103,15 +98,23 @@ class RunConfig:
             raise ConfigError("angle_threshold_deg must be in (0, 90)")
         # the parts that own every other range check it, for every run
         try:
-            BfeLossConfig(self.eta0, self.base, self.eps_ratio)
-            BaselineConfig(self.alpha, self.beta)
-            LinRegSpec(noise_std=self.noise_std, seed=self.seed)
+            _part(BfeLossConfig, self)
+            _part(BaselineConfig, self)
+            _part(LinRegSpec, self, n=self.n_samples)
             QuadraticObjective(self.curvatures)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
 
 FIELD_TYPES = typing.get_type_hints(RunConfig)
+
+
+def _part(cls, cfg: RunConfig, **given):
+    """A ``cls`` config whose fields take the values of ``cfg``'s fields of
+    the same name; ``given`` sets those that no RunConfig field names."""
+    return cls(**{f.name: getattr(cfg, f.name)
+                  for f in dataclasses.fields(cls) if f.name in FIELD_TYPES},
+               **given)
 
 
 def field_type(hint):
@@ -190,9 +193,7 @@ def build_problem(cfg: RunConfig):
     """
     theta0 = np.array(start_point(cfg), dtype=float)
     if cfg.problem == "linreg":
-        data = gen_linear_data(LinRegSpec(w0=cfg.w0, b0=cfg.b0,
-                                          noise_std=cfg.noise_std,
-                                          n=cfg.n_samples, seed=cfg.seed))
+        data = gen_linear_data(_part(LinRegSpec, cfg, n=cfg.n_samples))
         if cfg.normalize:
             data = normalize(data)
         obj = linreg_objective(data)
@@ -205,24 +206,16 @@ def build_problem(cfg: RunConfig):
 
 
 def build_optimizer(cfg: RunConfig, dim: int):
-    lattice = dict(eta0=cfg.eta0, base=cfg.base)
     if cfg.optimizer in ("bfe", "bfe-zoomin"):
-        return BfeLossOptimizer(BfeLossConfig(
-            **lattice, eps_ratio=cfg.eps_ratio,
-            eps_val_policy=cfg.eps_val_policy,
-            commit_policy=cfg.commit_policy,
-            zoom_in_only=(cfg.optimizer == "bfe-zoomin"),
-            reset_policy=cfg.reset_policy))
+        return BfeLossOptimizer(_part(
+            BfeLossConfig, cfg, zoom_in_only=cfg.optimizer == "bfe-zoomin"))
     if cfg.optimizer in ("bfe-grad", "adabfe"):
-        gcfg = BfeGradConfig(
-            **lattice, angle_threshold=cfg.angle_threshold_deg * DEG,
-            threshold_mode=cfg.threshold_mode,
-            zoom_out_exit=cfg.zoom_out_exit,
-            pre_halve=cfg.pre_halve)
+        gcfg = _part(BfeGradConfig, cfg,
+                     angle_threshold=cfg.angle_threshold_deg * DEG)
         if cfg.optimizer == "adabfe":
             return AdaBfeOptimizer(gcfg, dim)
         return BfeGradOptimizer(gcfg)
-    baseline = BaselineConfig(cfg.alpha, cfg.beta)
+    baseline = _part(BaselineConfig, cfg)
     if cfg.optimizer == "sgd":
         return SgdOptimizer(baseline)
     if cfg.optimizer == "nesterov":

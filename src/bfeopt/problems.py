@@ -94,9 +94,11 @@ class LinRegObjective:
 
     The loss is quadratic in theta, so a few moments of a batch give its loss
     and gradient in O(1) (see ``_moments``). The full-dataset moments are
-    computed once. A mini-batch is the ``BatchMoments`` handle that
-    ``load_batches`` makes from an index array into the dataset; a batch of
-    None means the full dataset, and any other batch raises ``TypeError``.
+    computed once; a dataset whose moments overflow raises ``ValueError``,
+    since its loss is infinite everywhere. A mini-batch is the
+    ``BatchMoments`` handle that ``load_batches`` makes from an index array
+    into the dataset; a batch of None means the full dataset, and any other
+    batch raises ``TypeError``.
     """
 
     def __init__(self, data: Dataset):
@@ -104,7 +106,12 @@ class LinRegObjective:
             raise ValueError("empty dataset")
         self._x = np.asarray(data.x, dtype=float)
         self._y = np.asarray(data.y, dtype=float)
-        self._full = _moments(self._x, self._y)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._full = _moments(self._x, self._y)
+        if not all(map(math.isfinite, self._full)):
+            raise ValueError("the dataset's moments (mean x, beta, alpha, "
+                             "mean r0, Vxx, Cov(x, r0), Var(r0)) "
+                             f"{self._full!r} are not all finite")
         self._work = (np.empty((0, 0)),) * 4  # load_batches' (k, size) arrays
 
     def load_batches(self, rows: np.ndarray, size: int) -> MomentsRun:

@@ -310,6 +310,52 @@ def test_a_run_config_defaults_to_the_linreg_spec():
                       n=cfg.n_samples, seed=cfg.seed) == LinRegSpec()
 
 
+# Every field of BaselineConfig and LinRegSpec, the RunConfig field it is
+# set from, and a non-default value of that RunConfig field.
+BASELINE_SOURCES = {"alpha": ("alpha", 0.002), "beta": ("beta", 0.5)}
+LINREG_SOURCES = {"w0": ("w0", 2.0), "b0": ("b0", 1.0),
+                  "noise_std": ("noise_std", 0.5), "n": ("n_samples", 100),
+                  "seed": ("seed", 7)}
+
+
+def _assert_each_field_is_set_from_its_source(config, sources, built):
+    """``built(run_config)`` is the ``config`` a run builds; each of its
+    fields follows its one RunConfig field, and no other."""
+    names = [f.name for f in dataclasses.fields(config) if f.init]
+    assert sorted(sources) == sorted(names)
+    default = built(RunConfig())
+    assert default == config()
+    for name, (run_field, value) in sources.items():
+        part = built(RunConfig(**{run_field: value}))
+        assert [n for n in names
+                if getattr(part, n) != getattr(default, n)] == [name]
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "nesterov", "adam"])
+def test_every_baseline_config_field_is_set_from_a_run_config_field(
+        optimizer):
+    _assert_each_field_is_set_from_its_source(
+        BaselineConfig, BASELINE_SOURCES,
+        lambda cfg: build_optimizer(dataclasses.replace(
+            cfg, optimizer=optimizer), dim=2).cfg)
+
+
+def test_every_linreg_spec_field_is_set_from_a_run_config_field(monkeypatch):
+    class Drawn(Exception):
+        pass
+
+    def drawn(spec):
+        raise Drawn(spec)
+
+    def built(cfg):
+        with pytest.raises(Drawn) as info:
+            harness.build_problem(cfg)
+        return info.value.args[0]
+
+    monkeypatch.setattr(harness, "gen_linear_data", drawn)
+    _assert_each_field_is_set_from_its_source(LinRegSpec, LINREG_SOURCES,
+                                              built)
+
 def test_normalized_run_uses_normalized_features():
     cfg = RunConfig(optimizer="bfe", max_steps=10, seed=3, normalize=True)
     trace, _ = run_experiment(cfg)

@@ -369,6 +369,7 @@ def test_a_run_config_checks_the_lattice_without_its_rate_table(monkeypatch):
         def build(*args, **kwargs):
             built.append(config(*args, **kwargs))
             return built[-1]
+        build.__dataclass_fields__ = config.__dataclass_fields__
         return build
 
     for config in (BfeLossConfig, BfeGradConfig):

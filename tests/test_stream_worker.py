@@ -68,6 +68,27 @@ def test_a_run_that_fails_leaves_no_child(forks):
     _assert_no_child_left()
 
 
+# --w0 1e308 overflows as gen_linear_data draws y, which warns
+@pytest.mark.parametrize("argv, drawn_inf", [
+    (["--w0", "1e308", "--max-steps", "2"], True),
+    (["--b0", "1e308", "--max-steps", "2"], False),
+    (["--optimizer", "sgd", "--w0", "1e300"], False),
+    (["--optimizer", "adabfe", "--noise-std", "1e200"], False)],
+    ids=["w0", "b0", "sgd", "adabfe"])
+def test_a_dataset_whose_moments_overflow_exits_2_before_the_fork(
+        argv, drawn_inf, forks, tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    with (pytest.warns(RuntimeWarning, match="overflow") if drawn_inf
+          else contextlib.nullcontext()):
+        assert main(["optimize", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the dataset's moments (mean x, "
+                          "beta, alpha, mean r0, Vxx, Cov(x, r0), Var(r0)) (")
+    assert err.endswith(") are not all finite\n")
+    assert not out.exists()
+    assert forks == []
+
+
 def _failing_hook(exc):
     calls = []
 
