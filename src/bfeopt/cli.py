@@ -132,8 +132,7 @@ def main(argv=None) -> int:
         if args.command == "optimize":
             cfg = RunConfig(**{f.name: getattr(args, f.name)
                                for f in dataclasses.fields(RunConfig)})
-            _, summary = run_experiment(cfg)
-            _print_summary(summary)
+            _print_summary(run_experiment(cfg))
         elif args.command == "compare":
             with open(args.configs) as f:
                 entries = json.load(f)

@@ -10,7 +10,7 @@ import json
 import math
 import os
 import typing
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -284,61 +284,72 @@ class EvalMemo:
         return g
 
 
-def run_experiment(cfg: RunConfig) -> tuple[list[TraceRecord], RunSummary]:
+def run_experiment(cfg: RunConfig) -> RunSummary:
     """The run loop: every objective call goes through one ``EvalMemo``, so
     the gradient at theta that the stop check takes on the step's batch is
     the one the optimizer step asks for, at no second evaluation. Each trace
-    row is formatted as its step ends, while the batch worker draws ahead."""
+    row is formatted and written as its step ends, while the batch worker
+    draws ahead, so the run holds no step but its last: the trace is in
+    ``cfg.output_path`` alone, and the summary is taken as the steps go."""
     path = cfg.output_path
     _check_output_path(path)
     raw, theta, stream = build_problem(cfg)
     obj = EvalMemo(raw)
     opt = build_optimizer(cfg, dim=theta.size)
-    trace: list[TraceRecord] = []
-    rows: list[str] | None = [] if path is not None else None
+    tally = _Tally(cfg.loss_threshold)
     capped = 0
-    batches = iter(stream)
+
+    def steps():
+        nonlocal theta, capped
+        batches = iter(stream)
+        try:
+            for t in range(1, cfg.max_steps + 1):
+                batch = next(batches)
+                obj.begin(batch, theta)
+                g = obj.grad(theta, batch)
+                gnorm = rms_grad_norm(g)
+                if gnorm < cfg.lim_zero:
+                    break
+                try:
+                    out = opt.step(obj, theta, batch, epoch=stream.epoch)
+                    theta = out.theta_next
+                    # when batch is None, the second call is the memo's
+                    full_loss = obj.loss(theta, None)
+                    batch_loss = obj.loss(theta, batch)
+                    if not (math.isfinite(full_loss)
+                            and math.isfinite(batch_loss)):
+                        last = tally.last
+                        raise _diverged(full_loss, batch_loss, out.eta_next,
+                                        last.full_loss if last else None)
+                except NonFiniteEvaluation as exc:
+                    exc.step = t
+                    raise
+                capped += out.capped
+                rec = TraceRecord(t, batch_loss, full_loss, out.eta_next,
+                                  out.inner_loops, gnorm)
+                tally.add(rec)
+                yield rec
+        finally:
+            # ends the stream's worker process, on every way out of the loop
+            batches.close()
+
+    records = steps()
     try:
-        for t in range(1, cfg.max_steps + 1):
-            batch = next(batches)
-            obj.begin(batch, theta)
-            g = obj.grad(theta, batch)
-            gnorm = rms_grad_norm(g)
-            if gnorm < cfg.lim_zero:
-                break
-            try:
-                out = opt.step(obj, theta, batch, epoch=stream.epoch)
-                theta = out.theta_next
-                # when batch is None, the second call is the memo's
-                full_loss = obj.loss(theta, None)
-                batch_loss = obj.loss(theta, batch)
-                if not (math.isfinite(full_loss)
-                        and math.isfinite(batch_loss)):
-                    raise _diverged(full_loss, batch_loss, out.eta_next,
-                                    trace)
-            except NonFiniteEvaluation as exc:
-                exc.step = t
-                raise
-            capped += out.capped
-            trace.append(TraceRecord(t, batch_loss, full_loss, out.eta_next,
-                                     out.inner_loops, gnorm))
-            if rows is not None:
-                rows.append(_TRACE_ROW(trace[-1]))
+        if path is None:
+            deque(records, maxlen=0)
+        else:
+            write_trace(path, map(_TRACE_ROW, records), cfg)
     finally:
-        # ends the stream's worker process, on every way out of the loop
-        batches.close()
-    if trace:
-        summary = summarize(trace, cfg.loss_threshold)
-    else:  # the start met the stop check: a run of no steps
+        records.close()  # a write that failed leaves the loop suspended
+    if tally.last is None:  # the start met the stop check: a run of no steps
         loss = obj.loss(theta, None)
         met = cfg.loss_threshold is not None and loss <= cfg.loss_threshold
         summary = RunSummary(0 if met else None, 0.0, {}, loss)
-    summary = dataclasses.replace(summary, grad_evals=obj.grad_evals,
-                                  loss_evals=obj.loss_evals,
-                                  capped_steps=capped)
-    if rows is not None:
-        write_trace(path, rows, cfg)
-    return trace, summary
+    else:
+        summary = tally.summary()
+    return dataclasses.replace(summary, grad_evals=obj.grad_evals,
+                               loss_evals=obj.loss_evals,
+                               capped_steps=capped)
 
 
 def _check_output_path(path: str | None, name: str = "output_path") -> None:
@@ -354,10 +365,9 @@ def _check_output_path(path: str | None, name: str = "output_path") -> None:
 
 
 def _diverged(full_loss: float, batch_loss: float, eta: float,
-              trace: list[TraceRecord]) -> NonFiniteEvaluation:
+              last: float | None) -> NonFiniteEvaluation:
     """The failure of a step whose committed point has a non-finite loss,
-    with its rate and the last finite full loss of the run."""
-    last = trace[-1].full_loss if trace else None
+    with its rate and ``last``, the last finite full loss of the run."""
     exc = NonFiniteEvaluation(
         f"non-finite loss at the committed point (full {full_loss!r}, "
         f"batch {batch_loss!r}) at rate {eta!r}; last finite full loss "
@@ -366,22 +376,45 @@ def _diverged(full_loss: float, batch_loss: float, eta: float,
     return exc
 
 
-def summarize(trace: list[TraceRecord],
+class _Tally:
+    """What a summary reads of a run's records, taken one record at a time:
+    the last, the first step at or below the loss threshold, and the number
+    of steps of each inner-loop count."""
+
+    def __init__(self, loss_threshold: float | None):
+        if not _fits(loss_threshold, FIELD_TYPES["loss_threshold"]):
+            raise ConfigError(f"loss_threshold must be float | None, not "
+                              f"{loss_threshold!r}")
+        self.loss_threshold = loss_threshold
+        self.last: TraceRecord | None = None
+        self.first: int | None = None
+        self.counts: Counter = Counter()
+
+    def add(self, rec: TraceRecord) -> None:
+        self.last = rec
+        self.counts[rec.inner_loops] += 1
+        if (self.first is None and self.loss_threshold is not None
+                and rec.full_loss <= self.loss_threshold):
+            self.first = rec.step
+
+    def summary(self) -> RunSummary:
+        if self.last is None:
+            raise ValueError("empty trace")
+        loops = sum(k * n for k, n in self.counts.items())
+        return RunSummary(steps_to_threshold=self.first,
+                          mean_inner_loops=loops / self.counts.total(),
+                          inner_loop_histogram=dict(self.counts),
+                          final_loss=self.last.full_loss)
+
+
+def summarize(records: typing.Iterable[TraceRecord],
               loss_threshold: float | None) -> RunSummary:
-    if not _fits(loss_threshold, FIELD_TYPES["loss_threshold"]):
-        raise ConfigError(f"loss_threshold must be float | None, not "
-                          f"{loss_threshold!r}")
-    if not trace:
-        raise ValueError("empty trace")
-    steps = None
-    if loss_threshold is not None:  # the first step at or below it
-        steps = next((rec.step for rec in trace
-                      if rec.full_loss <= loss_threshold), None)
-    counts = [rec.inner_loops for rec in trace]
-    return RunSummary(steps_to_threshold=steps,
-                      mean_inner_loops=float(np.mean(counts)),
-                      inner_loop_histogram=dict(Counter(counts)),
-                      final_loss=trace[-1].full_loss)
+    """The summary of ``records``, taken in one pass as a run takes its own;
+    no record raises ValueError."""
+    tally = _Tally(loss_threshold)
+    for rec in records:
+        tally.add(rec)
+    return tally.summary()
 
 
 def compare_runs(cfgs: list[RunConfig], loss_threshold: float,
@@ -414,7 +447,7 @@ def compare_runs(cfgs: list[RunConfig], loss_threshold: float,
     rows = []
     for cfg in cfgs:
         cfg = dataclasses.replace(cfg, loss_threshold=loss_threshold)
-        _, summary = run_experiment(cfg)
+        summary = run_experiment(cfg)
         rows.append({"optimizer": cfg.optimizer,
                      "steps_to_threshold": summary.steps_to_threshold,
                      "final_loss": summary.final_loss})
@@ -431,8 +464,7 @@ def compare_runs(cfgs: list[RunConfig], loss_threshold: float,
         lines.append(f"{a['optimizer']}/{b['optimizer']},{ratio}")
     table = "\n".join(lines) + "\n"
     if out is not None:
-        with open(out, "w") as f:
-            f.write(table)
+        _write_whole(out, [table])
     return rows, table
 
 
@@ -440,6 +472,8 @@ TRACE_HEADER = "step,batch_loss,full_loss,eta,inner_loops,grad_norm"
 # one trace row from a TraceRecord, a tuple of the fields in order
 _TRACE_ROW = "%d,%.17g,%.17g,%.17g,%d,%.17g\n".__mod__
 _TRACE_TYPES = (int, float, float, float, int, float)  # one per column
+# the end of the name of a file being written, until it replaces its target
+PARTIAL_SUFFIX = ".partial"
 
 
 def _config_json(cfg: RunConfig) -> str:
@@ -452,13 +486,40 @@ def _config_json(cfg: RunConfig) -> str:
 
 
 def write_trace(path: str, rows: typing.Iterable[str], cfg: RunConfig) -> None:
-    """The header lines, then ``rows``, each ``_TRACE_ROW`` of a record."""
-    with open(path, "w", newline="\n") as f:
-        f.write(f"# bfeopt_version={__version__}\n")
-        f.write(f"# seed={cfg.seed}\n")
-        f.write(f"# config={_config_json(cfg)}\n")
-        f.write(TRACE_HEADER + "\n")
-        f.writelines(rows)
+    """The header lines, then ``rows``, each ``_TRACE_ROW`` of a record,
+    written as they come: ``path`` then holds the whole trace, or, when
+    anything raises on the way, such as the loop that makes ``rows``, is
+    left as it was."""
+    _write_whole(path, itertools.chain(
+        (f"# bfeopt_version={__version__}\n", f"# seed={cfg.seed}\n",
+         f"# config={_config_json(cfg)}\n", TRACE_HEADER + "\n"), rows))
+
+
+def _write_whole(path: str, chunks: typing.Iterable[str]) -> None:
+    """Writes ``chunks`` to the file ``path`` names, which then holds all of
+    them or is left as it was. They go, as they come, into a partial file
+    beside the file ``path`` resolves to, which is created first and
+    replaces that file after the last chunk, and which an exception on the
+    way deletes. A device or a pipe, such as ``/dev/null``, is written in
+    place."""
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w", newline="\n") as f:
+            f.writelines(chunks)
+        return
+    partial = os.path.join(os.path.dirname(target),
+                           f".bfeopt-{os.urandom(4).hex()}{PARTIAL_SUFFIX}")
+    try:
+        f = open(partial, "x", newline="\n")
+    except OSError as exc:  # named as the caller named it
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with f:
+            f.writelines(chunks)
+        os.replace(partial, target)
+    except BaseException:
+        os.unlink(partial)
+        raise
 
 
 def read_trace(path: str) -> tuple[dict, list[TraceRecord]]:

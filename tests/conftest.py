@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import gc
 import glob
 import os
@@ -49,6 +50,19 @@ def counted_objectives(monkeypatch):
 
     monkeypatch.setattr(harness, "build_problem", counted)
     return objs
+
+
+@pytest.fixture
+def run_traced(tmp_path):
+    """Runs a config with its trace written to ``name`` under ``tmp_path``,
+    and returns the records read back from that file, which round-trip
+    every float, and the run's summary."""
+    def run(cfg, name="trace.csv"):
+        path = str(tmp_path / name)
+        summary = harness.run_experiment(dataclasses.replace(
+            cfg, output_path=path))
+        return harness.read_trace(path)[1], summary
+    return run
 
 
 @pytest.fixture
@@ -115,3 +129,16 @@ def no_child_left():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     pytest.fail(f"the test left child processes {left}")
+
+
+@pytest.fixture(autouse=True)
+def no_partial_left(request):
+    """A test that leaves a partial trace file under its ``tmp_path`` fails:
+    a write, however it ends, takes its partial file away."""
+    yield
+    tmp_path = request.node.funcargs.get("tmp_path")
+    if tmp_path is None:
+        return
+    left = sorted(map(str, tmp_path.rglob("*" + harness.PARTIAL_SUFFIX)))
+    if left:
+        pytest.fail(f"the test left partial files {left}")

@@ -43,15 +43,15 @@ def _linreg_cfg(**kw):
 @pytest.fixture(scope="module")
 def bfe_run():
     start = time.perf_counter()
-    _, summary = run_experiment(_linreg_cfg(optimizer="bfe", max_steps=2000))
+    summary = run_experiment(_linreg_cfg(optimizer="bfe", max_steps=2000))
     return summary, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
 def sgd_run():
     start = time.perf_counter()
-    _, summary = run_experiment(_linreg_cfg(optimizer="sgd", alpha=0.001,
-                                            max_steps=8000))
+    summary = run_experiment(_linreg_cfg(optimizer="sgd", alpha=0.001,
+                                         max_steps=8000))
     return summary, time.perf_counter() - start
 
 
@@ -82,8 +82,8 @@ def test_criterion_3_nesterov_ordering(bfe_run):
     start = time.perf_counter()
     steps = []
     for beta in (0.0, 0.5, 0.9):
-        _, s = run_experiment(_linreg_cfg(optimizer="nesterov", alpha=0.001,
-                                          beta=beta, max_steps=8000))
+        s = run_experiment(_linreg_cfg(optimizer="nesterov", alpha=0.001,
+                                       beta=beta, max_steps=8000))
         steps.append(s.steps_to_threshold)
     elapsed = time.perf_counter() - start
     bfe_steps = bfe_run[0].steps_to_threshold
@@ -97,8 +97,8 @@ def test_criterion_3_nesterov_ordering(bfe_run):
 
 
 def test_criterion_4_normalization_effect(bfe_run):
-    _, s = run_experiment(_linreg_cfg(optimizer="bfe", max_steps=2000,
-                                      normalize=True))
+    s = run_experiment(_linreg_cfg(optimizer="bfe", max_steps=2000,
+                                   normalize=True))
     raw = bfe_run[0].steps_to_threshold
     ok = s.steps_to_threshold is not None and s.steps_to_threshold <= raw
     _report(4, "normalization effect", ok,
@@ -189,12 +189,12 @@ def test_criterion_7_rate_lattice():
             f"worst offset {worst:.2e}<1e-9")
 
 
-def test_criterion_8_baseline_reductions():
+def test_criterion_8_baseline_reductions(run_traced):
     cfg_n = _linreg_cfg(optimizer="nesterov", alpha=0.001, beta=0.0,
                         max_steps=500)
     cfg_s = _linreg_cfg(optimizer="sgd", alpha=0.001, max_steps=500)
-    trace_n, _ = run_experiment(cfg_n)
-    trace_s, _ = run_experiment(cfg_s)
+    trace_n, _ = run_traced(cfg_n, "nesterov.csv")
+    trace_s, _ = run_traced(cfg_s, "sgd.csv")
     bitwise = trace_n == trace_s
 
     obj = quadratic_objective([3.0])

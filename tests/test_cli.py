@@ -5,6 +5,7 @@ import functools
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import typing
@@ -760,6 +761,103 @@ def test_a_failed_run_leaves_the_file_at_its_out_as_it_was(tmp_path,
                  "--seed", "42", "--out", str(out)]) == 3
     assert "at step 9" in capsys.readouterr().err
     assert out.read_bytes() == b"# an earlier trace\r\n"
+
+
+def test_an_interrupted_run_leaves_the_file_at_its_out_as_it_was(
+        tmp_path, monkeypatch):
+    # the rows of the steps before the interrupt went to the partial file
+    # only, which the interrupt deletes
+    build_optimizer = harness.build_optimizer
+
+    def interrupted(cfg, dim):
+        opt = build_optimizer(cfg, dim)
+        step, steps = opt.step, []
+
+        def interrupting_step(*args, **kwargs):
+            steps.append(None)
+            if len(steps) == 5:
+                raise KeyboardInterrupt
+            return step(*args, **kwargs)
+
+        opt.step = interrupting_step
+        return opt
+
+    monkeypatch.setattr(harness, "build_optimizer", interrupted)
+    out = tmp_path / "trace.csv"
+    out.write_bytes(b"# an earlier trace\r\n")
+    with pytest.raises(KeyboardInterrupt):
+        main(["optimize", "--optimizer", "sgd", "--max-steps", "50",
+              "--out", str(out)])
+    assert out.read_bytes() == b"# an earlier trace\r\n"
+    assert os.listdir(tmp_path) == ["trace.csv"]
+
+
+def test_an_out_that_cannot_be_created_exits_2_before_the_first_step(
+        tmp_path, capsys, counted_objectives):
+    # a link into a directory that does not exist passes the check of the
+    # out's own directory; the file it names cannot be created
+    out = tmp_path / "trace.csv"
+    out.symlink_to(tmp_path / "missing" / "trace.csv")
+    assert main(["optimize", "--optimizer", "sgd", "--max-steps", "20000",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", f"config error: [Errno 2] No such file or directory: "
+            f"{str(out)!r}\n")
+    obj, = counted_objectives
+    assert obj.grad_calls == 0  # no step ran
+    assert os.listdir(tmp_path) == ["trace.csv"]
+
+
+def test_an_out_that_is_a_symlink_writes_its_target(tmp_path):
+    target = tmp_path / "runs" / "trace.csv"
+    target.parent.mkdir()
+    target.write_text("an earlier trace\n")
+    link = tmp_path / "trace.csv"
+    link.symlink_to(target)
+    assert main(["optimize", "--problem", "quadratic", "--optimizer", "sgd",
+                 "--max-steps", "3", "--out", str(link)]) == 0
+    assert link.is_symlink() and link.readlink() == target
+    _, trace = harness.read_trace(str(target))
+    assert [rec.step for rec in trace] == [1, 2, 3]
+    assert os.listdir(target.parent) == ["trace.csv"]
+
+
+def test_an_out_that_is_a_pipe_is_written_in_place(tmp_path, capsys):
+    # a pipe, like a device, is not a file that a new one can replace
+    fifo = tmp_path / "trace.fifo"
+    os.mkfifo(fifo)
+    # a reader that is open already lets the run open the pipe at once; the
+    # trace is smaller than the pipe holds
+    r = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main(["optimize", "--problem", "quadratic", "--optimizer",
+                     "sgd", "--max-steps", "3", "--out", str(fifo)]) == 0
+        text = os.read(r, 1 << 16).decode()
+    finally:
+        os.close(r)
+    lines = text.splitlines()
+    assert lines[0].startswith("# bfeopt_version=")
+    assert lines[3] == harness.TRACE_HEADER
+    assert [line.split(",")[0] for line in lines[4:]] == ["1", "2", "3"]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+
+def test_compare_replaces_its_table_with_a_new_file(tmp_path, capsys):
+    # the table goes to a partial file that replaces the old one, so a hard
+    # link to the old one keeps its text
+    configs = tmp_path / "cfgs.json"
+    configs.write_text(json.dumps([
+        {"optimizer": "sgd", "problem": "quadratic", "alpha": 0.1},
+        {"optimizer": "bfe", "problem": "quadratic"}]))
+    table = tmp_path / "table.csv"
+    table.write_text("an earlier table\n")
+    os.link(table, tmp_path / "kept.csv")
+    assert main(["compare", "--configs", str(configs),
+                 "--loss-threshold", "1e-3", "--out", str(table)]) == 0
+    assert table.read_text() == capsys.readouterr().out
+    assert (tmp_path / "kept.csv").read_text() == "an earlier table\n"
+    assert sorted(os.listdir(tmp_path)) == ["cfgs.json", "kept.csv",
+                                            "table.csv"]
 
 
 def test_an_empty_out_exits_2_before_the_run(tmp_path, capsys, monkeypatch):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from bfeopt import cli
-from bfeopt.harness import RunConfig, RunSummary, run_experiment
+from bfeopt.harness import RunConfig, RunSummary
 
 LINREG = dict(problem="linreg", n_samples=10000, batch_size=512, seed=42,
               loss_threshold=1.05)
@@ -39,9 +39,9 @@ WORKLOADS = {
 
 
 @pytest.mark.parametrize("name", list(WORKLOADS))
-def test_evaluations_to_threshold(name, counted_objectives):
+def test_evaluations_to_threshold(name, counted_objectives, run_traced):
     cfg, grads, losses = WORKLOADS[name]
-    trace, summary = run_experiment(cfg)
+    trace, summary = run_traced(cfg)
     # the last step is the first at the threshold
     assert summary.steps_to_threshold == len(trace) == cfg.max_steps
     obj, = counted_objectives
@@ -66,7 +66,7 @@ def test_each_config_is_the_one_the_benchmark_runs(name, monkeypatch):
 
     def run(cfg):
         parsed.append(cfg)
-        return [], RunSummary(None, 0.0, {}, 0.0)
+        return RunSummary(None, 0.0, {}, 0.0)
 
     monkeypatch.setattr(cli, "run_experiment", run)
     assert cli.main(["optimize", *workload.flags]) == 0

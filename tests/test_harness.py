@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,28 +29,32 @@ from bfeopt.problems import LinRegSpec, gen_linear_data, linreg_objective, \
     normalize
 
 
-def test_sgd_on_quadratic_is_geometric():
+def test_sgd_on_quadratic_is_geometric(run_traced):
     cfg = RunConfig(optimizer="sgd", problem="quadratic", alpha=0.1,
                     curvatures=(1.0,), theta0=(1.0,), max_steps=30,
                     lim_zero=1e-12)
-    trace, _ = run_experiment(cfg)
+    trace, _ = run_traced(cfg)
+    assert len(trace) == 30
     for rec in trace:
         assert rec.full_loss == pytest.approx(0.5 * 0.9 ** (2 * rec.step),
                                               rel=1e-12)
 
 
-def test_run_experiment_deterministic():
-    cfg = RunConfig(optimizer="bfe", max_steps=50, seed=42)
-    t1, s1 = run_experiment(cfg)
-    t2, s2 = run_experiment(cfg)
-    assert t1 == t2
-    assert s1 == s2
+def test_run_experiment_deterministic(tmp_path):
+    runs = []
+    for name in ("a.csv", "b.csv"):
+        path = tmp_path / name
+        summary = run_experiment(RunConfig(optimizer="bfe", max_steps=50,
+                                           seed=42, output_path=str(path)))
+        runs.append((path.read_bytes(), summary))
+    assert runs[0] == runs[1]
 
 
-def test_full_loss_matches_independent_reevaluation():
+def test_full_loss_matches_independent_reevaluation(run_traced):
     cfg = RunConfig(optimizer="bfe", max_steps=20, seed=1, batch_size=128,
                     n_samples=1000)
-    trace, _ = run_experiment(cfg)
+    trace, _ = run_traced(cfg)
+    assert len(trace) == 20
     # replay the run to recover committed parameters, then spot-check
     from bfeopt.harness import build_optimizer, build_problem
     obj, theta, stream = build_problem(cfg)
@@ -79,13 +84,21 @@ def test_summarize_examples():
 
 
 def test_trace_round_trip(tmp_path):
-    cfg = RunConfig(optimizer="bfe", max_steps=30, seed=7,
-                    output_path=str(tmp_path / "trace.csv"))
-    trace, _ = run_experiment(cfg)
-    meta, loaded = read_trace(cfg.output_path)
-    assert loaded == trace
-    assert meta["seed"] == "7"
-    assert "config" in meta
+    # no threshold, one the run first meets at step 14, and one it never meets
+    for threshold, steps in ((None, None), (700.0, 14), (1.0, None)):
+        cfg = RunConfig(optimizer="bfe", max_steps=30, seed=7,
+                        loss_threshold=threshold,
+                        output_path=str(tmp_path / "trace.csv"))
+        summary = run_experiment(cfg)
+        meta, loaded = read_trace(cfg.output_path)
+        assert [rec.step for rec in loaded] == list(range(1, 31))
+        assert meta["seed"] == "7"
+        assert "config" in meta
+        # the run's summary is the one summarize takes of the file's records
+        assert summary.steps_to_threshold == steps
+        assert dataclasses.replace(summary, grad_evals=None, loss_evals=None,
+                                   capped_steps=None) == \
+            summarize(loaded, threshold)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -241,12 +254,13 @@ def test_field_values_checked_against_annotations():
 
 @pytest.mark.parametrize("threshold, steps", [(None, None), (1e-9, None),
                                               (5e-9, 0), (1e-8, 0)])
-def test_converged_start_is_a_run_of_no_steps(threshold, steps):
+def test_converged_start_is_a_run_of_no_steps(threshold, steps,
+                                              run_traced):
     # the start's gradient RMS, about 7.1e-5, is below lim_zero
     cfg = RunConfig(optimizer="bfe", problem="quadratic",
                     curvatures=(1.0, 1.0), theta0=(1e-4, 0.0),
                     loss_threshold=threshold)
-    trace, summary = run_experiment(cfg)
+    trace, summary = run_traced(cfg)
     start_loss = harness.quadratic_objective(cfg.curvatures).loss(
         np.array(cfg.theta0), None)
     assert start_loss == 5e-9  # so a threshold of 5e-9 is met exactly
@@ -257,10 +271,10 @@ def test_converged_start_is_a_run_of_no_steps(threshold, steps):
         loss_evals=1, capped_steps=0)
 
 
-def test_a_one_sample_run_runs():
+def test_a_one_sample_run_runs(run_traced):
     # the smallest dataset: every batch is its one row
-    trace, _ = run_experiment(RunConfig(optimizer="sgd", n_samples=1,
-                                        max_steps=3))
+    trace, _ = run_traced(RunConfig(optimizer="sgd", n_samples=1,
+                                    max_steps=3))
     assert [rec.step for rec in trace] == [1, 2, 3]
     assert trace[-1].batch_loss == trace[-1].full_loss
 
@@ -356,9 +370,9 @@ def test_every_linreg_spec_field_is_set_from_a_run_config_field(monkeypatch):
     _assert_each_field_is_set_from_its_source(LinRegSpec, LINREG_SOURCES,
                                               built)
 
-def test_normalized_run_uses_normalized_features():
+def test_normalized_run_uses_normalized_features(run_traced):
     cfg = RunConfig(optimizer="bfe", max_steps=10, seed=3, normalize=True)
-    trace, _ = run_experiment(cfg)
+    trace, _ = run_traced(cfg)
     data = normalize(gen_linear_data(LinRegSpec(seed=3)))
     assert abs(float(np.mean(data.x))) < 1e-10
     assert len(trace) == 10
@@ -366,13 +380,15 @@ def test_normalized_run_uses_normalized_features():
 
 # the overflow warnings of a diverging run are not yet failures
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-def test_diverged_run_carries_its_step_rate_and_last_finite_loss():
+def test_diverged_run_carries_its_step_rate_and_last_finite_loss(
+        run_traced):
     cfg = RunConfig(optimizer="bfe-grad", problem="quadratic",
                     curvatures=(1e6,), eta0=1.0, max_steps=10)
     with pytest.raises(NonFiniteEvaluation) as exc:
         run_experiment(cfg)
     assert (exc.value.step, exc.value.eta) == (8, 2.0 ** 60)
-    trace, _ = run_experiment(dataclasses.replace(cfg, max_steps=7))
+    trace, _ = run_traced(dataclasses.replace(cfg, max_steps=7))
+    assert len(trace) == 7
     assert exc.value.last_finite_loss == trace[-1].full_loss
 
 
@@ -387,7 +403,7 @@ def test_every_optimizer_step_has_the_one_signature(optimizer):
 @pytest.mark.parametrize("optimizer", OPTIMIZERS)
 def test_run_loop_computes_the_step_gradient_once(optimizer,
                                                   counted_objectives,
-                                                  monkeypatch):
+                                                  monkeypatch, run_traced):
     outcomes = []
     build_optimizer = harness.build_optimizer
 
@@ -414,7 +430,7 @@ def test_run_loop_computes_the_step_gradient_once(optimizer,
     # next step's stop check
     for cfg, row_losses in ((linreg, 2), (quadratic, 1)):
         outcomes.clear()
-        trace, summary = run_experiment(cfg)
+        trace, summary = run_traced(cfg)
         obj = counted_objectives.pop()
         rows = len(trace)
         assert rows == cfg.max_steps  # so there is one stop check per row
@@ -486,8 +502,40 @@ TRACE_RUNS = [
 @pytest.mark.parametrize("cfg, steps", TRACE_RUNS)
 def test_a_trace_file_holds_the_rows_of_the_records_returned(tmp_path, cfg,
                                                              steps):
+    # the records as read_trace returns them, since %.17g round-trips
+    # every float: the file is the header and their rows, and no more
     path = tmp_path / "trace.csv"
     cfg = dataclasses.replace(cfg, output_path=str(path))
-    trace, _ = run_experiment(cfg)
+    run_experiment(cfg)
+    _, trace = read_trace(str(path))
     assert len(trace) == steps
     assert path.read_bytes() == _trace_file_text(cfg, trace).encode()
+
+
+def _peak_bytes(cfg):
+    """The most memory that Python allocated at once while ``cfg`` ran,
+    and the run's summary."""
+    tracemalloc.start()
+    try:
+        summary = run_experiment(cfg)
+        return tracemalloc.get_traced_memory()[1], summary
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_run_holds_no_step_but_its_last(tmp_path):
+    # each row goes to the file as its step ends, so ten times the steps
+    # take no more memory; a run that kept its records and rows until it
+    # returned peaked about 2 MiB higher over 9,000 more steps
+    cfg = RunConfig(optimizer="sgd", alpha=0.001,
+                    output_path=str(tmp_path / "trace.csv"))
+    # the first run of a process imports modules, 0.7 MB of them, at a peak
+    # of about 1 MB, which would hide a growth below that
+    _peak_bytes(dataclasses.replace(cfg, max_steps=10))
+    peaks = []
+    for steps in (1000, 10000):
+        peak, summary = _peak_bytes(dataclasses.replace(cfg,
+                                                        max_steps=steps))
+        assert sum(summary.inner_loop_histogram.values()) == steps
+        peaks.append(peak)
+    assert peaks[1] - peaks[0] < 64 * 1024

@@ -52,8 +52,8 @@ def forks(monkeypatch, stream_forks):
 
 
 def test_a_run_that_exits_0_leaves_no_child(forks):
-    _, summary = run_experiment(RunConfig(optimizer="sgd", max_steps=50,
-                                          batch_size=256))
+    summary = run_experiment(RunConfig(optimizer="sgd", max_steps=50,
+                                       batch_size=256))
     assert len(forks) == 1 and forks[0] > 0
     assert summary.grad_evals == 50
     _assert_no_child_left()
