@@ -526,11 +526,12 @@ def _peak_bytes(cfg):
 def test_a_run_holds_no_step_but_its_last(tmp_path):
     # each row goes to the file as its step ends, so ten times the steps
     # take no more memory; a run that kept its records and rows until it
-    # returned peaked about 2 MiB higher over 9,000 more steps
+    # returned peaked about 3 MB higher over 9,000 more steps
     cfg = RunConfig(optimizer="sgd", alpha=0.001,
                     output_path=str(tmp_path / "trace.csv"))
-    # the first run of a process imports modules, 0.7 MB of them, at a peak
-    # of about 1 MB, which would hide a growth below that
+    # the first run of a process imports numpy.random, among others: 0.7
+    # MB of modules at a peak of about 1 MB, which would hide a growth below
+    # that
     _peak_bytes(dataclasses.replace(cfg, max_steps=10))
     peaks = []
     for steps in (1000, 10000):
